@@ -1,98 +1,100 @@
-"""Benchmark the scenario kernel under both backends.
+"""Time the scenario kernel at n = 10, 100 and 1000 and check it.
 
-Runs the same replicate workload in a subprocess per backend (the
-backend is fixed at import time by SOILRCT_BACKEND), reports wall time
-per replicate batch, and checks that the outputs agree.
+For each sample size, draws the replicates of one scenario with
+`harness.draw_replicates`, times `kernels.scenario_kernel` on them (best
+and mean of several calls), and re-derives every replicate with the
+QR-based library estimators.  Exits 1 if any replicate disagrees by more
+than 1e-8 in columns 0-9, or is flagged as failed.
 
-Usage: python benchmarks/bench_kernels.py [--replicates R] [--n N]
+Usage: python benchmarks/bench_kernels.py [--replicates R] [--repeat K]
+                                          [--population N]
 """
 
 import argparse
-import json
-import os
-import subprocess
+import platform
 import sys
-import tempfile
+import time
 
-_WORKER = r"""
-import json, sys, time
 import numpy as np
-from soilrct import harness, kernels
+
+from soilrct import estimators, harness, kernels
+from soilrct.design import ObservedStudy
 from soilrct.population import generate_population
 
-replicates, n, n_pop, out_path = (
-    int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), sys.argv[4])
-grid = harness.ScenarioGrid.paper_defaults(
-    n_replicates=replicates, population_size=n_pop, sample_sizes=(n,))
-scenario = harness.Scenario(tau=0.15, beta_mod=-0.5, sd_eps1=0.2, n=n, m=5.0)
-rng = harness.population_rng(7, *scenario.pop_key)
-pop = generate_population(grid.population_params(*scenario.pop_key), rng)
-bundle = harness.build_bundle(pop)
-
-rng = harness.scenario_rng(7, scenario)
-perm = np.empty((replicates, n), dtype=np.int64)
-for r in range(replicates):
-    perm[r] = rng.permutation(pop.n_plots)[:n]
-noise = rng.standard_normal((replicates, n, 2))
-args = (pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
-        np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
-        bundle.cum1, bundle.mean_y0, bundle.mean_y1, perm, noise,
-        grid.sigma_delta(scenario.m), n // 2)
-
-kernels.scenario_kernel(*args)  # warm up: jit compile or cache load
-times = []
-for _ in range(5):
-    t0 = time.perf_counter()
-    out = kernels.scenario_kernel(*args)
-    times.append(time.perf_counter() - t0)
-np.save(out_path + ".npy", out)
-with open(out_path, "w") as fh:
-    json.dump({"backend": kernels.BACKEND, "best_s": min(times),
-               "mean_s": sum(times) / len(times)}, fh)
-"""
+SAMPLE_SIZES = (10, 100, 1000)
+SEED = 7
 
 
-def run_backend(backend, replicates, n, n_pop, out_path):
-    env = dict(os.environ, SOILRCT_BACKEND=backend)
-    subprocess.run(
-        [sys.executable, "-c", _WORKER, str(replicates), str(n),
-         str(n_pop), out_path],
-        env=env, check=True)
-    with open(out_path) as fh:
-        return json.load(fh)
+def kernel_args(n, replicates, n_pop):
+    grid = harness.ScenarioGrid.paper_defaults(
+        n_replicates=replicates, population_size=n_pop, sample_sizes=(n,))
+    scenario = harness.Scenario(tau=0.15, beta_mod=-0.5, sd_eps1=0.2, n=n,
+                                m=5.0)
+    pop = generate_population(grid.population_params(*scenario.pop_key),
+                              harness.population_rng(SEED, *scenario.pop_key))
+    bundle = harness.build_bundle(pop)
+    perm, noise = harness.draw_replicates(
+        harness.scenario_rng(SEED, scenario), replicates, n, n_pop)
+    return (pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
+            np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
+            bundle.cum1, bundle.mean_y0, bundle.mean_y1, perm, noise,
+            grid.sigma_delta(scenario.m), n // 2)
+
+
+def library_row(args, r):
+    """Kernel columns 0-9 of replicate r from the library estimators."""
+    b, y0, y1 = args[:3]
+    perm, noise, sd, n0 = args[8:]
+    idx = perm[r]
+    n = idx.shape[0]
+    z = np.repeat([0, 1], [n0, n - n0])
+    b_obs = b[idx] + sd * noise[r, :, 0]
+    y_obs = np.where(z == 0, y0[idx], y1[idx]) + sd * noise[r, :, 1]
+    raw = ObservedStudy(baseline_obs=b_obs, outcome_obs=y_obs, arm=z,
+                        source_index=idx)
+    scaled = (b_obs - b_obs.mean()) / b_obs.std(ddof=1)
+    std = ObservedStudy(baseline_obs=b_obs, outcome_obs=y_obs, arm=z,
+                        source_index=idx,
+                        covariates_obs=np.column_stack([np.ones(n), scaled]))
+    dim = estimators.diff_in_means(raw)
+    did = estimators.diff_in_diffs(raw)
+    tau, mods, _ = estimators.ols_interaction(std)
+    naive = estimators.naive_moderator(raw)
+    return [dim.estimate, dim.variance, did.estimate, did.variance,
+            tau.estimate, tau.variance, mods[0].estimate, mods[0].variance,
+            naive.estimate, naive.variance]
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--replicates", type=int, default=2000)
-    parser.add_argument("--n", type=int, default=100)
+    parser.add_argument("--replicates", type=int, default=500)
+    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--population", type=int, default=5000)
     opts = parser.parse_args()
 
-    import numpy as np
-
-    results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for backend in ("numpy", "numba"):
-            out_path = os.path.join(tmp, backend)
-            results[backend] = run_backend(
-                backend, opts.replicates, opts.n, opts.population, out_path)
-            results[backend]["out"] = np.load(out_path + ".npy")
-
-    a, b = results["numpy"]["out"], results["numba"]["out"]
-    agree = np.allclose(a, b, rtol=1e-9, atol=1e-12, equal_nan=True)
-    print(f"workload: {opts.replicates} replicates, n={opts.n}, "
-          f"population={opts.population}")
-    for backend in ("numpy", "numba"):
-        r = results[backend]
-        per_rep = r["best_s"] / opts.replicates * 1e6
-        print(f"{backend:>6}: best {r['best_s'] * 1e3:8.2f} ms "
-              f"({per_rep:7.2f} us/replicate, mean of 5 runs "
-              f"{r['mean_s'] * 1e3:.2f} ms)")
-    speedup = results["numpy"]["best_s"] / results["numba"]["best_s"]
-    print(f"speedup: {speedup:.1f}x (numba over numpy)")
-    print(f"outputs agree to round-off: {agree}")
-    if not agree:
+    print(f"python {platform.python_version()}, numpy {np.__version__}, "
+          f"kernel backend {kernels.BACKEND}, "
+          f"{opts.replicates} replicates, population {opts.population}")
+    bad_total = 0
+    for n in SAMPLE_SIZES:
+        args = kernel_args(n, opts.replicates, opts.population)
+        times = []
+        for _ in range(opts.repeat):
+            t0 = time.perf_counter()
+            out = kernels.scenario_kernel(*args)
+            times.append(time.perf_counter() - t0)
+        bad = sum(
+            out[r, 12] != 0.0
+            or not np.allclose(out[r, :10], library_row(args, r), rtol=0.0,
+                               atol=1e-8)
+            for r in range(opts.replicates))
+        bad_total += bad
+        best = min(times)
+        print(f"n={n:>5}: best {best * 1e3:9.2f} ms "
+              f"({best / opts.replicates * 1e6:8.2f} us/replicate), "
+              f"mean of {opts.repeat} {sum(times) / len(times) * 1e3:.2f} ms; "
+              f"disagreements with QR: {bad}/{opts.replicates}")
+    if bad_total:
         sys.exit(1)
 
 

@@ -4,7 +4,7 @@ A scenario grid crosses population parameters (constant effect, moderator
 slope, idiosyncratic effect SD) with design parameters (enrolled plots,
 soil samples per plot).  One population is generated per parameter
 combination; each scenario then runs many replicates of enroll, assign,
-measure, estimate through the compiled kernel and reduces them to metric
+measure, estimate through the batched kernel and reduces them to metric
 rows and a policy-value summary.
 
 Randomness is derived from the master seed and a content hash of each
@@ -34,6 +34,11 @@ BASELINE_MEAN = 2.34
 
 #: Replicate failure fraction beyond which a scenario aborts the run.
 MAX_FAILURE_RATE = 0.01
+
+#: Smallest enrolled sample: the interacted regression fits 4 coefficients
+#: and needs more plots than that (`estimators.ols_interaction` refuses
+#: n <= 4); at n = 4 it is saturated and its HC2 variance is round-off.
+MIN_SAMPLE_SIZE = 6
 
 _Z975 = norm_ppf(0.975)
 
@@ -68,9 +73,11 @@ class ScenarioGrid:
                 raise ParamError(f"{name} must be nonempty")
             object.__setattr__(self, name, vals)
         for n in self.sample_sizes:
-            if not (isinstance(n, int) and n >= 4 and n % 2 == 0):
+            if not (isinstance(n, int) and n >= MIN_SAMPLE_SIZE
+                    and n % 2 == 0):
                 raise ParamError(
-                    f"sample sizes must be even integers >= 4, got {n}")
+                    f"sample sizes must be even integers >= "
+                    f"{MIN_SAMPLE_SIZE}, got {n}")
             if n > self.population_size:
                 raise ParamError(
                     f"cannot enroll {n} from population of "
@@ -218,18 +225,31 @@ class ScenarioResult:
         return self.raw[self.raw[:, 12] == 0.0]
 
 
-def run_scenario(grid: ScenarioGrid, scenario: Scenario,
-                 bundle: PopulationBundle, master_seed: int) -> ScenarioResult:
-    """Execute every replicate of one scenario through the kernel."""
-    rng = scenario_rng(master_seed, scenario)
-    reps = grid.n_replicates
-    n = scenario.n
-    n_pop = bundle.population.n_plots
+def draw_replicates(rng, reps: int, n: int, n_pop: int):
+    """The randomness of `reps` replicates that enroll `n` of `n_pop` plots.
+
+    Returns `perm`, a (reps, n) int64 array whose row r lists the plots
+    replicate r enrolls (a uniformly random ordered subset, so splitting
+    a row into halves is a complete randomization), and `noise`, a
+    (reps, n, 2) standard-normal array for the baseline and outcome
+    measurement errors.  The stream is fixed: one full permutation per
+    replicate, then all the noise.
+    """
     perm = np.empty((reps, n), dtype=np.int64)
     for r in range(reps):
         perm[r] = rng.permutation(n_pop)[:n]
     noise = rng.standard_normal((reps, n, 2))
+    return perm, noise
+
+
+def run_scenario(grid: ScenarioGrid, scenario: Scenario,
+                 bundle: PopulationBundle, master_seed: int) -> ScenarioResult:
+    """Execute every replicate of one scenario through the kernel."""
+    reps = grid.n_replicates
+    n = scenario.n
     pop = bundle.population
+    perm, noise = draw_replicates(scenario_rng(master_seed, scenario), reps,
+                                  n, pop.n_plots)
     raw = kernels.scenario_kernel(
         pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
         np.ascontiguousarray(pop.po[:, 1]),

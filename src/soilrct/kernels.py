@@ -1,20 +1,35 @@
-"""Hot Monte Carlo kernel with a compiled and an interpreted backend.
+"""Replicate-batched Monte Carlo scenario kernel.
 
-`scenario_kernel` consumes pre-generated randomness (a permutation block
-and a standard-normal noise block per replicate) and is itself purely
-deterministic numerics: repeated calls with one backend are bitwise
-reproducible, and the two backends agree to floating round-off (the
-compiler may reorder reductions).  Set the environment variable
-SOILRCT_BACKEND to "numpy" before import to skip compilation; anything
-else (or unset) uses the jitted kernel when numba is importable.
+`scenario_kernel` consumes pre-generated randomness (a permutation row and
+a standard-normal noise block per replicate) and is itself deterministic
+numerics.  It computes every replicate of a scenario with array operations
+over a (replicates, plots) layout; there is no per-replicate Python loop.
 
-Replicates are laid out with arm 0 in the first `n0` rows and arm 1 in
+Two rules keep the output bitwise reproducible:
+
+- Every per-replicate sum runs along a row (`sum(axis=1)`), so each row
+  is reduced in the same order however many rows share the call.
+- The 4 x 4 regression systems are formed with `np.einsum` and solved
+  per replicate by LAPACK, never with `@`, so no threaded BLAS call can
+  enter and the BLAS thread count cannot change a digit.
+
+Replicates are processed in row blocks of at most `BLOCK_ELEMENTS`
+replicate-plot cells, which bounds the kernel's working memory; since
+each row is computed independently, the output is the same for any block
+split.
+
+Replicates are laid out with arm 0 in the first `n0` columns and arm 1 in
 the remainder; the caller is responsible for that block ordering.
 """
 
-import os
-
 import numpy as np
+
+#: The one kernel implementation; recorded in run manifests.
+BACKEND = "numpy"
+
+#: Largest replicates x plots block computed at once.  The design stack of
+#: a block takes 32 bytes per cell, so a block's working set is a few MB.
+BLOCK_ELEMENTS = 1 << 16
 
 #: Output columns of `scenario_kernel`, one row per replicate.
 KERNEL_COLUMNS = (
@@ -24,6 +39,9 @@ KERNEL_COLUMNS = (
     "policy_value", "restricted_value", "fail",
 )
 N_KERNEL_COLUMNS = len(KERNEL_COLUMNS)
+
+#: Floor on 1 - leverage in the HC2 weights, as in `linalg.hc2_covariance`.
+_MIN_DENOM = 1e-12
 
 
 def population_tables(b, y0, y1):
@@ -39,141 +57,164 @@ def population_tables(b, y0, y1):
 
 
 def _mean(x):
-    return x.sum() / x.shape[0]
+    """Row means of a (replicates, plots) array."""
+    return x.sum(axis=1) / x.shape[1]
 
 
 def _var1(x, mean):
-    # sample variance, n - 1 denominator
-    d = x - mean
-    return (d * d).sum() / (x.shape[0] - 1)
+    """Row sample variances, n - 1 denominator."""
+    d = x - mean[:, None]
+    return (d * d).sum(axis=1) / (x.shape[1] - 1)
 
 
 def _linefit(x, y):
-    """Slope and intercept of y on x; returns (ok, intercept, slope)."""
+    """Row-wise intercept and slope of y on x, for rows where x varies."""
     mx = _mean(x)
     my = _mean(y)
-    dx = x - mx
-    ssx = (dx * dx).sum()
-    if ssx <= 0.0:
-        return False, 0.0, 0.0
-    slope = (dx * (y - my)).sum() / ssx
-    return True, my - slope * mx, slope
+    dx = x - mx[:, None]
+    slope = (dx * (y - my[:, None])).sum(axis=1) / (dx * dx).sum(axis=1)
+    return my - slope * mx, slope
 
 
-def _scenario_kernel_impl(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
-                          perm, noise, sigma_delta, n0):
-    n_pop = b.shape[0]
-    reps = perm.shape[0]
+def _varies(x):
+    """Rows whose values are not all equal and have positive sample
+    variance.  The first test catches a constant row whose mean rounds
+    away from its value, which leaves a variance of pure round-off."""
+    return (x.max(axis=1) > x.min(axis=1)) & (_var1(x, _mean(x)) > 0.0)
+
+
+def _regressions(bobs, yobs, diffs, n0, out):
+    """Interacted OLS with HC2 variance (columns 4-7) and the naive
+    change-on-baseline slope (columns 8-9), for rows whose baseline varies
+    overall and within each arm."""
+    reps, n = bobs.shape
+    mean_b = _mean(bobs)
+    sd_b = np.sqrt(_var1(bobs, mean_b))
+    # interacted OLS on baseline standardized to sample SD units, with
+    # leverage-adjusted (HC2) sandwich variance; the design columns
+    # (1, z, bs, z * centered bs) are stored (replicate, column, plot) so
+    # that every einsum reduces along contiguous plots
+    bs = (bobs - mean_b[:, None]) / sd_b[:, None]
+    w = np.empty((reps, 4, n))
+    w[:, 0] = 1.0
+    w[:, 1, :n0] = 0.0
+    w[:, 1, n0:] = 1.0
+    w[:, 2] = bs
+    w[:, 3, :n0] = 0.0
+    w[:, 3, n0:] = bs[:, n0:] - _mean(bs)[:, None]
+    gram = np.einsum("rin,rjn->rij", w, w)
+    xty = np.einsum("rin,rn->ri", w, yobs)
+    coeffs = np.linalg.solve(gram, xty[:, :, None])[:, :, 0]
+    resid = yobs - np.einsum("rin,ri->rn", w, coeffs)
+    # row k of proj is row k of G^-1 W', so the leverages are the
+    # diagonal of W G^-1 W' and the sandwich G^-1 W' diag(ee) W G^-1 has
+    # diagonal sum_n ee_n proj_kn^2
+    proj = np.einsum("rij,rjn->rin", np.linalg.inv(gram), w)
+    lev = np.einsum("rin,rin->rn", w, proj)
+    ee = resid * resid / np.maximum(1.0 - lev, _MIN_DENOM)
+    out[:, 4] = coeffs[:, 1]
+    out[:, 5] = np.einsum("rn,rn->r", ee, proj[:, 1] * proj[:, 1])
+    out[:, 6] = coeffs[:, 3]
+    out[:, 7] = np.einsum("rn,rn->r", ee, proj[:, 3] * proj[:, 3])
+
+    # naive change-on-baseline slope, arms pooled, HC2 variance
+    mean_d = _mean(diffs)
+    dbs = bs * (diffs - mean_d[:, None])
+    ss = (bs * bs).sum(axis=1)
+    slope = dbs.sum(axis=1) / ss
+    nresid = (diffs - (mean_d - slope * _mean(bs))[:, None]
+              - slope[:, None] * bs)
+    lev2 = 1.0 / n + bs * bs / ss[:, None]
+    num = (bs * bs * nresid * nresid
+           / np.maximum(1.0 - lev2, _MIN_DENOM)).sum(axis=1)
+    out[:, 8] = slope
+    out[:, 9] = num / (ss * ss)
+
+
+def _policy(bobs, yobs, n0, sort_b, cum0, cum1, out):
+    """Realized value of the plug-in regime from per-arm line fits, scored
+    on the population (column 10)."""
+    n_pop = sort_b.shape[0]
+    a0, s0 = _linefit(bobs[:, :n0], yobs[:, :n0])
+    a1, s1 = _linefit(bobs[:, n0:], yobs[:, n0:])
+    dint = a1 - a0
+    dslope = s1 - s0
+    # treat where the fitted effect dint + dslope * b is positive; a plot
+    # whose baseline sits exactly on the cut has effect 0 and stays control
+    cut_at = -dint / np.where(dslope == 0.0, 1.0, dslope)
+    up = np.searchsorted(sort_b, cut_at, side="right")
+    down = np.searchsorted(sort_b, cut_at, side="left")
+    value = np.where(
+        dslope > 0.0, cum0[up] + (cum1[n_pop] - cum1[up]),
+        cum1[down] + (cum0[n_pop] - cum0[down]))
+    value = np.where(dslope == 0.0,
+                     np.where(dint > 0.0, cum1[n_pop], cum0[n_pop]), value)
+    out[:, 10] = value / n_pop
+
+
+def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
+                  perm, noise, sigma_delta, n0, out):
     n = perm.shape[1]
     n1 = n - n0
-    out = np.empty((reps, 13))
-    w = np.empty((n, 4))
-    w[:, 0] = 1.0
-    w[:, 1] = 0.0
-    w[n0:, 1] = 1.0
-    for r in range(reps):
-        idx = perm[r]
-        bobs = b[idx] + sigma_delta * noise[r, :, 0]
-        yobs = np.empty(n)
-        for i in range(n0):
-            yobs[i] = y0[idx[i]]
-        for i in range(n0, n):
-            yobs[i] = y1[idx[i]]
-        yobs += sigma_delta * noise[r, :, 1]
-        diffs = yobs - bobs
+    bobs = b[perm] + sigma_delta * noise[:, :, 0]
+    yobs = np.concatenate((y0[perm[:, :n0]], y1[perm[:, n0:]]), axis=1)
+    yobs += sigma_delta * noise[:, :, 1]
+    diffs = yobs - bobs
 
-        mean_t = _mean(yobs[n0:])
-        mean_c = _mean(yobs[:n0])
-        out[r, 0] = mean_t - mean_c
-        out[r, 1] = (_var1(yobs[:n0], mean_c) / n0
-                     + _var1(yobs[n0:], mean_t) / n1)
-        mean_dt = _mean(diffs[n0:])
-        mean_dc = _mean(diffs[:n0])
-        out[r, 2] = mean_dt - mean_dc
-        out[r, 3] = (_var1(diffs[:n0], mean_dc) / n0
-                     + _var1(diffs[n0:], mean_dt) / n1)
+    mean_t = _mean(yobs[:, n0:])
+    mean_c = _mean(yobs[:, :n0])
+    out[:, 0] = mean_t - mean_c
+    out[:, 1] = (_var1(yobs[:, :n0], mean_c) / n0
+                 + _var1(yobs[:, n0:], mean_t) / n1)
+    mean_dt = _mean(diffs[:, n0:])
+    mean_dc = _mean(diffs[:, :n0])
+    out[:, 2] = mean_dt - mean_dc
+    out[:, 3] = (_var1(diffs[:, :n0], mean_dc) / n0
+                 + _var1(diffs[:, n0:], mean_dt) / n1)
+    # the restricted regime treats everyone iff the treated mean is higher
+    out[:, 11] = np.where(mean_t > mean_c, mean_y1, mean_y0)
+    out[:, 12] = 0.0
 
-        mean_b = _mean(bobs)
-        sd_b = np.sqrt(_var1(bobs, mean_b))
-        ok = (sd_b > 0.0
-              and _var1(bobs[:n0], _mean(bobs[:n0])) > 0.0
-              and _var1(bobs[n0:], _mean(bobs[n0:])) > 0.0)
-        if not ok:
-            for j in range(4, 12):
-                out[r, j] = np.nan
-            out[r, 12] = 1.0
-            continue
-        out[r, 12] = 0.0
+    # the regressions and the per-arm line fits need an observed baseline
+    # that varies overall and within each arm
+    ok = _varies(bobs) & _varies(bobs[:, :n0]) & _varies(bobs[:, n0:])
+    if not ok.all():
+        out[~ok, 4:12] = np.nan
+        out[~ok, 12] = 1.0
+        rows = np.flatnonzero(ok)
+        if rows.size == 0:
+            return
+        bobs, yobs, diffs = bobs[rows], yobs[rows], diffs[rows]
+        sub = out[rows]
+    else:
+        rows, sub = None, out
+    _regressions(bobs, yobs, diffs, n0, sub)
+    _policy(bobs, yobs, n0, sort_b, cum0, cum1, sub)
+    if rows is not None:
+        out[rows] = sub
 
-        # interacted OLS on baseline standardized to sample SD units,
-        # leverage-adjusted (HC2) sandwich variance
-        bs = (bobs - mean_b) / sd_b
-        w[:, 2] = bs
-        w[:, 3] = w[:, 1] * (bs - _mean(bs))
-        gram = w.T @ w
-        coeffs = np.linalg.solve(gram, w.T @ yobs)
-        resid = yobs - w @ coeffs
-        ginv = np.linalg.inv(gram)
-        ee = np.empty(n)
-        for i in range(n):
-            lev = w[i] @ (ginv @ w[i])
-            denom = 1.0 - lev
-            if denom < 1e-12:
-                denom = 1e-12
-            ee[i] = resid[i] * resid[i] / denom
-        meat = w.T @ (w * ee.reshape(n, 1))
-        cov = ginv @ meat @ ginv
-        out[r, 4] = coeffs[1]
-        out[r, 5] = cov[1, 1]
-        out[r, 6] = coeffs[3]
-        out[r, 7] = cov[3, 3]
 
-        # naive change-on-baseline slope, arms pooled, HC2 variance
-        dbs = bs * (diffs - _mean(diffs))
-        ss = (bs * bs).sum()
-        slope = dbs.sum() / ss
-        nresid = diffs - (_mean(diffs) - slope * _mean(bs)) - slope * bs
-        lev2 = 1.0 / n + bs * bs / ss
-        num = (bs * bs * nresid * nresid / (1.0 - lev2)).sum()
-        out[r, 8] = slope
-        out[r, 9] = num / (ss * ss)
+def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
+                    perm, noise, sigma_delta, n0):
+    """Estimates, variances and realized policy values for every replicate.
 
-        # plug-in regime from per-arm line fits, scored on the population
-        ok0, a0, s0 = _linefit(bobs[:n0], yobs[:n0])
-        ok1, a1, s1 = _linefit(bobs[n0:], yobs[n0:])
-        if not (ok0 and ok1):
-            out[r, 10] = np.nan
-            out[r, 11] = np.nan
-            out[r, 12] = 1.0
-            continue
-        dint = a1 - a0
-        dslope = s1 - s0
-        if dslope == 0.0:
-            value = cum1[n_pop] if dint > 0.0 else cum0[n_pop]
-        elif dslope > 0.0:
-            cut = np.searchsorted(sort_b, -dint / dslope, side="right")
-            value = cum0[cut] + (cum1[n_pop] - cum1[cut])
-        else:
-            cut = np.searchsorted(sort_b, -dint / dslope, side="left")
-            value = cum1[cut] + (cum0[n_pop] - cum0[cut])
-        out[r, 10] = value / n_pop
-        out[r, 11] = mean_y1 if mean_t > mean_c else mean_y0
+    `b`, `y0`, `y1` are the population's baselines and potential outcomes,
+    and `sort_b`, `cum0`, `cum1` their `population_tables`.  Replicate r
+    enrolls plots `perm[r]`, the first `n0` to control, and observes them
+    with `sigma_delta * noise[r]` added to baseline (`[..., 0]`) and
+    outcome (`[..., 1]`).  Returns a (replicates, 13) array laid out as
+    `KERNEL_COLUMNS`.
+
+    A replicate whose observed baseline is constant overall or within an
+    arm gets NaN in columns 4-11 and `fail` = 1.  No other replicate
+    fails: the per-arm line fits need nothing more.
+    """
+    reps, n = perm.shape
+    out = np.empty((reps, N_KERNEL_COLUMNS))
+    step = max(1, BLOCK_ELEMENTS // n)
+    for start in range(0, reps, step):
+        stop = min(start + step, reps)
+        _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
+                      perm[start:stop], noise[start:stop], sigma_delta, n0,
+                      out[start:stop])
     return out
-
-
-def _select_backend():
-    if os.environ.get("SOILRCT_BACKEND", "").lower() == "numpy":
-        return "numpy", _scenario_kernel_impl
-    try:
-        import numba
-    except ImportError:
-        return "numpy", _scenario_kernel_impl
-    jit = numba.njit(cache=True, nogil=True)
-    global _mean, _var1, _linefit
-    _mean = jit(_mean)
-    _var1 = jit(_var1)
-    _linefit = jit(_linefit)
-    return "numba", jit(_scenario_kernel_impl)
-
-
-BACKEND, scenario_kernel = _select_backend()

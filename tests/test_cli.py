@@ -1,11 +1,16 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import soilrct
 from soilrct import cli, estimators, harness
 from soilrct.design import ObservedStudy
 from soilrct.errors import ScenarioAbortError
@@ -54,7 +59,7 @@ def test_simulate_writes_run_dir(runner, tmp_path):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert manifest["grid"] == "custom"
-    assert manifest["backend"] in ("numba", "numpy")
+    assert manifest["backend"] == "numpy"
     assert manifest["outputs"] == ["metrics.csv", "policy_summary.json",
                                    "power_curves.csv", "attenuation.csv"]
     rows = harness.metrics_from_csv(run_dir / "metrics.csv")
@@ -77,6 +82,30 @@ def test_simulate_rerun_is_byte_identical(runner, tmp_path):
     for name in ("metrics.csv", "policy_summary.json", "power_curves.csv",
                  "attenuation.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_simulate_is_byte_identical_under_blas_threads(tmp_path):
+    # the kernel's small linear algebra must not route through threaded
+    # BLAS, so the BLAS thread count cannot change a digit
+    config = tmp_path / "run.yaml"
+    config.write_text(TINY_CONFIG.replace("sample_sizes: [10]",
+                                          "sample_sizes: [10, 100]")
+                      .replace("samples_per_plot: [inf]",
+                               "samples_per_plot: [5, inf]"))
+    src = str(Path(soilrct.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"blas{threads}"
+        done = subprocess.run(
+            [sys.executable, "-c", "from soilrct.cli import main; main()",
+             "simulate", "--config", str(config), "--seed", "5",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, check=True)
+        outs.append(Path(done.stdout.strip()) / "metrics.csv")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_simulate_unknown_key_exits_2(runner, tmp_path):

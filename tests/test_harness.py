@@ -29,6 +29,24 @@ def test_grid_validation():
         small_grid(n_replicates=0)
 
 
+def test_grid_rejects_the_saturated_design():
+    # 4 plots fit the 4 interacted-OLS coefficients exactly
+    with pytest.raises(ParamError, match=">= 6"):
+        small_grid(sample_sizes=(4,))
+    assert small_grid(sample_sizes=(6,)).sample_sizes == (6,)
+
+
+def test_draw_replicates_keeps_the_stream():
+    perm, noise = harness.draw_replicates(np.random.default_rng(3), 5, 8,
+                                          40)
+    rng = np.random.default_rng(3)
+    expect = [rng.permutation(40)[:8] for _ in range(5)]
+    assert perm.dtype == np.int64 and perm.shape == (5, 8)
+    assert np.array_equal(perm, expect)
+    assert np.array_equal(noise, rng.standard_normal((5, 8, 2)))
+    assert all(len(set(row)) == 8 for row in perm)
+
+
 def test_default_grids_shape():
     paper = harness.ScenarioGrid.paper_defaults()
     assert len(paper.taus) == 4 and paper.taus[0] == 0.0

@@ -1,14 +1,13 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from soilrct import estimators, harness, kernels, policy
+from soilrct import estimators, harness, kernels, linalg, policy
 from soilrct.design import ObservedStudy
-from soilrct.population import generate_population
+from soilrct.population import Population, generate_population
 
 
 @pytest.fixture(scope="module")
@@ -25,16 +24,60 @@ def setup():
 
 
 def kernel_inputs(grid, scenario, pop, bundle, seed=99):
-    rng = harness.scenario_rng(seed, scenario)
-    reps, n = grid.n_replicates, scenario.n
-    perm = np.empty((reps, n), dtype=np.int64)
-    for r in range(reps):
-        perm[r] = rng.permutation(pop.n_plots)[:n]
-    noise = rng.standard_normal((reps, n, 2))
+    perm, noise = harness.draw_replicates(
+        harness.scenario_rng(seed, scenario), grid.n_replicates, scenario.n,
+        pop.n_plots)
     return (pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
             np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
             bundle.cum1, bundle.mean_y0, bundle.mean_y1, perm, noise,
-            grid.sigma_delta(scenario.m), n // 2)
+            grid.sigma_delta(scenario.m), scenario.n // 2)
+
+
+def observed(pop, idx, noise_r, sd, n0):
+    """The study replicate `idx`, `noise_r` enrolls, as the library sees
+    it: raw, and with the baseline standardized for the interacted OLS
+    (None when the observed baseline has zero SD)."""
+    n = idx.shape[0]
+    z = np.repeat([0, 1], [n0, n - n0])
+    b_obs = pop.baseline[idx] + sd * noise_r[:, 0]
+    y_obs = pop.po[idx, z] + sd * noise_r[:, 1]
+    raw = ObservedStudy(baseline_obs=b_obs, outcome_obs=y_obs, arm=z,
+                        source_index=idx)
+    sd_b = b_obs.std(ddof=1)
+    if sd_b == 0.0:
+        return raw, None
+    scaled = (b_obs - b_obs.mean()) / sd_b
+    std = ObservedStudy(baseline_obs=b_obs, outcome_obs=y_obs, arm=z,
+                        source_index=idx,
+                        covariates_obs=np.column_stack([np.ones(n), scaled]))
+    return raw, std
+
+
+def two_sample_estimates(raw):
+    """Kernel columns 0-3: difference in means and in differences."""
+    dim = estimators.diff_in_means(raw)
+    did = estimators.diff_in_diffs(raw)
+    return [dim.estimate, dim.variance, did.estimate, did.variance]
+
+
+def library_estimates(raw, std):
+    """Kernel columns 0-9 from the QR-based library estimators."""
+    tau, mods, _ = estimators.ols_interaction(std)
+    naive = estimators.naive_moderator(raw)
+    return two_sample_estimates(raw) + [
+        tau.estimate, tau.variance, mods[0].estimate, mods[0].variance,
+        naive.estimate, naive.variance]
+
+
+def library_policy_values(pop, raw):
+    """Kernel columns 10-11: realized values of the plug-in regime from
+    per-arm fits and of the better uniform regime."""
+    coeffs = policy.fit_per_arm(raw)
+    imputed = policy.impute_population(coeffs, pop.covariates)
+    plug_in = policy.optimal_unconstrained(imputed)
+    restricted = policy.optimal_restricted(raw, pop.n_plots)
+    return [policy.realized_value(pop, plug_in),
+            policy.realized_value(pop, restricted)]
 
 
 def test_population_tables_prefix_sums():
@@ -55,28 +98,11 @@ def test_kernel_matches_library_estimators(setup):
     grid, scenario, pop, bundle = setup
     args = kernel_inputs(grid, scenario, pop, bundle)
     out = kernels.scenario_kernel(*args)
-    perm, noise = args[8], args[9]
-    sd = args[10]
-    n = scenario.n
-    z = np.repeat([0, 1], [n // 2, n // 2])
+    perm, noise, sd, n0 = args[8:]
     for r in range(grid.n_replicates):
-        idx = perm[r]
-        b_obs = pop.baseline[idx] + sd * noise[r, :, 0]
-        y_obs = pop.po[idx, z] + sd * noise[r, :, 1]
-        raw = ObservedStudy(baseline_obs=b_obs, outcome_obs=y_obs, arm=z,
-                            source_index=idx)
-        scaled = (b_obs - b_obs.mean()) / b_obs.std(ddof=1)
-        std_cov = np.column_stack([np.ones(n), scaled])
-        std = ObservedStudy(baseline_obs=b_obs, outcome_obs=y_obs, arm=z,
-                            source_index=idx, covariates_obs=std_cov)
-        dim = estimators.diff_in_means(raw)
-        did = estimators.diff_in_diffs(raw)
-        tau, mods, _ = estimators.ols_interaction(std)
-        naive = estimators.naive_moderator(raw)
-        expect = [dim.estimate, dim.variance, did.estimate, did.variance,
-                  tau.estimate, tau.variance, mods[0].estimate,
-                  mods[0].variance, naive.estimate, naive.variance]
-        assert out[r, :10] == pytest.approx(expect, abs=1e-8)
+        raw, std = observed(pop, perm[r], noise[r], sd, n0)
+        assert out[r, :10] == pytest.approx(library_estimates(raw, std),
+                                            abs=1e-8)
         assert out[r, 12] == 0.0
 
 
@@ -84,24 +110,11 @@ def test_kernel_policy_columns_match_library(setup):
     grid, scenario, pop, bundle = setup
     args = kernel_inputs(grid, scenario, pop, bundle)
     out = kernels.scenario_kernel(*args)
-    perm, noise = args[8], args[9]
-    sd = args[10]
-    n = scenario.n
-    z = np.repeat([0, 1], [n // 2, n // 2])
+    perm, noise, sd, n0 = args[8:]
     for r in range(0, grid.n_replicates, 7):
-        idx = perm[r]
-        b_obs = pop.baseline[idx] + sd * noise[r, :, 0]
-        y_obs = pop.po[idx, z] + sd * noise[r, :, 1]
-        study = ObservedStudy(baseline_obs=b_obs, outcome_obs=y_obs, arm=z,
-                              source_index=idx)
-        coeffs = policy.fit_per_arm(study)
-        imputed = policy.impute_population(coeffs, pop.covariates)
-        plug_in = policy.optimal_unconstrained(imputed)
-        assert out[r, 10] == pytest.approx(
-            policy.realized_value(pop, plug_in), abs=1e-8)
-        restricted = policy.optimal_restricted(study, pop.n_plots)
-        assert out[r, 11] == pytest.approx(
-            policy.realized_value(pop, restricted), abs=1e-8)
+        raw, _ = observed(pop, perm[r], noise[r], sd, n0)
+        assert out[r, 10:12] == pytest.approx(
+            library_policy_values(pop, raw), abs=1e-8)
 
 
 def test_kernel_is_deterministic(setup):
@@ -112,14 +125,6 @@ def test_kernel_is_deterministic(setup):
     assert np.array_equal(a, b)
 
 
-def test_backends_agree(setup):
-    grid, scenario, pop, bundle = setup
-    args = kernel_inputs(grid, scenario, pop, bundle)
-    active = kernels.scenario_kernel(*args)
-    reference = kernels._scenario_kernel_impl(*args)
-    assert active == pytest.approx(reference, rel=1e-9, abs=1e-12)
-
-
 def test_kernel_flags_degenerate_baseline():
     # constant observed baseline: regression columns collapse
     n_pop, n = 50, 10
@@ -128,9 +133,7 @@ def test_kernel_flags_degenerate_baseline():
     y0 = rng.normal(0, 1, n_pop)
     y1 = y0 + 0.5
     sort_b, cum0, cum1 = kernels.population_tables(b, y0, y1)
-    perm = np.stack([rng.permutation(n_pop)[:n] for _ in range(5)]).astype(
-        np.int64)
-    noise = rng.standard_normal((5, n, 2))
+    perm, noise = harness.draw_replicates(rng, 5, n, n_pop)
     out = kernels.scenario_kernel(b, y0, y1, sort_b, cum0, cum1,
                                   float(y0.mean()), float(y1.mean()),
                                   perm, noise, 0.0, n // 2)
@@ -138,14 +141,6 @@ def test_kernel_flags_degenerate_baseline():
     assert np.all(np.isnan(out[:, 4:12]))
     # the two-sample columns are still well defined
     assert np.all(np.isfinite(out[:, :4]))
-
-
-def test_env_flag_selects_numpy_backend():
-    code = ("import soilrct.kernels as k; print(k.BACKEND)")
-    env = dict(os.environ, SOILRCT_BACKEND="numpy")
-    got = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert got.stdout.strip() == "numpy"
 
 
 def test_restricted_value_tie_goes_to_control():
@@ -157,10 +152,104 @@ def test_restricted_value_tie_goes_to_control():
     y0 = np.full(n_pop, 1.0)
     y1 = np.full(n_pop, 1.0)
     sort_b, cum0, cum1 = kernels.population_tables(b, y0, y1)
-    perm = np.stack([rng.permutation(n_pop)[:n] for _ in range(3)]).astype(
-        np.int64)
-    noise = rng.standard_normal((3, n, 2))
+    perm, noise = harness.draw_replicates(rng, 3, n, n_pop)
     out = kernels.scenario_kernel(b, y0, y1, sort_b, cum0, cum1, 1.0, 2.0,
                                   perm, noise, 0.0, n // 2)
     # tied observed means resolve to the control-arm population value
     assert np.all(out[:, 11] == 1.0)
+
+
+def test_kernel_output_is_independent_of_the_block_split(setup,
+                                                         monkeypatch):
+    grid, scenario, pop, bundle = setup
+    args = list(kernel_inputs(grid, scenario, pop, bundle))
+    perm, noise = args[8], args[9]
+    # one replicate with a constant control baseline, so that one block
+    # also takes the masked path
+    b = args[0].copy()
+    b[perm[20, :scenario.n // 2]] = 2.0
+    args[0], args[10] = b, 0.0
+    reps = grid.n_replicates
+    assert reps * scenario.n <= kernels.BLOCK_ELEMENTS
+    whole = kernels.scenario_kernel(*args)
+    assert whole[20, 12] == 1.0 and whole[:, 12].sum() < reps
+
+    def split(cuts):
+        parts = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            args[8], args[9] = perm[lo:hi], noise[lo:hi]
+            parts.append(kernels.scenario_kernel(*args))
+        return np.concatenate(parts)
+
+    # internal blocks of 7 rows, and calls that straddle those blocks
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 7 * scenario.n + 3)
+    assert np.array_equal(split([0, reps]), whole, equal_nan=True)
+    assert np.array_equal(split([0, 1, 5, 19, 21, 40, reps]), whole,
+                          equal_nan=True)
+
+
+def _property_population(rng, n_pop, baseline):
+    b = (np.full(n_pop, 2.0) if baseline == "constant"
+         else rng.normal(2.34, 0.47, n_pop))
+    y0 = b + 0.16 + rng.normal(0.0, 0.37, n_pop)
+    y1 = y0 + 0.2 - 0.5 * (b - b.mean()) + rng.normal(0.0, 0.3, n_pop)
+    return b, y0, y1
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(half=st.integers(3, 30),
+       m=st.sampled_from([1.0, 5.0, math.inf]),
+       reps=st.integers(1, 40),
+       baseline=st.sampled_from(["varied", "constant", "constant-arm"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
+    """Random designs, including a population with a constant baseline
+    and replicates whose control arm has a constant baseline: every
+    replicate either matches the QR library estimators and the policy
+    oracle, or is flagged with exactly the documented NaN pattern."""
+    n = 2 * half
+    rng = np.random.default_rng(seed)
+    n_pop = 4 * n
+    b, y0, y1 = _property_population(rng, n_pop, baseline)
+    perm, noise = harness.draw_replicates(rng, reps, n, n_pop)
+    if baseline == "constant-arm":
+        # a few replicates enroll control plots that share one baseline
+        for r in range(0, reps, 3):
+            b[perm[r, :half]] = 2.0
+    pop = Population(baseline=b, po=np.column_stack([y0, y1]),
+                     covariates=np.column_stack([np.ones(n_pop), b]))
+    sd = 0.0 if m == math.inf else 1.02 / math.sqrt(m)
+    out = kernels.scenario_kernel(
+        b, y0, y1, *kernels.population_tables(b, y0, y1),
+        float(y0.mean()), float(y1.mean()), perm, noise, sd, half)
+
+    assert out.shape == (reps, kernels.N_KERNEL_COLUMNS)
+    assert np.all(np.isfinite(out[:, :4]))
+    for r in range(reps):
+        b_obs = b[perm[r]] + sd * noise[r, :, 0]
+        degenerate = any(np.all(part == part[0]) for part in
+                         (b_obs, b_obs[:half], b_obs[half:]))
+        raw, std = observed(pop, perm[r], noise[r], sd, half)
+        assert out[r, :4] == pytest.approx(two_sample_estimates(raw),
+                                           abs=1e-8)
+        if degenerate:
+            assert out[r, 12] == 1.0
+            assert np.all(np.isnan(out[r, 4:12]))
+            continue
+        assert out[r, 12] == 0.0
+        assert np.all(np.isfinite(out[r]))
+        expect = library_estimates(raw, std)
+        # near saturation (n = 6) the estimates and variances reach 1e3,
+        # and the normal equations carry about 1e-11 relative round-off
+        assert out[r, [4, 6, 8, 9]] == pytest.approx(
+            [expect[4], expect[6], expect[8], expect[9]], rel=1e-9, abs=1e-8)
+        # the HC2 weight 1 / (1 - h) magnifies the round-off in a leverage
+        # h near 1 by that same factor, in the kernel and the QR oracle;
+        # both floor 1 - h at 1e-12
+        q, _ = linalg.qr_factor(estimators.interaction_design(std))
+        slack = max(1.0 - np.einsum("ij,ij->i", q, q).max(), 1e-12)
+        assert out[r, [5, 7]] == pytest.approx(
+            [expect[5], expect[7]], rel=1e-9 + 1e-13 / slack, abs=1e-8)
+        assert out[r, 10:12] == pytest.approx(
+            library_policy_values(pop, raw), abs=1e-8)
