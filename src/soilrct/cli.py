@@ -7,7 +7,6 @@ study CSV.  Exit codes are stable: 0 success, 2 config or schema error,
 3 scenario abort, 4 estimator failure, 5 infeasible budget.
 """
 
-import csv
 import hashlib
 import json
 import math
@@ -18,11 +17,11 @@ import click
 import numpy as np
 import yaml
 
-from . import __version__, estimators, harness, kernels, policy
+from . import __version__, estimators, harness, kernels, policy, tables
 from .design import ObservedStudy
 from .errors import (InfeasibleBudgetError, ScenarioAbortError, SchemaError,
                      SoilRctError)
-from .population import FLOAT_FMT, Population
+from .population import Population
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,6 +30,14 @@ EXIT_ESTIMATOR = 4
 EXIT_BUDGET = 5
 
 DEFAULT_SEED = 20250801
+
+#: An input table: a file that must exist.
+_INPUT = click.Path(exists=True, dir_okay=False)
+
+POWER_HEADER = ["estimator", "n", "m", "tau", "tau_relative", "power",
+                "power_se"]
+ATTENUATION_HEADER = ["estimator", "n", "m", "tau", "beta_mod", "sd_eps1",
+                      "bias", "bias_se", "coverage"]
 
 #: Config keys that mirror ScenarioGrid axes and parameters.
 _GRID_KEYS = ("taus", "beta_mods", "sd_eps1s", "sample_sizes",
@@ -137,7 +144,7 @@ def _canonical(obj):
     if isinstance(obj, float):
         if obj == math.inf:
             return "inf"
-        return format(obj, FLOAT_FMT)
+        return format(obj, tables.FLOAT_FMT)
     if isinstance(obj, dict):
         return {k: _canonical(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
@@ -205,9 +212,10 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     summary = harness.policy_summary(run)
     (run_dir / "policy_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_power_csv(harness.power_table(run), run_dir / "power_curves.csv")
-    _write_attenuation_csv(harness.attenuation_table(run),
-                           run_dir / "attenuation.csv")
+    _write_dicts(run_dir / "power_curves.csv", POWER_HEADER,
+                 harness.power_table(rows, grid.n_replicates))
+    _write_dicts(run_dir / "attenuation.csv", ATTENUATION_HEADER,
+                 harness.attenuation_table(run))
     outputs = ["metrics.csv", "policy_summary.json", "power_curves.csv",
                "attenuation.csv"]
     manifest = {
@@ -226,38 +234,12 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     sys.exit(EXIT_OK)
 
 
-def _write_power_csv(table, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["estimator", "n", "m", "tau", "tau_relative",
-                         "power", "power_se"])
-        for row in table:
-            writer.writerow([
-                row["estimator"], str(row["n"]), format(row["m"], FLOAT_FMT),
-                format(row["tau"], FLOAT_FMT),
-                format(row["tau_relative"], FLOAT_FMT),
-                format(row["power"], FLOAT_FMT),
-                format(row["power_se"], FLOAT_FMT)])
-
-
-def _write_attenuation_csv(table, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["estimator", "n", "m", "tau", "beta_mod", "sd_eps1",
-                         "bias", "bias_se", "coverage"])
-        for row in table:
-            writer.writerow([
-                row["estimator"], str(row["n"]), format(row["m"], FLOAT_FMT),
-                format(row["tau"], FLOAT_FMT),
-                format(row["beta_mod"], FLOAT_FMT),
-                format(row["sd_eps1"], FLOAT_FMT),
-                format(row["bias"], FLOAT_FMT),
-                format(row["bias_se"], FLOAT_FMT),
-                format(row["coverage"], FLOAT_FMT)])
+def _write_dicts(path, header, table) -> None:
+    tables.write(path, header, ([row[key] for key in header] for row in table))
 
 
 @main.command()
-@click.argument("study_csv", type=click.Path())
+@click.argument("study_csv", type=_INPUT)
 @click.option("--estimator", "name",
               type=click.Choice(["dim", "did", "ols", "naive-mod"]),
               default="dim", help="Which estimator to apply.")
@@ -267,78 +249,59 @@ def estimate(study_csv, name, alpha):
     """Apply one treatment-effect estimator to an observed-study CSV."""
     try:
         study = ObservedStudy.from_csv(study_csv)
-    except SchemaError as exc:
+    except SoilRctError as exc:
         _fail(EXIT_CONFIG, str(exc))
     try:
-        lines = []
-        if name == "dim":
-            lines.append(estimators.diff_in_means(study, alpha).csv_row("dim"))
-        elif name == "did":
-            lines.append(estimators.diff_in_diffs(study, alpha).csv_row("did"))
-        elif name == "ols":
+        if name == "ols":
             tau, mods, _ = estimators.ols_interaction(study, alpha)
-            lines.append(tau.csv_row("ols"))
-            for j, mod in enumerate(mods):
-                lines.append(mod.csv_row(f"mod{j}"))
+            rows = [tau.row("ols")] + [mod.row(f"mod{j}")
+                                       for j, mod in enumerate(mods)]
         else:
-            lines.append(
-                estimators.naive_moderator(study, alpha).csv_row("naive-mod"))
+            fit = {"dim": estimators.diff_in_means,
+                   "did": estimators.diff_in_diffs,
+                   "naive-mod": estimators.naive_moderator}[name]
+            rows = [fit(study, alpha).row(name)]
     except SoilRctError as exc:
         _fail(EXIT_ESTIMATOR, str(exc))
-    click.echo("estimator,estimate,variance,ci_lower,ci_upper,alpha")
-    for line in lines:
-        click.echo(line)
+    tables.write(sys.stdout, estimators.CSV_HEADER, rows)
     sys.exit(EXIT_OK)
+
+
+class _PopulationTarget(Exception):
+    """The target table has potential-outcome columns."""
+
+
+def _bare_target_columns(header) -> list:
+    if header != ["plot_id", "baseline"]:
+        raise _PopulationTarget
+    return [str, float]
 
 
 def _read_target(path):
     """Target covariates for imputation: a population CSV (which also
     enables oracle evaluation) or a bare `plot_id,baseline` table."""
-    with Path(path).open(newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header == ["plot_id", "baseline"]:
-        baselines = []
-        with Path(path).open(newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    baselines.append(float(row[1]))
-                except (IndexError, ValueError) as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        if not baselines:
-            raise SchemaError(f"{path}: no data rows")
-        b = np.array(baselines)
-        return np.column_stack([np.ones_like(b), b]), None
-    pop = Population.from_csv(path)
-    return pop.covariates, pop
+    try:
+        _, baseline = tables.read(path, _bare_target_columns)
+    except _PopulationTarget:
+        pop = Population.from_csv(path)
+        return pop.covariates, pop
+    b = np.array(baseline)
+    return np.column_stack([np.ones_like(b), b]), None
 
 
 def _read_costs(path, n_plots, n_arms, budget) -> policy.CostModel:
-    expected = ["plot_id"] + [f"cost{k}" for k in range(n_arms)]
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise SchemaError(f"{path}: expected header {','.join(expected)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise SchemaError(f"{path}:{lineno}: wrong column count")
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-    if len(rows) != n_plots:
+    _, *cost = tables.read(path, dict(
+        [("plot_id", str)] + [(f"cost{k}", float) for k in range(n_arms)]))
+    if len(cost[0]) != n_plots:
         raise SchemaError(
-            f"{path}: {len(rows)} cost rows for {n_plots} target plots")
-    return policy.CostModel(cost=np.array(rows), budget=budget)
+            f"{path}: {len(cost[0])} cost rows for {n_plots} target plots")
+    return policy.CostModel(cost=np.column_stack(cost), budget=budget)
 
 
 @main.command("policy")
-@click.argument("study_csv", type=click.Path())
-@click.argument("target_csv", type=click.Path())
-@click.option("--costs", "cost_csv", type=click.Path(), default=None,
+@click.argument("study_csv", type=_INPUT)
+@click.argument("target_csv", type=_INPUT)
+@click.option("--costs", "cost_csv", type=_INPUT, default=None,
               help="Per-plot, per-arm cost table.")
 @click.option("--budget", type=float, default=None,
               help="Total budget; requires --costs.")
@@ -347,9 +310,15 @@ def _read_costs(path, n_plots, n_arms, budget) -> policy.CostModel:
 def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
     """Estimate the best treatment regime for a target population."""
     try:
+        if budget is not None and cost_csv is None:
+            raise SchemaError("--budget requires --costs")
         study = ObservedStudy.from_csv(study_csv)
         target_cov, target_pop = _read_target(target_csv)
-    except SchemaError as exc:
+        shape = (target_cov.shape[0], study.n_arms)
+        costs = (policy.CostModel(np.zeros(shape)) if cost_csv is None
+                 else _read_costs(cost_csv, *shape,
+                                  math.inf if budget is None else budget))
+    except SoilRctError as exc:
         _fail(EXIT_CONFIG, str(exc))
     try:
         coeffs = policy.fit_per_arm(study)
@@ -357,22 +326,9 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
     except SoilRctError as exc:
         _fail(EXIT_ESTIMATOR, str(exc))
     try:
-        if cost_csv is not None:
-            costs = _read_costs(cost_csv, imputed.shape[0], imputed.shape[1],
-                                math.inf if budget is None else budget)
-            regime = policy.optimal_budgeted(imputed, costs)
-            total_cost = costs.total_cost(regime.regime)
-            budget_out = costs.budget
-        else:
-            if budget is not None:
-                raise SchemaError("--budget requires --costs")
-            regime = policy.optimal_unconstrained(imputed)
-            total_cost = 0.0
-            budget_out = math.inf
+        regime = policy.optimal_budgeted(imputed, costs)
     except InfeasibleBudgetError as exc:
         _fail(EXIT_BUDGET, str(exc))
-    except SchemaError as exc:
-        _fail(EXIT_CONFIG, str(exc))
     except SoilRctError as exc:
         _fail(EXIT_ESTIMATOR, str(exc))
 
@@ -380,16 +336,13 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
                 if target_pop is not None else None)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "regime.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["plot_id", "arm"])
-        for i, arm in enumerate(regime.regime):
-            writer.writerow([str(i), str(int(arm))])
+    tables.write(out_dir / "regime.csv", ["plot_id", "arm"],
+                 enumerate(regime.regime.tolist()))
     summary = {
         "predicted_mean": regime.predicted_mean,
         "realized_mean": realized,
-        "total_cost": total_cost,
-        "budget": "inf" if budget_out == math.inf else budget_out,
+        "total_cost": costs.total_cost(regime.regime),
+        "budget": "inf" if costs.budget == math.inf else costs.budget,
         "optimality_gap": regime.optimality_gap,
     }
     (out_dir / "policy.json").write_text(

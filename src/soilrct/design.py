@@ -9,18 +9,17 @@ sample receive consecutive arm labels.  Measurement error with SD
 baseline and follow-up observations.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from . import tables
 from .errors import (DesignError, DimensionError, EnrollmentError, ParamError,
                      SchemaError, SizeLimitError)
-from .population import FLOAT_FMT, Population
+from .population import Population
 
 #: Guard for exhaustive assignment enumeration.
 MAX_ENUMERATION_N = 12
@@ -121,43 +120,27 @@ class ObservedStudy:
 
     def to_csv(self, path) -> None:
         """Write `plot_id,source_index,arm,baseline_obs,outcome_obs`."""
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["plot_id", "source_index", "arm", "baseline_obs",
-                 "outcome_obs"])
-            for i in range(self.n):
-                writer.writerow([
-                    str(i), str(int(self.source_index[i])),
-                    str(int(self.arm[i])),
-                    format(self.baseline_obs[i], FLOAT_FMT),
-                    format(self.outcome_obs[i], FLOAT_FMT),
-                ])
+        tables.write(path, ["plot_id", "source_index", "arm", "baseline_obs",
+                            "outcome_obs"],
+                     zip(range(self.n), self.source_index.tolist(),
+                         self.arm.tolist(), self.baseline_obs.tolist(),
+                         self.outcome_obs.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "ObservedStudy":
-        path = Path(path)
-        expected = ["plot_id", "source_index", "arm", "baseline_obs",
-                    "outcome_obs"]
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != expected:
-                raise SchemaError(
-                    f"{path}: expected header {','.join(expected)}")
-            src, arm, b, y = [], [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(expected):
-                    raise SchemaError(f"{path}:{lineno}: wrong column count")
-                try:
-                    src.append(int(row[1]))
-                    arm.append(int(row[2]))
-                    b.append(float(row[3]))
-                    y.append(float(row[4]))
-                except ValueError as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        if not b:
-            raise SchemaError(f"{path}: no data rows")
+        _, src, arm, b, y = tables.read(path, {
+            "plot_id": str, "source_index": int, "arm": int,
+            "baseline_obs": float, "outcome_obs": float})
+        if min(arm) < 0 or len(set(src)) < len(src):
+            seen = set()
+            for lineno, (index, label) in enumerate(zip(src, arm), start=2):
+                if label < 0:
+                    raise SchemaError(f"{path}:{lineno}: arm labels must be "
+                                      f"nonnegative, got {label}")
+                if index in seen:
+                    raise SchemaError(
+                        f"{path}:{lineno}: duplicate source_index {index}")
+                seen.add(index)
         return cls(baseline_obs=np.array(b), outcome_obs=np.array(y),
                    arm=np.array(arm), source_index=np.array(src))
 

@@ -7,20 +7,22 @@ moderator slope (interaction coefficient, plus the naive change-on-
 baseline regression that ignores the randomization).
 """
 
-import csv
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, tables
 from .errors import (DimensionError, InsufficientDataError, ParamError,
                      SingularMatrixError)
-from .population import FLOAT_FMT
 from .design import ObservedStudy
 from .stats import wald_halfwidth
 
 DEFAULT_ALPHA = 0.05
+
+#: Columns of the table `soilrct estimate` prints, one row per estimate.
+CSV_HEADER = ["estimator", "estimate", "variance", "ci_lower", "ci_upper",
+              "alpha"]
 
 
 @dataclass(frozen=True)
@@ -41,17 +43,16 @@ class EstimateWithCI:
                    ci_lower=float(estimate - half),
                    ci_upper=float(estimate + half), alpha=float(alpha))
 
+    def row(self, name: str) -> list:
+        """This estimate as a `CSV_HEADER` row labelled `name`."""
+        return [name, self.estimate, self.variance, self.ci_lower,
+                self.ci_upper, self.alpha]
+
     def csv_row(self, name: str) -> str:
+        """`row(name)` as one CSV line, without its line end."""
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="").writerow([
-            name,
-            format(self.estimate, FLOAT_FMT),
-            format(self.variance, FLOAT_FMT),
-            format(self.ci_lower, FLOAT_FMT),
-            format(self.ci_upper, FLOAT_FMT),
-            format(self.alpha, FLOAT_FMT),
-        ])
-        return buf.getvalue()
+        tables.write(buf, CSV_HEADER, [self.row(name)])
+        return buf.getvalue().splitlines()[1]
 
 
 @dataclass(frozen=True)

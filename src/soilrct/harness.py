@@ -12,21 +12,19 @@ population or scenario, so results for one scenario never depend on which
 other scenarios share the run, and thread count cannot affect output.
 """
 
-import csv
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from . import kernels, tables
 from .errors import ParamError, ScenarioAbortError
-from .population import (FLOAT_FMT, Population, PopulationParams,
-                         generate_population, pate)
+from .population import (Population, PopulationParams, generate_population,
+                         pate)
 from .stats import norm_ppf
 
 #: Reference baseline mean, used to express effects as relative sizes.
@@ -91,6 +89,11 @@ class ScenarioGrid:
             raise ParamError("n_replicates must be >= 1")
         if self.population_size < 2:
             raise ParamError("population_size must be >= 2")
+        if not 0.0 <= self.sd_within_plot < math.inf:
+            raise ParamError(f"sd_within_plot must be finite and "
+                             f"nonnegative, got {self.sd_within_plot}")
+        for pop_key in product(self.taus, self.beta_mods, self.sd_eps1s):
+            self.population_params(*pop_key).validate()
 
     @classmethod
     def paper_defaults(cls, **overrides) -> "ScenarioGrid":
@@ -164,8 +167,8 @@ def _content_spawn_key(tag: int, *parts) -> tuple:
     Keying streams by content rather than by position means adding or
     removing grid entries never shifts the randomness of the others.
     """
-    text = "|".join(format(p, FLOAT_FMT) if isinstance(p, float) else str(p)
-                    for p in parts)
+    text = "|".join(format(p, tables.FLOAT_FMT) if isinstance(p, float)
+                    else str(p) for p in parts)
     digest = hashlib.sha256(text.encode()).digest()
     words = tuple(int.from_bytes(digest[4 * i:4 * i + 4], "little")
                   for i in range(4))
@@ -376,47 +379,34 @@ def metrics_rows(run: GridResult) -> list:
     return rows
 
 
-METRICS_HEADER = ["n", "m", "tau", "beta_mod", "sd_eps1", "estimator",
-                  "target", "bias", "rmse", "coverage", "ci_width", "power",
-                  "n_fail", "warnings"]
+def _number(cell) -> float:
+    # not `float`, which tables.read holds to finite values: m may be inf,
+    # and a scenario with no valid replicate has nan metrics
+    return float(cell)
+
+
+#: metrics.csv columns and their parsers; the names are MetricsRow fields.
+METRICS_COLUMNS = {
+    "n": int, "m": _number, "tau": _number, "beta_mod": _number,
+    "sd_eps1": _number, "estimator": str, "target": _number,
+    "bias": _number, "rmse": _number, "coverage": _number,
+    "ci_width": _number,
+    "power": lambda cell: None if cell == "" else float(cell),
+    "n_fail": int, "warnings": str}
+METRICS_HEADER = list(METRICS_COLUMNS)
 
 
 def metrics_to_csv(rows, path) -> None:
     """Write metric rows with a stable column order and full precision."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_HEADER)
-        for r in rows:
-            writer.writerow([
-                str(r.n), format(r.m, FLOAT_FMT),
-                format(r.tau, FLOAT_FMT), format(r.beta_mod, FLOAT_FMT),
-                format(r.sd_eps1, FLOAT_FMT), r.estimator,
-                format(r.target, FLOAT_FMT), format(r.bias, FLOAT_FMT),
-                format(r.rmse, FLOAT_FMT), format(r.coverage, FLOAT_FMT),
-                format(r.ci_width, FLOAT_FMT),
-                "" if r.power is None else format(r.power, FLOAT_FMT),
-                str(r.n_fail), r.warnings,
-            ])
+    tables.write(path, METRICS_HEADER,
+                 ([getattr(r, name) for name in METRICS_HEADER] for r in rows))
 
 
 def metrics_from_csv(path) -> list:
     """Inverse of `metrics_to_csv` (exact for finite values)."""
-    rows = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != METRICS_HEADER:
-            raise ParamError(f"{path}: unexpected metrics header")
-        for rec in reader:
-            rows.append(MetricsRow(
-                n=int(rec[0]), m=float(rec[1]), tau=float(rec[2]),
-                beta_mod=float(rec[3]), sd_eps1=float(rec[4]),
-                estimator=rec[5], target=float(rec[6]), bias=float(rec[7]),
-                rmse=float(rec[8]), coverage=float(rec[9]),
-                ci_width=float(rec[10]),
-                power=None if rec[11] == "" else float(rec[11]),
-                n_fail=int(rec[12]), warnings=rec[13]))
-    return rows
+    columns = tables.read(path, METRICS_COLUMNS)
+    return [MetricsRow(**dict(zip(METRICS_HEADER, values)))
+            for values in zip(*columns)]
 
 
 @dataclass(frozen=True)
@@ -515,15 +505,16 @@ def policy_summary(run: GridResult) -> dict:
     return summary
 
 
-def power_table(run: GridResult) -> list:
-    """Power per (estimator, n, m, tau), with the effect also expressed
-    relative to the baseline mean and a binomial Monte Carlo SE."""
-    rows = metrics_rows(run)
+def power_table(rows, n_replicates: int) -> list:
+    """Power per (estimator, n, m, tau) from the `metrics_rows` of a run
+    of `n_replicates` replicates per scenario, with the effect also
+    expressed relative to the baseline mean and a binomial Monte Carlo
+    SE."""
     out = []
     for r in rows:
         if r.power is None or math.isnan(r.coverage):
             continue
-        reps = run.grid.n_replicates - r.n_fail
+        reps = n_replicates - r.n_fail
         se = math.sqrt(max(r.power * (1.0 - r.power), 1e-12) / reps)
         out.append({
             "estimator": r.estimator, "n": r.n, "m": r.m, "tau": r.tau,

@@ -160,8 +160,10 @@ def _budgeted_lp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
     At a vertex of the relaxation at most K-1 plots are fractional; each
     is rounded down to the cheapest arm in its support, which can only
     reduce cost, so feasibility is preserved.  The value lost is reported
-    as `optimality_gap` (relative to the LP optimum, an upper bound on
-    the best integral regime).
+    as `optimality_gap`, measured against the LP optimum as HiGHS reports
+    it.  That optimum bounds the best integral regime only to the solver's
+    tolerance: the best regime may beat the rounded one by a little more
+    than the reported gap, even when that gap is 0.
     """
     n, k = imputed.shape
     nk = n * k
@@ -248,13 +250,13 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
                         optimality_gap=0.0)
 
 
-def optimal_budgeted(imputed: np.ndarray, costs: CostModel,
-                     method: str = "auto") -> PolicyRegime:
+def optimal_budgeted(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
     """Best regime subject to an additive budget constraint.
 
-    `method` is "auto" (exact DP when the instance allows it, LP
-    otherwise), "dp", or "lp".  With an infinite budget this reduces to
-    the unconstrained argmax.
+    Solved exactly by dynamic programming when the costs are integral and
+    the instance is within the DP's limits, by the LP relaxation with
+    rounding otherwise.  With an infinite budget this reduces to the
+    unconstrained argmax.
     """
     imputed = _check_budget_inputs(imputed, costs)
     if costs.budget == math.inf:
@@ -264,12 +266,6 @@ def optimal_budgeted(imputed: np.ndarray, costs: CostModel,
         raise InfeasibleBudgetError(
             f"even the cheapest regime costs {cheapest:g} > budget "
             f"{costs.budget:g}")
-    if method == "dp":
-        return _budgeted_dp(imputed, costs)
-    if method == "lp":
-        return _budgeted_lp(imputed, costs)
-    if method != "auto":
-        raise ParamError(f"unknown method {method!r}")
     try:
         return _budgeted_dp(imputed, costs)
     except (ParamError, SizeLimitError):

@@ -7,17 +7,13 @@ table is built; all randomness lives in the generator and in the study
 design.
 """
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import linalg
+from . import linalg, tables
 from .errors import DimensionError, ParamError, SchemaError
-
-#: Format spec that round-trips IEEE doubles through text exactly.
-FLOAT_FMT = ".17g"
+from .tables import FLOAT_FMT  # noqa: F401  (imported from here by callers)
 
 
 @dataclass(frozen=True)
@@ -41,6 +37,10 @@ class PopulationParams:
     def validate(self) -> None:
         if self.n_plots < 2:
             raise ParamError(f"n_plots must be >= 2, got {self.n_plots}")
+        for name in ("mu_b", "sd_b_across", "mean_control_change",
+                     "sd_control_change", "tau", "beta_mod", "sd_eps1"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParamError(f"{name} must be finite")
         if not self.sd_b_across > 0:
             raise ParamError(
                 f"sd_b_across must be positive, got {self.sd_b_across}")
@@ -50,9 +50,6 @@ class PopulationParams:
                 f"{self.sd_control_change}")
         if self.sd_eps1 < 0:
             raise ParamError(f"sd_eps1 must be nonnegative, got {self.sd_eps1}")
-        for name in ("mu_b", "mean_control_change", "tau", "beta_mod"):
-            if not np.isfinite(getattr(self, name)):
-                raise ParamError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -102,40 +99,24 @@ class Population:
 
     def to_csv(self, path) -> None:
         """Write `plot_id,baseline,y0,y1[,...]` at full double precision."""
-        path = Path(path)
         header = ["plot_id", "baseline"] + [f"y{k}" for k in range(self.n_arms)]
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.n_plots):
-                row = [str(i), format(self.baseline[i], FLOAT_FMT)]
-                row += [format(v, FLOAT_FMT) for v in self.po[i]]
-                writer.writerow(row)
+        tables.write(path, header, zip(range(self.n_plots),
+                                       self.baseline.tolist(),
+                                       *self.po.T.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "Population":
-        path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:2] != ["plot_id", "baseline"]:
-                raise SchemaError(
-                    f"{path}: expected header starting 'plot_id,baseline'")
-            arm_cols = header[2:]
-            if arm_cols != [f"y{k}" for k in range(len(arm_cols))]:
-                raise SchemaError(f"{path}: arm columns must be y0,y1,...")
-            baseline, po = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise SchemaError(f"{path}:{lineno}: wrong column count")
-                try:
-                    baseline.append(float(row[1]))
-                    po.append([float(v) for v in row[2:]])
-                except ValueError as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+        _, baseline, *po = tables.read(path, _population_columns)
         b = np.array(baseline)
         covariates = np.column_stack([np.ones_like(b), b])
-        return cls(baseline=b, po=np.array(po), covariates=covariates)
+        return cls(baseline=b, po=np.column_stack(po), covariates=covariates)
+
+
+def _population_columns(header) -> list:
+    arms = max(2, len(header) - 2)
+    if header != ["plot_id", "baseline"] + [f"y{k}" for k in range(arms)]:
+        raise SchemaError("expected header plot_id,baseline,y0,y1[,...]")
+    return [str] + [float] * (arms + 1)
 
 
 def generate_population(params: PopulationParams, seed) -> Population:

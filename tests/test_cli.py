@@ -325,3 +325,62 @@ def test_policy_cost_schema_mismatch_exits_2(runner, tmp_path):
                                       str(cost_path), "--out",
                                       str(tmp_path / "pol")])
     assert result.exit_code == 2
+
+
+def _set_cell(path, line, column, value):
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = value
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+#: name: (file, line, column, bad value, estimator; None runs `policy`)
+MALFORMED = {
+    "duplicate-source-index": ("study", 3, 1, "0", "dim"),
+    "negative-arm": ("study", 4, 2, "-1", "dim"),
+    "inf-baseline": ("study", 5, 3, "inf", "ols"),
+    "nan-outcome": ("study", 6, 4, "nan", "ols"),
+    "nan-y0-target": ("target", 3, 2, "nan", None),
+    "nan-bare-target": ("bare", 2, 1, "nan", None),
+    "nan-cost": ("costs", 4, 2, "nan", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(runner, tmp_path, case):
+    what, line, column, value, estimator = MALFORMED[case]
+    files = dict(zip(("study", "target"), make_policy_files(tmp_path)[:2]))
+    files["bare"] = tmp_path / "bare.csv"
+    files["bare"].write_text("plot_id,baseline\n0,2.0\n1,2.5\n2,3.1\n")
+    files["costs"] = tmp_path / "costs.csv"
+    files["costs"].write_text("plot_id,cost0,cost1\n0,0,2\n1,0,3\n2,0,1\n")
+    _set_cell(files[what], line, column, value)
+    if estimator is not None:
+        argv = ["estimate", files["study"], "--estimator", estimator]
+    else:
+        argv = ["policy", files["study"],
+                files["bare" if what == "bare" else "target"],
+                "--out", tmp_path / "pol"]
+        if what == "costs":
+            argv += ["--costs", files["costs"], "--budget", "3"]
+    result = runner.invoke(cli.main, [str(a) for a in argv])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [s for s in result.output.splitlines() if s.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {files[what]}:{line}: ")
+
+
+@pytest.mark.parametrize("setting", ["sd_b_across: 0", "mu_b: .nan",
+                                     "sd_within_plot: -1"])
+def test_simulate_invalid_population_exits_2_before_writing(runner, tmp_path,
+                                                            setting):
+    config = tmp_path / "run.yaml"
+    config.write_text(TINY_CONFIG + setting + "\n")
+    out = tmp_path / "out"
+    result = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                      "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert not out.exists()

@@ -196,7 +196,8 @@ def test_policy_summary_blocks():
 
 def test_power_table_contents():
     run = harness.run_grid(small_grid(), 3)
-    table = harness.power_table(run)
+    table = harness.power_table(harness.metrics_rows(run),
+                                run.grid.n_replicates)
     assert len(table) == 3 * len(run.results)
     for row in table:
         assert 0.0 <= row["power"] <= 1.0

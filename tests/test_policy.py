@@ -7,7 +7,8 @@ import pytest
 from soilrct.design import ObservedStudy
 from soilrct.errors import (DimensionError, FitError, InfeasibleBudgetError,
                             ParamError, SizeLimitError)
-from soilrct.policy import (CostModel, PolicyRegime, fit_per_arm,
+from soilrct.policy import (CostModel, PolicyRegime, _budgeted_dp,
+                            _budgeted_lp, fit_per_arm,
                             impute_population, optimal_budgeted,
                             optimal_restricted, optimal_unconstrained,
                             realized_value)
@@ -163,8 +164,7 @@ def test_lp_path_respects_budget_and_gap_bound():
         budget = float(rng.integers(int(cost.min(axis=1).sum()),
                                     int(cost.max(axis=1).sum()) + 2))
         best = brute_force_best(imputed, cost, budget)
-        got = optimal_budgeted(imputed, CostModel(cost=cost, budget=budget),
-                               method="lp")
+        got = _budgeted_lp(imputed, CostModel(cost=cost, budget=budget))
         assert cost[np.arange(n), got.regime].sum() <= budget + 1e-6
         # LP value plus reported gap upper-bounds the true optimum
         assert got.predicted_mean <= best + 1e-9
@@ -193,8 +193,7 @@ def test_budgeted_infeasible_raises():
     with pytest.raises(InfeasibleBudgetError):
         optimal_budgeted(imputed, CostModel(cost=cost, budget=1.0))
     with pytest.raises(InfeasibleBudgetError):
-        optimal_budgeted(imputed, CostModel(cost=cost, budget=1.0),
-                         method="lp")
+        _budgeted_lp(imputed, CostModel(cost=cost, budget=1.0))
 
 
 def test_budgeted_noninteger_costs_fall_back_to_lp():
@@ -211,13 +210,12 @@ def test_dp_guards():
     imputed = np.zeros((3, 2))
     cost = np.full((3, 2), 0.5)
     with pytest.raises(ParamError):
-        optimal_budgeted(imputed, CostModel(cost=cost, budget=2.0),
-                         method="dp")
+        _budgeted_dp(imputed, CostModel(cost=cost, budget=2.0))
     big_cost = np.ones((20000, 2))
     big_cost[:, 0] = 0.0
     with pytest.raises(SizeLimitError):
-        optimal_budgeted(np.zeros((20000, 2)),
-                         CostModel(cost=big_cost, budget=5.0), method="dp")
+        _budgeted_dp(np.zeros((20000, 2)),
+                     CostModel(cost=big_cost, budget=5.0))
 
 
 def test_cost_model_validation():
