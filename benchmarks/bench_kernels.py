@@ -1,9 +1,10 @@
-"""Time the scenario kernel at n = 10, 100 and 1000 and check it.
+"""Time the replicate draws and the scenario kernel at n = 10, 100 and
+1000, and check the kernel.
 
-For each sample size, draws the replicates of one scenario with
-`harness.draw_replicates`, times `kernels.scenario_kernel` on them (best
-and mean of several calls), and re-derives every replicate with the
-QR-based library estimators.  Exits 1 if any replicate disagrees by more
+For each sample size, times `harness.draw_replicates` for the replicates
+of one scenario, times `kernels.scenario_kernel` on them (best and mean
+of several calls each), and re-derives every replicate with the QR-based
+library estimators.  Exits 1 if any replicate disagrees by more
 than 1e-8 in columns 0-9, or is flagged as failed.
 
 Usage: python benchmarks/bench_kernels.py [--replicates R] [--repeat K]
@@ -23,6 +24,17 @@ from soilrct.population import generate_population
 
 SAMPLE_SIZES = (10, 100, 1000)
 SEED = 7
+
+
+def best_and_mean(fn, repeat):
+    """Best and mean wall seconds of `repeat` calls of `fn`, and its last
+    result."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return min(times), sum(times) / len(times), result
 
 
 def kernel_args(n, replicates, n_pop):
@@ -73,26 +85,30 @@ def main():
     opts = parser.parse_args()
 
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
-          f"kernel backend {kernels.BACKEND}, "
-          f"{opts.replicates} replicates, population {opts.population}")
+          f"kernel backend {kernels.BACKEND}, RNG stream "
+          f"{harness.RNG_STREAM}, {opts.replicates} replicates, "
+          f"population {opts.population}")
     bad_total = 0
     for n in SAMPLE_SIZES:
+        best, mean, _ = best_and_mean(
+            lambda: harness.draw_replicates(np.random.default_rng(SEED),
+                                            opts.replicates, n,
+                                            opts.population), opts.repeat)
+        print(f"draws  n={n:>5}: best {best * 1e3:9.2f} ms "
+              f"({best / opts.replicates * 1e6:8.2f} us/replicate), "
+              f"mean of {opts.repeat} {mean * 1e3:.2f} ms")
         args = kernel_args(n, opts.replicates, opts.population)
-        times = []
-        for _ in range(opts.repeat):
-            t0 = time.perf_counter()
-            out = kernels.scenario_kernel(*args)
-            times.append(time.perf_counter() - t0)
+        best, mean, out = best_and_mean(
+            lambda: kernels.scenario_kernel(*args), opts.repeat)
         bad = sum(
             out[r, 12] != 0.0
             or not np.allclose(out[r, :10], library_row(args, r), rtol=0.0,
                                atol=1e-8)
             for r in range(opts.replicates))
         bad_total += bad
-        best = min(times)
-        print(f"n={n:>5}: best {best * 1e3:9.2f} ms "
+        print(f"kernel n={n:>5}: best {best * 1e3:9.2f} ms "
               f"({best / opts.replicates * 1e6:8.2f} us/replicate), "
-              f"mean of {opts.repeat} {sum(times) / len(times) * 1e3:.2f} ms; "
+              f"mean of {opts.repeat} {mean * 1e3:.2f} ms; "
               f"disagreements with QR: {bad}/{opts.replicates}")
     if bad_total:
         sys.exit(1)

@@ -10,11 +10,15 @@ study CSV.  Exit codes are stable: 0 success, 2 config or schema error,
 import hashlib
 import json
 import math
+import os
+import platform
+import shutil
 import sys
 from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__, estimators, harness, kernels, policy, tables
@@ -157,7 +161,9 @@ def _grid_echo(grid: harness.ScenarioGrid) -> dict:
 
 
 def grid_hash(grid: harness.ScenarioGrid, seed: int) -> str:
-    doc = _canonical({"grid": _grid_echo(grid), "seed": seed})
+    """Content hash of a run: its grid, seed and RNG stream version."""
+    doc = _canonical({"grid": _grid_echo(grid), "seed": seed,
+                      "rng_stream": harness.RNG_STREAM})
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -199,14 +205,32 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     except SoilRctError as exc:
         _fail(EXIT_CONFIG, str(exc))
 
-    digest = grid_hash(grid, seed)
-    run_dir = out_dir / f"run-{seed}-{digest[:12]}"
-    run_dir.mkdir(parents=True, exist_ok=True)
     try:
         run = harness.run_grid(grid, seed, threads=threads)
     except ScenarioAbortError as exc:
         _fail(EXIT_ABORT, str(exc))
 
+    # the run directory appears complete or not at all: it is written as a
+    # temporary sibling and renamed once every file is in it
+    digest = grid_hash(grid, seed)
+    run_dir = out_dir / f"run-{seed}-{digest[:12]}"
+    tmp_dir = out_dir / f".{run_dir.name}.{os.getpid()}.tmp"
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    tmp_dir.mkdir(parents=True)
+    try:
+        _write_run(tmp_dir, run, grid_name, threads, digest)
+        if run_dir.exists():
+            shutil.rmtree(run_dir)
+        tmp_dir.rename(run_dir)
+    finally:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+    click.echo(str(run_dir))
+    sys.exit(EXIT_OK)
+
+
+def _write_run(run_dir, run, grid_name, threads, digest) -> None:
+    """Write the tables and the manifest of `run` into `run_dir`."""
+    grid, seed = run.grid, run.master_seed
     rows = harness.metrics_rows(run)
     harness.metrics_to_csv(rows, run_dir / "metrics.csv")
     summary = harness.policy_summary(run)
@@ -221,17 +245,22 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     manifest = {
         "version": __version__,
         "backend": kernels.BACKEND,
+        "rng_stream": harness.RNG_STREAM,
         "seed": seed,
         "threads": threads,
         "grid": grid_name,
         "config": _canonical(_grid_echo(grid)),
         "config_sha256": digest,
         "outputs": outputs,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     (run_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    click.echo(str(run_dir))
-    sys.exit(EXIT_OK)
 
 
 def _write_dicts(path, header, table) -> None:
@@ -295,7 +324,13 @@ def _read_costs(path, n_plots, n_arms, budget) -> policy.CostModel:
     if len(cost[0]) != n_plots:
         raise SchemaError(
             f"{path}: {len(cost[0])} cost rows for {n_plots} target plots")
-    return policy.CostModel(cost=np.column_stack(cost), budget=budget)
+    cost = np.column_stack(cost)
+    negative = np.flatnonzero((cost < 0.0).any(axis=1))
+    if negative.size:
+        row = int(negative[0])
+        raise SchemaError(f"{path}:{row + 2}: costs must be nonnegative, "
+                          f"got {float(cost[row].min())!r}")
+    return policy.CostModel(cost=cost, budget=budget)
 
 
 @main.command("policy")

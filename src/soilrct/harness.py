@@ -33,6 +33,14 @@ BASELINE_MEAN = 2.34
 #: Replicate failure fraction beyond which a scenario aborts the run.
 MAX_FAILURE_RATE = 0.01
 
+#: Version of the stream of random draws behind every replicate.  Stream
+#: 2 draws each replicate's plots with `Generator.choice`, which for
+#: populations of up to 10000 plots runs Floyd's subset sampler and then
+#: shuffles the chosen plots; stream 1 took the head of a full permutation
+#: of the population.  The same seed gives different replicates on the
+#: two streams, so the version enters the run hash.
+RNG_STREAM = 2
+
 #: Smallest enrolled sample: the interacted regression fits 4 coefficients
 #: and needs more plots than that (`estimators.ols_interaction` refuses
 #: n <= 4); at n = 4 it is saturated and its HC2 variance is round-off.
@@ -42,6 +50,8 @@ _Z975 = norm_ppf(0.975)
 
 #: Estimator column layout in the kernel output.
 _EST_COLS = {"dim": 0, "did": 2, "ols": 4, "mod": 6, "naive": 8}
+#: Kernel column that the `mod` variance adds to its HC2 column.
+_MOD_SCALE_VAR = kernels.KERNEL_COLUMNS.index("mod_scale_var")
 PATE_ESTIMATORS = ("dim", "did", "ols")
 MODERATOR_ESTIMATORS = ("mod", "naive")
 
@@ -235,12 +245,14 @@ def draw_replicates(rng, reps: int, n: int, n_pop: int):
     replicate r enrolls (a uniformly random ordered subset, so splitting
     a row into halves is a complete randomization), and `noise`, a
     (reps, n, 2) standard-normal array for the baseline and outcome
-    measurement errors.  The stream is fixed: one full permutation per
-    replicate, then all the noise.
+    measurement errors.  The stream (`RNG_STREAM`) is fixed: one
+    `rng.choice(n_pop, n, replace=False)` per replicate, then all the
+    noise.  `choice` picks the subset in O(n) draws and shuffles it, so
+    each row is uniform over ordered subsets, as a permutation's head is.
     """
     perm = np.empty((reps, n), dtype=np.int64)
     for r in range(reps):
-        perm[r] = rng.permutation(n_pop)[:n]
+        perm[r] = rng.choice(n_pop, n, replace=False)
     noise = rng.standard_normal((reps, n, 2))
     return perm, noise
 
@@ -329,6 +341,19 @@ class MetricsRow:
     warnings: str
 
 
+def _estimates(ok: np.ndarray, name: str):
+    """Estimates and variances of estimator `name` over valid kernel rows.
+
+    The `mod` variance is the HC2 variance plus the delta-method term for
+    the sample SD that scales its baseline.
+    """
+    col = _EST_COLS[name]
+    var = ok[:, col + 1]
+    if name == "mod":
+        var = var + ok[:, _MOD_SCALE_VAR]
+    return ok[:, col], var
+
+
 def _estimator_metrics(est: np.ndarray, var: np.ndarray, target: float,
                        with_power: bool):
     half = _Z975 * np.sqrt(var)
@@ -360,9 +385,8 @@ def scenario_metrics(result: ScenarioResult,
             power = math.nan if with_power else None
             row_warn = warn + ["no-valid-replicates"]
         else:
-            col = _EST_COLS[name]
             bias, rmse, coverage, ci_width, power = _estimator_metrics(
-                ok[:, col], ok[:, col + 1], target, with_power)
+                *_estimates(ok, name), target, with_power)
             row_warn = warn
         rows.append(MetricsRow(
             tau=sc.tau, beta_mod=sc.beta_mod, sd_eps1=sc.sd_eps1,
@@ -534,9 +558,8 @@ def attenuation_table(run: GridResult) -> list:
         if ok.shape[0] == 0:
             continue
         for name in MODERATOR_ESTIMATORS:
-            col = _EST_COLS[name]
-            est = ok[:, col]
-            half = _Z975 * np.sqrt(ok[:, col + 1])
+            est, var = _estimates(ok, name)
+            half = _Z975 * np.sqrt(var)
             err = est - sc.beta_mod
             out.append({
                 "estimator": name, "n": sc.n, "m": sc.m, "tau": sc.tau,

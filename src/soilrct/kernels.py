@@ -36,7 +36,7 @@ KERNEL_COLUMNS = (
     "dim_est", "dim_var", "did_est", "did_var",
     "ols_est", "ols_var", "mod_est", "mod_var",
     "naive_est", "naive_var",
-    "policy_value", "restricted_value", "fail",
+    "policy_value", "restricted_value", "fail", "mod_scale_var",
 )
 N_KERNEL_COLUMNS = len(KERNEL_COLUMNS)
 
@@ -83,10 +83,11 @@ def _varies(x):
     return (x.max(axis=1) > x.min(axis=1)) & (_var1(x, _mean(x)) > 0.0)
 
 
-def _regressions(bobs, yobs, diffs, n0, out):
-    """Interacted OLS with HC2 variance (columns 4-7) and the naive
-    change-on-baseline slope (columns 8-9), for rows whose baseline varies
-    overall and within each arm."""
+def _regressions(bobs, yobs, diffs, n0, n_pop, out):
+    """Interacted OLS with HC2 variance (columns 4-7), the naive
+    change-on-baseline slope (columns 8-9) and the moderator's sample-SD
+    variance term (column 13), for rows whose baseline varies overall and
+    within each arm."""
     reps, n = bobs.shape
     mean_b = _mean(bobs)
     sd_b = np.sqrt(_var1(bobs, mean_b))
@@ -120,15 +121,26 @@ def _regressions(bobs, yobs, diffs, n0, out):
     # naive change-on-baseline slope, arms pooled, HC2 variance
     mean_d = _mean(diffs)
     dbs = bs * (diffs - mean_d[:, None])
-    ss = (bs * bs).sum(axis=1)
+    bs2 = bs * bs
+    ss = bs2.sum(axis=1)
     slope = dbs.sum(axis=1) / ss
     nresid = (diffs - (mean_d - slope * _mean(bs))[:, None]
               - slope[:, None] * bs)
-    lev2 = 1.0 / n + bs * bs / ss[:, None]
-    num = (bs * bs * nresid * nresid
+    lev2 = 1.0 / n + bs2 / ss[:, None]
+    num = (bs2 * nresid * nresid
            / np.maximum(1.0 - lev2, _MIN_DENOM)).sum(axis=1)
     out[:, 8] = slope
     out[:, 9] = num / (ss * ss)
+
+    # the moderator is per sample SD of baseline, and that SD is itself
+    # an estimate of the population SD: by the delta method, rescaling by
+    # it adds est^2 (m4 / m2^2 - 1) (1 - n / N) / (4 n) to the variance,
+    # where m2 and m4 are the second and fourth moments of the
+    # standardized baseline and 1 - n / N corrects for sampling n of the
+    # N plots without replacement
+    kurtosis = n * (bs2 * bs2).sum(axis=1) / (ss * ss)
+    out[:, 13] = (out[:, 6] * out[:, 6] * (kurtosis - 1.0)
+                  * (1.0 - n / n_pop) / (4 * n))
 
 
 def _policy(bobs, yobs, n0, sort_b, cum0, cum1, out):
@@ -181,6 +193,7 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     if not ok.all():
         out[~ok, 4:12] = np.nan
         out[~ok, 12] = 1.0
+        out[~ok, 13] = np.nan
         rows = np.flatnonzero(ok)
         if rows.size == 0:
             return
@@ -188,7 +201,7 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
         sub = out[rows]
     else:
         rows, sub = None, out
-    _regressions(bobs, yobs, diffs, n0, sub)
+    _regressions(bobs, yobs, diffs, n0, b.shape[0], sub)
     _policy(bobs, yobs, n0, sort_b, cum0, cum1, sub)
     if rows is not None:
         out[rows] = sub
@@ -202,11 +215,15 @@ def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     and `sort_b`, `cum0`, `cum1` their `population_tables`.  Replicate r
     enrolls plots `perm[r]`, the first `n0` to control, and observes them
     with `sigma_delta * noise[r]` added to baseline (`[..., 0]`) and
-    outcome (`[..., 1]`).  Returns a (replicates, 13) array laid out as
+    outcome (`[..., 1]`).  Returns a (replicates, 14) array laid out as
     `KERNEL_COLUMNS`.
 
+    Column 7 is the HC2 variance of the moderator with the sample SD of
+    baseline held fixed; column 13 (`mod_scale_var`) is what that SD's
+    own sampling error adds, so the moderator's variance is their sum.
+
     A replicate whose observed baseline is constant overall or within an
-    arm gets NaN in columns 4-11 and `fail` = 1.  No other replicate
+    arm gets NaN in columns 4-11 and 13, and `fail` = 1.  No other replicate
     fails: the per-arm line fits need nothing more.
     """
     reps, n = perm.shape

@@ -107,6 +107,9 @@ class Population:
     @classmethod
     def from_csv(cls, path) -> "Population":
         _, baseline, *po = tables.read(path, _population_columns)
+        if len(baseline) < 2:
+            raise SchemaError(f"{path}: a population needs at least 2 "
+                              f"data rows, got {len(baseline)}")
         b = np.array(baseline)
         covariates = np.column_stack([np.ones_like(b), b])
         return cls(baseline=b, po=np.column_stack(po), covariates=covariates)

@@ -2,12 +2,14 @@ import csv
 import itertools
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 
 import soilrct
@@ -60,6 +62,10 @@ def test_simulate_writes_run_dir(runner, tmp_path):
     assert manifest["seed"] == 5
     assert manifest["grid"] == "custom"
     assert manifest["backend"] == "numpy"
+    assert manifest["rng_stream"] == harness.RNG_STREAM == 2
+    assert manifest["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
     assert manifest["outputs"] == ["metrics.csv", "policy_summary.json",
                                    "power_curves.csv", "attenuation.csv"]
     rows = harness.metrics_from_csv(run_dir / "metrics.csv")
@@ -160,6 +166,40 @@ def test_simulate_abort_exits_3(runner, tmp_path, monkeypatch):
     result = runner.invoke(cli.main, ["simulate", "--config", str(config),
                                       "--out", str(tmp_path)])
     assert result.exit_code == 3
+    # neither a run directory nor its temporary sibling is left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+
+def test_simulate_failed_write_leaves_no_run_dir(runner, tmp_path,
+                                                 monkeypatch):
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.harness, "attenuation_table", boom)
+    config = tmp_path / "run.yaml"
+    config.write_text(TINY_CONFIG)
+    out = tmp_path / "out"
+    result = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                      "--out", str(out)])
+    assert isinstance(result.exception, OSError)
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_replaces_an_existing_run_dir(runner, tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text(TINY_CONFIG)
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path)]
+    first = runner.invoke(cli.main, argv)
+    run_dir = Path(first.output.strip())
+    blob = (run_dir / "metrics.csv").read_bytes()
+    (run_dir / "stale.txt").write_text("left by an earlier run\n")
+    second = runner.invoke(cli.main, argv)
+    assert second.exit_code == 0, second.output
+    assert Path(second.output.strip()) == run_dir
+    assert sorted(p.name for p in tmp_path.iterdir()) == [run_dir.name,
+                                                          "run.yaml"]
+    assert not (run_dir / "stale.txt").exists()
+    assert (run_dir / "metrics.csv").read_bytes() == blob
 
 
 def test_estimate_matches_library(runner, tmp_path):
@@ -335,7 +375,9 @@ def _set_cell(path, line, column, value):
     path.write_text("\n".join(lines) + "\n")
 
 
-#: name: (file, line, column, bad value, estimator; None runs `policy`)
+#: name: (file, line, column, bad value, estimator; None runs `policy`);
+#: a line of None cuts the file to its first data row, and the error then
+#: names the file alone
 MALFORMED = {
     "duplicate-source-index": ("study", 3, 1, "0", "dim"),
     "negative-arm": ("study", 4, 2, "-1", "dim"),
@@ -344,6 +386,8 @@ MALFORMED = {
     "nan-y0-target": ("target", 3, 2, "nan", None),
     "nan-bare-target": ("bare", 2, 1, "nan", None),
     "nan-cost": ("costs", 4, 2, "nan", None),
+    "negative-cost": ("costs", 3, 1, "-1", None),
+    "one-row-target": ("target", None, None, None, None),
 }
 
 
@@ -355,7 +399,11 @@ def test_malformed_input_exits_2(runner, tmp_path, case):
     files["bare"].write_text("plot_id,baseline\n0,2.0\n1,2.5\n2,3.1\n")
     files["costs"] = tmp_path / "costs.csv"
     files["costs"].write_text("plot_id,cost0,cost1\n0,0,2\n1,0,3\n2,0,1\n")
-    _set_cell(files[what], line, column, value)
+    if line is None:
+        text = files[what].read_text()
+        files[what].write_text("".join(text.splitlines(True)[:2]))
+    else:
+        _set_cell(files[what], line, column, value)
     if estimator is not None:
         argv = ["estimate", files["study"], "--estimator", estimator]
     else:
@@ -370,7 +418,8 @@ def test_malformed_input_exits_2(runner, tmp_path, case):
     assert "Traceback" not in result.output
     errors = [s for s in result.output.splitlines() if s.startswith("error:")]
     assert len(errors) == 1
-    assert errors[0].startswith(f"error: {files[what]}:{line}: ")
+    where = files[what] if line is None else f"{files[what]}:{line}"
+    assert errors[0].startswith(f"error: {where}: ")
 
 
 @pytest.mark.parametrize("setting", ["sd_b_across: 0", "mu_b: .nan",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from soilrct import harness
 from soilrct.errors import ParamError, ScenarioAbortError
@@ -37,14 +38,30 @@ def test_grid_rejects_the_saturated_design():
 
 
 def test_draw_replicates_keeps_the_stream():
+    # stream 2: one `choice` subset per replicate, then the noise block
+    assert harness.RNG_STREAM == 2
     perm, noise = harness.draw_replicates(np.random.default_rng(3), 5, 8,
                                           40)
     rng = np.random.default_rng(3)
-    expect = [rng.permutation(40)[:8] for _ in range(5)]
+    expect = [rng.choice(40, 8, replace=False) for _ in range(5)]
     assert perm.dtype == np.int64 and perm.shape == (5, 8)
     assert np.array_equal(perm, expect)
     assert np.array_equal(noise, rng.standard_normal((5, 8, 2)))
     assert all(len(set(row)) == 8 for row in perm)
+
+
+def test_draw_replicates_is_uniform():
+    # every plot is enrolled with probability n / N and lands in the
+    # control arm (the first n / 2 positions) with probability n / 2N
+    reps, n, n_pop = 4000, 6, 20
+    perm, _ = harness.draw_replicates(np.random.default_rng(11), reps, n,
+                                      n_pop)
+    assert perm.min() >= 0 and perm.max() < n_pop
+    assert all(len(set(row)) == n for row in perm)
+    for block in (perm, perm[:, :n // 2]):
+        counts = np.bincount(block.ravel(), minlength=n_pop)
+        expected = np.full(n_pop, block.size / n_pop)
+        assert stats.chisquare(counts, expected).pvalue > 1e-3
 
 
 def test_default_grids_shape():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from soilrct import estimators, harness, kernels, linalg, policy
 from soilrct.design import ObservedStudy
@@ -138,7 +139,7 @@ def test_kernel_flags_degenerate_baseline():
                                   float(y0.mean()), float(y1.mean()),
                                   perm, noise, 0.0, n // 2)
     assert np.all(out[:, 12] == 1.0)
-    assert np.all(np.isnan(out[:, 4:12]))
+    assert np.all(np.isnan(out[:, 4:12])) and np.all(np.isnan(out[:, 13]))
     # the two-sample columns are still well defined
     assert np.all(np.isfinite(out[:, :4]))
 
@@ -235,7 +236,7 @@ def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
                                            abs=1e-8)
         if degenerate:
             assert out[r, 12] == 1.0
-            assert np.all(np.isnan(out[r, 4:12]))
+            assert np.all(np.isnan(out[r, 4:12])) and np.isnan(out[r, 13])
             continue
         assert out[r, 12] == 0.0
         assert np.all(np.isfinite(out[r]))
@@ -245,11 +246,22 @@ def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
         assert out[r, [4, 6, 8, 9]] == pytest.approx(
             [expect[4], expect[6], expect[8], expect[9]], rel=1e-9, abs=1e-8)
         # the HC2 weight 1 / (1 - h) magnifies the round-off in a leverage
-        # h near 1 by that same factor, in the kernel and the QR oracle;
-        # both floor 1 - h at 1e-12
-        q, _ = linalg.qr_factor(estimators.interaction_design(std))
+        # h near 1 by that same factor; the kernel forms h from the normal
+        # equations, whose round-off grows with the squared condition
+        # number of the design, and both it and the QR oracle floor 1 - h
+        # at 1e-12
+        design = estimators.interaction_design(std)
+        q, _ = linalg.qr_factor(design)
         slack = max(1.0 - np.einsum("ij,ij->i", q, q).max(), 1e-12)
+        h_err = np.finfo(float).eps * np.linalg.cond(design) ** 2
         assert out[r, [5, 7]] == pytest.approx(
-            [expect[5], expect[7]], rel=1e-9 + 1e-13 / slack, abs=1e-8)
+            [expect[5], expect[7]], rel=1e-9 + h_err / slack, abs=1e-8)
         assert out[r, 10:12] == pytest.approx(
             library_policy_values(pop, raw), abs=1e-8)
+        # the delta-method variance of rescaling the moderator by the
+        # sample SD, with the finite-population correction of sampling n
+        # of n_pop plots: est^2 (kurtosis - 1) (1 - n / n_pop) / (4 n)
+        kurtosis = stats.kurtosis(b_obs, fisher=False, bias=True)
+        assert out[r, 13] == pytest.approx(
+            expect[6] ** 2 * (kurtosis - 1.0) * (1.0 - n / n_pop) / (4 * n),
+            rel=1e-8, abs=1e-12)
