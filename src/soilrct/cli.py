@@ -205,19 +205,22 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     except SoilRctError as exc:
         _fail(EXIT_CONFIG, str(exc))
 
-    try:
-        run = harness.run_grid(grid, seed, threads=threads)
-    except ScenarioAbortError as exc:
-        _fail(EXIT_ABORT, str(exc))
-
     # the run directory appears complete or not at all: it is written as a
-    # temporary sibling and renamed once every file is in it
+    # temporary sibling, made before the grid runs so that an unusable
+    # --out fails at once, and renamed once every file is in it
     digest = grid_hash(grid, seed)
     run_dir = out_dir / f"run-{seed}-{digest[:12]}"
     tmp_dir = out_dir / f".{run_dir.name}.{os.getpid()}.tmp"
     shutil.rmtree(tmp_dir, ignore_errors=True)
-    tmp_dir.mkdir(parents=True)
     try:
+        tmp_dir.mkdir(parents=True)
+    except OSError as exc:
+        _fail(EXIT_CONFIG, f"cannot write to --out {out_dir}: {exc}")
+    try:
+        try:
+            run = harness.run_grid(grid, seed, threads=threads)
+        except ScenarioAbortError as exc:
+            _fail(EXIT_ABORT, str(exc))
         _write_run(tmp_dir, run, grid_name, threads, digest)
         if run_dir.exists():
             shutil.rmtree(run_dir)

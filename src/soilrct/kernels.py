@@ -83,7 +83,30 @@ def _varies(x):
     return (x.max(axis=1) > x.min(axis=1)) & (_var1(x, _mean(x)) > 0.0)
 
 
-def _regressions(bobs, yobs, diffs, n0, n_pop, out):
+def _sd_fpc(b, sigma_delta, n):
+    """Finite-population factor on the sampling variance of the observed
+    baseline's sample variance, when `n` of the plots with baselines `b`
+    are enrolled without replacement and observed with normal noise of SD
+    `sigma_delta`.
+
+    To first order that variance is ((1 - n/N) P + E) / n, where
+    P = mu4 - sigma^4 comes from the plots (central moments of `b`) and
+    E = 4 sigma^2 sigma_delta^2 + 2 sigma_delta^4 from the fresh noise,
+    which no finite population bounds.  The sample kurtosis estimates
+    (P + E) / sigma_obs^4, so the factor is 1 - (n/N) P / (P + E): 1 - n/N
+    with no noise, and nearer 1 the noisier the measurement.
+    """
+    d = b - b.mean()
+    d2 = d * d
+    var_b = d2.mean()
+    plots = (d2 * d2).mean() - var_b * var_b
+    s2 = sigma_delta * sigma_delta
+    total = plots + 4.0 * var_b * s2 + 2.0 * s2 * s2
+    share = plots / total if total > 0.0 else 1.0
+    return 1.0 - n / b.shape[0] * share
+
+
+def _regressions(bobs, yobs, diffs, n0, fpc, out):
     """Interacted OLS with HC2 variance (columns 4-7), the naive
     change-on-baseline slope (columns 8-9) and the moderator's sample-SD
     variance term (column 13), for rows whose baseline varies overall and
@@ -134,13 +157,12 @@ def _regressions(bobs, yobs, diffs, n0, n_pop, out):
 
     # the moderator is per sample SD of baseline, and that SD is itself
     # an estimate of the population SD: by the delta method, rescaling by
-    # it adds est^2 (m4 / m2^2 - 1) (1 - n / N) / (4 n) to the variance,
-    # where m2 and m4 are the second and fourth moments of the
-    # standardized baseline and 1 - n / N corrects for sampling n of the
-    # N plots without replacement
+    # it adds est^2 (m4 / m2^2 - 1) fpc / (4 n) to the variance, where m2
+    # and m4 are the second and fourth moments of the standardized
+    # baseline and `fpc` (see `_sd_fpc`) corrects for sampling the plots
+    # without replacement
     kurtosis = n * (bs2 * bs2).sum(axis=1) / (ss * ss)
-    out[:, 13] = (out[:, 6] * out[:, 6] * (kurtosis - 1.0)
-                  * (1.0 - n / n_pop) / (4 * n))
+    out[:, 13] = out[:, 6] * out[:, 6] * (kurtosis - 1.0) * fpc / (4 * n)
 
 
 def _policy(bobs, yobs, n0, sort_b, cum0, cum1, out):
@@ -165,7 +187,7 @@ def _policy(bobs, yobs, n0, sort_b, cum0, cum1, out):
 
 
 def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
-                  perm, noise, sigma_delta, n0, out):
+                  perm, noise, sigma_delta, n0, fpc, out):
     n = perm.shape[1]
     n1 = n - n0
     bobs = b[perm] + sigma_delta * noise[:, :, 0]
@@ -201,7 +223,7 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
         sub = out[rows]
     else:
         rows, sub = None, out
-    _regressions(bobs, yobs, diffs, n0, b.shape[0], sub)
+    _regressions(bobs, yobs, diffs, n0, fpc, sub)
     _policy(bobs, yobs, n0, sort_b, cum0, cum1, sub)
     if rows is not None:
         out[rows] = sub
@@ -228,10 +250,11 @@ def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     """
     reps, n = perm.shape
     out = np.empty((reps, N_KERNEL_COLUMNS))
+    fpc = _sd_fpc(b, sigma_delta, n)
     step = max(1, BLOCK_ELEMENTS // n)
     for start in range(0, reps, step):
         stop = min(start + step, reps)
         _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
                       perm[start:stop], noise[start:stop], sigma_delta, n0,
-                      out[start:stop])
+                      fpc, out[start:stop])
     return out

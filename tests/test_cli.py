@@ -170,6 +170,25 @@ def test_simulate_abort_exits_3(runner, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
 
+@pytest.mark.parametrize("out", ["a-file", "a-file/sub"])
+def test_simulate_unusable_out_exits_2_before_running(runner, tmp_path,
+                                                      monkeypatch, out):
+    def boom(*args, **kwargs):
+        raise AssertionError("the grid ran before --out was checked")
+
+    monkeypatch.setattr(cli.harness, "run_grid", boom)
+    config = tmp_path / "run.yaml"
+    config.write_text(TINY_CONFIG)
+    (tmp_path / "a-file").write_text("not a directory\n")
+    result = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                      "--out", str(tmp_path / out)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert f"error: cannot write to --out {tmp_path / out}: " in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file",
+                                                          "run.yaml"]
+
+
 def test_simulate_failed_write_leaves_no_run_dir(runner, tmp_path,
                                                  monkeypatch):
     def boom(*args, **kwargs):

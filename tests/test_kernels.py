@@ -144,6 +144,28 @@ def test_kernel_flags_degenerate_baseline():
     assert np.all(np.isfinite(out[:, :4]))
 
 
+@pytest.mark.parametrize("sd", [0.0, 0.5, 1.0])
+def test_mod_scale_var_tracks_the_sample_sd(sd):
+    # column 13 over the squared moderator is the delta-method relative
+    # variance of the observed baseline's sample SD; check it against the
+    # spread of that SD over replicates that enroll a fifth of the plots.
+    # With sd = 0.5 the noise carries half the baseline variance, and a
+    # finite-population factor of 1 - n/N on the whole term would read
+    # 19% low
+    rng = np.random.default_rng(3)
+    n_pop, n, reps = 500, 100, 10000
+    b, y0, y1 = _property_population(rng, n_pop, "varied")
+    perm, noise = harness.draw_replicates(rng, reps, n, n_pop)
+    out = kernels.scenario_kernel(b, y0, y1,
+                                  *kernels.population_tables(b, y0, y1),
+                                  float(y0.mean()), float(y1.mean()),
+                                  perm, noise, sd, n // 2)
+    s = (b[perm] + sd * noise[:, :, 0]).std(axis=1, ddof=1)
+    empirical = s.var(ddof=1) / (s * s).mean()
+    predicted = (out[:, 13] / (out[:, 6] * out[:, 6])).mean()
+    assert predicted == pytest.approx(empirical, rel=0.08)
+
+
 def test_restricted_value_tie_goes_to_control():
     # identical potential outcomes: observed means tie in expectation is
     # not exact, so force a tie via constant outcomes
@@ -221,6 +243,10 @@ def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
     pop = Population(baseline=b, po=np.column_stack([y0, y1]),
                      covariates=np.column_stack([np.ones(n_pop), b]))
     sd = 0.0 if m == math.inf else 1.02 / math.sqrt(m)
+    plots = np.mean((b - b.mean()) ** 4) - np.var(b) ** 2
+    noise_part = 4 * np.var(b) * sd**2 + 2 * sd**4
+    fpc = 1.0 - n / n_pop * (plots / (plots + noise_part)
+                             if plots + noise_part > 0 else 1.0)
     out = kernels.scenario_kernel(
         b, y0, y1, *kernels.population_tables(b, y0, y1),
         float(y0.mean()), float(y1.mean()), perm, noise, sd, half)
@@ -246,22 +272,19 @@ def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
         assert out[r, [4, 6, 8, 9]] == pytest.approx(
             [expect[4], expect[6], expect[8], expect[9]], rel=1e-9, abs=1e-8)
         # the HC2 weight 1 / (1 - h) magnifies the round-off in a leverage
-        # h near 1 by that same factor; the kernel forms h from the normal
-        # equations, whose round-off grows with the squared condition
-        # number of the design, and both it and the QR oracle floor 1 - h
-        # at 1e-12
-        design = estimators.interaction_design(std)
-        q, _ = linalg.qr_factor(design)
+        # h near 1 by that same factor, in the kernel and the QR oracle;
+        # both floor 1 - h at 1e-12
+        q, _ = linalg.qr_factor(estimators.interaction_design(std))
         slack = max(1.0 - np.einsum("ij,ij->i", q, q).max(), 1e-12)
-        h_err = np.finfo(float).eps * np.linalg.cond(design) ** 2
         assert out[r, [5, 7]] == pytest.approx(
-            [expect[5], expect[7]], rel=1e-9 + h_err / slack, abs=1e-8)
+            [expect[5], expect[7]], rel=1e-9 + 1e-13 / slack, abs=1e-8)
         assert out[r, 10:12] == pytest.approx(
             library_policy_values(pop, raw), abs=1e-8)
         # the delta-method variance of rescaling the moderator by the
-        # sample SD, with the finite-population correction of sampling n
-        # of n_pop plots: est^2 (kurtosis - 1) (1 - n / n_pop) / (4 n)
+        # sample SD: est^2 (kurtosis - 1) fpc / (4 n), where the
+        # finite-population correction of sampling n of n_pop plots applies
+        # to the plots' share of the kurtosis, not the noise's
         kurtosis = stats.kurtosis(b_obs, fisher=False, bias=True)
         assert out[r, 13] == pytest.approx(
-            expect[6] ** 2 * (kurtosis - 1.0) * (1.0 - n / n_pop) / (4 * n),
+            expect[6] ** 2 * (kurtosis - 1.0) * fpc / (4 * n),
             rel=1e-8, abs=1e-12)
