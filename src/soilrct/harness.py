@@ -238,7 +238,8 @@ class ScenarioResult:
         return self.raw[self.raw[:, 12] == 0.0]
 
 
-def draw_replicates(rng, reps: int, n: int, n_pop: int):
+def draw_replicates(rng, reps: int, n: int, n_pop: int,
+                    with_noise: bool = True):
     """The randomness of `reps` replicates that enroll `n` of `n_pop` plots.
 
     Returns `perm`, a (reps, n) int64 array whose row r lists the plots
@@ -249,11 +250,14 @@ def draw_replicates(rng, reps: int, n: int, n_pop: int):
     `rng.choice(n_pop, n, replace=False)` per replicate, then all the
     noise.  `choice` picks the subset in O(n) draws and shuffles it, so
     each row is uniform over ordered subsets, as a permutation's head is.
+
+    The noise is the stream's last draw, so `with_noise=False` returns
+    the same `perm` and None for `noise`.
     """
     perm = np.empty((reps, n), dtype=np.int64)
     for r in range(reps):
         perm[r] = rng.choice(n_pop, n, replace=False)
-    noise = rng.standard_normal((reps, n, 2))
+    noise = rng.standard_normal((reps, n, 2)) if with_noise else None
     return perm, noise
 
 
@@ -263,14 +267,17 @@ def run_scenario(grid: ScenarioGrid, scenario: Scenario,
     reps = grid.n_replicates
     n = scenario.n
     pop = bundle.population
+    sigma_delta = grid.sigma_delta(scenario.m)
+    # a noise-free measurement (m = inf) needs no noise draw
     perm, noise = draw_replicates(scenario_rng(master_seed, scenario), reps,
-                                  n, pop.n_plots)
+                                  n, pop.n_plots,
+                                  with_noise=sigma_delta != 0.0)
     raw = kernels.scenario_kernel(
         pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
         np.ascontiguousarray(pop.po[:, 1]),
         bundle.sort_b, bundle.cum0, bundle.cum1,
         bundle.mean_y0, bundle.mean_y1,
-        perm, noise, grid.sigma_delta(scenario.m), n // 2)
+        perm, noise, sigma_delta, n // 2)
     n_fail = int((raw[:, 12] != 0.0).sum())
     if n_fail > MAX_FAILURE_RATE * reps:
         raise ScenarioAbortError(

@@ -9,9 +9,9 @@ Two rules keep the output bitwise reproducible:
 
 - Every per-replicate sum runs along a row (`sum(axis=1)`), so each row
   is reduced in the same order however many rows share the call.
-- The 4 x 4 regression systems are formed with `np.einsum` and solved
-  per replicate by LAPACK, never with `@`, so no threaded BLAS call can
-  enter and the BLAS thread count cannot change a digit.
+- Every column is an elementwise function of such row sums; there are no
+  matrix products or linear solves, so no threaded BLAS or LAPACK call
+  can enter and the BLAS thread count cannot change a digit.
 
 Replicates are processed in row blocks of at most `BLOCK_ELEMENTS`
 replicate-plot cells, which bounds the kernel's working memory; since
@@ -27,8 +27,8 @@ import numpy as np
 #: The one kernel implementation; recorded in run manifests.
 BACKEND = "numpy"
 
-#: Largest replicates x plots block computed at once.  The design stack of
-#: a block takes 32 bytes per cell, so a block's working set is a few MB.
+#: Largest replicates x plots block computed at once.  A block's working
+#: set is a few (replicates, plots) float arrays of 512 KB each.
 BLOCK_ELEMENTS = 1 << 16
 
 #: Output columns of `scenario_kernel`, one row per replicate.
@@ -67,13 +67,23 @@ def _var1(x, mean):
     return (d * d).sum(axis=1) / (x.shape[1] - 1)
 
 
-def _linefit(x, y):
-    """Row-wise intercept and slope of y on x, for rows where x varies."""
+def _arm_fit(x, y):
+    """Row-wise least-squares line of y on x within one arm.
+
+    Returns the arm means of x and y, x centred on its mean (dx), the sum
+    of squares S = sum dx^2, the slope, and the HC2 residual weights
+    omega = e^2 / (1 - h) with leverage h = 1/n + dx^2 / S.
+    """
     mx = _mean(x)
     my = _mean(y)
     dx = x - mx[:, None]
-    slope = (dx * (y - my[:, None])).sum(axis=1) / (dx * dx).sum(axis=1)
-    return my - slope * mx, slope
+    dy = y - my[:, None]
+    ss = (dx * dx).sum(axis=1)
+    slope = (dx * dy).sum(axis=1) / ss
+    resid = dy - slope[:, None] * dx
+    lev = 1.0 / x.shape[1] + dx * dx / ss[:, None]
+    omega = resid * resid / np.maximum(1.0 - lev, _MIN_DENOM)
+    return mx, my, dx, ss, slope, omega
 
 
 def _varies(x):
@@ -106,42 +116,39 @@ def _sd_fpc(b, sigma_delta, n):
     return 1.0 - n / b.shape[0] * share
 
 
-def _regressions(bobs, yobs, diffs, n0, fpc, out):
+def _regressions(bobs, diffs, fits, fpc, out):
     """Interacted OLS with HC2 variance (columns 4-7), the naive
     change-on-baseline slope (columns 8-9) and the moderator's sample-SD
     variance term (column 13), for rows whose baseline varies overall and
-    within each arm."""
-    reps, n = bobs.shape
+    within each arm.
+
+    The paper's OLS regresses the outcome on treatment, baseline in
+    sample SD units and their interaction.  That design spans the same
+    columns as one line per arm (`fits`, on the raw baseline), so its
+    fitted values, residuals and leverages are the per-arm lines' own:
+    the treatment effect is the gap between the two lines at the pooled
+    mean baseline c, the moderator is the slope gap per sample SD, and
+    each HC2 variance is sum omega l^2 over the contrast's weights l.
+    """
+    n = bobs.shape[1]
     mean_b = _mean(bobs)
     sd_b = np.sqrt(_var1(bobs, mean_b))
-    # interacted OLS on baseline standardized to sample SD units, with
-    # leverage-adjusted (HC2) sandwich variance; the design columns
-    # (1, z, bs, z * centered bs) are stored (replicate, column, plot) so
-    # that every einsum reduces along contiguous plots
-    bs = (bobs - mean_b[:, None]) / sd_b[:, None]
-    w = np.empty((reps, 4, n))
-    w[:, 0] = 1.0
-    w[:, 1, :n0] = 0.0
-    w[:, 1, n0:] = 1.0
-    w[:, 2] = bs
-    w[:, 3, :n0] = 0.0
-    w[:, 3, n0:] = bs[:, n0:] - _mean(bs)[:, None]
-    gram = np.einsum("rin,rjn->rij", w, w)
-    xty = np.einsum("rin,rn->ri", w, yobs)
-    coeffs = np.linalg.solve(gram, xty[:, :, None])[:, :, 0]
-    resid = yobs - np.einsum("rin,ri->rn", w, coeffs)
-    # row k of proj is row k of G^-1 W', so the leverages are the
-    # diagonal of W G^-1 W' and the sandwich G^-1 W' diag(ee) W G^-1 has
-    # diagonal sum_n ee_n proj_kn^2
-    proj = np.einsum("rij,rjn->rin", np.linalg.inv(gram), w)
-    lev = np.einsum("rin,rin->rn", w, proj)
-    ee = resid * resid / np.maximum(1.0 - lev, _MIN_DENOM)
-    out[:, 4] = coeffs[:, 1]
-    out[:, 5] = np.einsum("rn,rn->r", ee, proj[:, 1] * proj[:, 1])
-    out[:, 6] = coeffs[:, 3]
-    out[:, 7] = np.einsum("rn,rn->r", ee, proj[:, 3] * proj[:, 3])
+    (mx0, my0, dx0, ss0, s0, om0), (mx1, my1, dx1, ss1, s1, om1) = fits
+    # the line at c weighs a plot by 1/n_a + (c - mean x_a) dx / S_a
+    at0 = (mean_b - mx0) / ss0
+    at1 = (mean_b - mx1) / ss1
+    l0 = 1.0 / dx0.shape[1] + at0[:, None] * dx0
+    l1 = 1.0 / dx1.shape[1] + at1[:, None] * dx1
+    out[:, 4] = (my1 + s1 * (mean_b - mx1)) - (my0 + s0 * (mean_b - mx0))
+    out[:, 5] = (l0 * l0 * om0).sum(axis=1) + (l1 * l1 * om1).sum(axis=1)
+    # a slope weighs a plot by dx / S_a, and by sd_b dx / S_a per SD
+    out[:, 6] = (s1 - s0) * sd_b
+    out[:, 7] = sd_b * sd_b * ((dx0 * dx0 * om0).sum(axis=1) / (ss0 * ss0)
+                               + (dx1 * dx1 * om1).sum(axis=1) / (ss1 * ss1))
 
-    # naive change-on-baseline slope, arms pooled, HC2 variance
+    # naive change-on-baseline slope on baseline in sample SD units, arms
+    # pooled, HC2 variance
+    bs = (bobs - mean_b[:, None]) / sd_b[:, None]
     mean_d = _mean(diffs)
     dbs = bs * (diffs - mean_d[:, None])
     bs2 = bs * bs
@@ -165,13 +172,12 @@ def _regressions(bobs, yobs, diffs, n0, fpc, out):
     out[:, 13] = out[:, 6] * out[:, 6] * (kurtosis - 1.0) * fpc / (4 * n)
 
 
-def _policy(bobs, yobs, n0, sort_b, cum0, cum1, out):
-    """Realized value of the plug-in regime from per-arm line fits, scored
-    on the population (column 10)."""
+def _policy(fits, sort_b, cum0, cum1, out):
+    """Realized value of the plug-in regime from the per-arm line fits,
+    scored on the population (column 10)."""
     n_pop = sort_b.shape[0]
-    a0, s0 = _linefit(bobs[:, :n0], yobs[:, :n0])
-    a1, s1 = _linefit(bobs[:, n0:], yobs[:, n0:])
-    dint = a1 - a0
+    (mx0, my0, _, _, s0, _), (mx1, my1, _, _, s1, _) = fits
+    dint = (my1 - s1 * mx1) - (my0 - s0 * mx0)
     dslope = s1 - s0
     # treat where the fitted effect dint + dslope * b is positive; a plot
     # whose baseline sits exactly on the cut has effect 0 and stays control
@@ -190,9 +196,11 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
                   perm, noise, sigma_delta, n0, fpc, out):
     n = perm.shape[1]
     n1 = n - n0
-    bobs = b[perm] + sigma_delta * noise[:, :, 0]
+    bobs = b[perm]
     yobs = np.concatenate((y0[perm[:, :n0]], y1[perm[:, n0:]]), axis=1)
-    yobs += sigma_delta * noise[:, :, 1]
+    if noise is not None:
+        bobs += sigma_delta * noise[:, :, 0]
+        yobs += sigma_delta * noise[:, :, 1]
     diffs = yobs - bobs
 
     mean_t = _mean(yobs[:, n0:])
@@ -223,8 +231,10 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
         sub = out[rows]
     else:
         rows, sub = None, out
-    _regressions(bobs, yobs, diffs, n0, fpc, sub)
-    _policy(bobs, yobs, n0, sort_b, cum0, cum1, sub)
+    fits = (_arm_fit(bobs[:, :n0], yobs[:, :n0]),
+            _arm_fit(bobs[:, n0:], yobs[:, n0:]))
+    _regressions(bobs, diffs, fits, fpc, sub)
+    _policy(fits, sort_b, cum0, cum1, sub)
     if rows is not None:
         out[rows] = sub
 
@@ -237,8 +247,9 @@ def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     and `sort_b`, `cum0`, `cum1` their `population_tables`.  Replicate r
     enrolls plots `perm[r]`, the first `n0` to control, and observes them
     with `sigma_delta * noise[r]` added to baseline (`[..., 0]`) and
-    outcome (`[..., 1]`).  Returns a (replicates, 14) array laid out as
-    `KERNEL_COLUMNS`.
+    outcome (`[..., 1]`); `noise` may be None when `sigma_delta` is 0,
+    which gives the same output as any finite noise block.  Returns a
+    (replicates, 14) array laid out as `KERNEL_COLUMNS`.
 
     Column 7 is the HC2 variance of the moderator with the sample SD of
     baseline held fixed; column 13 (`mod_scale_var`) is what that SD's
@@ -255,6 +266,7 @@ def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     for start in range(0, reps, step):
         stop = min(start + step, reps)
         _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
-                      perm[start:stop], noise[start:stop], sigma_delta, n0,
-                      fpc, out[start:stop])
+                      perm[start:stop],
+                      None if noise is None else noise[start:stop],
+                      sigma_delta, n0, fpc, out[start:stop])
     return out

@@ -58,21 +58,6 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     return solve_triangular(rmat, qmat.T @ response)
 
 
-def hc0_covariance(design: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """Heteroskedasticity-robust (HC0) covariance of OLS coefficients.
-
-    Uses squared residuals on the meat diagonal with no small-sample
-    correction.  Computed from the QR factors as A diag(e^2) A^T with
-    A = R^-1 Q^T, which keeps the result symmetric PSD by construction.
-    """
-    residuals = np.asarray(residuals, dtype=np.float64)
-    qmat, rmat = qr_factor(design)
-    a = solve_triangular(rmat, qmat.T)
-    scaled = a * residuals[np.newaxis, :]
-    cov = scaled @ scaled.T
-    return 0.5 * (cov + cov.T)
-
-
 def hc2_covariance(design: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     """Leverage-adjusted (HC2) sandwich covariance of OLS coefficients.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, tables
+from . import tables
 from .errors import DimensionError, ParamError, SchemaError
 from .tables import FLOAT_FMT  # noqa: F401  (imported from here by callers)
 
@@ -168,10 +168,3 @@ def pate(pop: Population, arm: int) -> float:
         return 0.0
     return float((pop.po[:, arm] - pop.po[:, 0]).mean())
 
-
-def population_ols_coeffs(pop: Population, arm: int) -> np.ndarray:
-    """Finite-population least-squares coefficients of arm `arm` on the
-    covariates.  Residuals sum to zero because of the intercept column."""
-    if not 0 <= arm < pop.n_arms:
-        raise ParamError(f"arm must be in [0, {pop.n_arms}), got {arm}")
-    return linalg.least_squares(pop.covariates, pop.po[:, arm])

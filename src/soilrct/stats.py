@@ -69,11 +69,6 @@ def norm_ppf(p: float) -> float:
     return -val if q < 0.0 else val
 
 
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def wald_halfwidth(variance: float, alpha: float) -> float:
     """Half-width of an equal-tailed (1 - alpha) Wald interval."""
     if variance < 0.0:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from soilrct import harness
+from soilrct import harness, kernels
 from soilrct.errors import ParamError, ScenarioAbortError
-from soilrct.population import Population
+from soilrct.population import Population, generate_population
 
 
 def small_grid(**overrides):
@@ -48,6 +48,32 @@ def test_draw_replicates_keeps_the_stream():
     assert np.array_equal(perm, expect)
     assert np.array_equal(noise, rng.standard_normal((5, 8, 2)))
     assert all(len(set(row)) == 8 for row in perm)
+
+
+def test_noise_free_scenario_skips_the_noise_draw():
+    # at m = inf the noise is the stream's last draw and is multiplied by
+    # 0, so leaving it undrawn changes neither `perm` nor the kernel output
+    grid = small_grid()
+    scenario = harness.Scenario(0.3, -0.5, 0.0, 10, math.inf)
+    assert grid.sigma_delta(scenario.m) == 0.0
+    pop = generate_population(
+        grid.population_params(*scenario.pop_key),
+        harness.population_rng(4, *scenario.pop_key))
+    bundle = harness.build_bundle(pop)
+    draws = [harness.draw_replicates(harness.scenario_rng(4, scenario),
+                                     grid.n_replicates, scenario.n,
+                                     pop.n_plots, with_noise=with_noise)
+             for with_noise in (True, False)]
+    (perm, noise), (bare_perm, bare_noise) = draws
+    assert bare_noise is None and np.any(noise != 0.0)
+    assert np.array_equal(perm, bare_perm)
+    drawn = kernels.scenario_kernel(
+        pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
+        np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
+        bundle.cum1, bundle.mean_y0, bundle.mean_y1, perm, noise, 0.0,
+        scenario.n // 2)
+    result = harness.run_scenario(grid, scenario, bundle, 4)
+    assert result.raw.tobytes() == drawn.tobytes()
 
 
 def test_draw_replicates_is_uniform():

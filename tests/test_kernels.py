@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -226,6 +226,10 @@ def _property_population(rng, n_pop, baseline):
        reps=st.integers(1, 40),
        baseline=st.sampled_from(["varied", "constant", "constant-arm"]),
        seed=st.integers(0, 2**32 - 1))
+# near-saturated designs (1 - h down to 5.5e-5), where estimates and HC2
+# variances taken from normal equations fall outside the tolerance
+@example(half=3, m=1.0, reps=20, baseline="constant-arm", seed=3)
+@example(half=19, m=math.inf, reps=31, baseline="constant-arm", seed=31)
 def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
     """Random designs, including a population with a constant baseline
     and replicates whose control arm has a constant baseline: every
@@ -268,7 +272,7 @@ def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
         assert np.all(np.isfinite(out[r]))
         expect = library_estimates(raw, std)
         # near saturation (n = 6) the estimates and variances reach 1e3,
-        # and the normal equations carry about 1e-11 relative round-off
+        # and the per-arm row sums carry about 1e-12 relative round-off
         assert out[r, [4, 6, 8, 9]] == pytest.approx(
             [expect[4], expect[6], expect[8], expect[9]], rel=1e-9, abs=1e-8)
         # the HC2 weight 1 / (1 - h) magnifies the round-off in a leverage

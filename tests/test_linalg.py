@@ -3,7 +3,7 @@ import pytest
 
 from soilrct.errors import (DimensionError, InsufficientDataError,
                             SingularMatrixError)
-from soilrct.linalg import hc0_covariance, least_squares, qr_factor
+from soilrct.linalg import least_squares, qr_factor
 
 
 def _random_system(rng, n, q):
@@ -67,21 +67,3 @@ def test_shape_mismatch_rejected():
     with pytest.raises(DimensionError):
         least_squares(np.ones((4, 2)), np.ones(5))
 
-
-def test_hc0_matches_textbook_formula():
-    rng = np.random.default_rng(21)
-    design, response = _random_system(rng, 50, 3)
-    coeffs = least_squares(design, response)
-    resid = response - design @ coeffs
-    bread = np.linalg.inv(design.T @ design)
-    meat = design.T @ (design * (resid ** 2)[:, None])
-    ref = bread @ meat @ bread
-    ours = hc0_covariance(design, resid)
-    assert np.max(np.abs(ours - ref)) < 1e-10
-    assert np.allclose(ours, ours.T)
-    assert np.all(np.linalg.eigvalsh(ours) > -1e-12)
-
-
-def test_hc0_zero_residuals_gives_zero_covariance():
-    design = np.column_stack([np.ones(5), np.arange(5.0)])
-    assert np.all(hc0_covariance(design, np.zeros(5)) == 0.0)

@@ -5,8 +5,7 @@ import pytest
 
 from soilrct.errors import DimensionError, ParamError, SchemaError
 from soilrct.population import (Population, PopulationParams,
-                                generate_population, papo, pate,
-                                population_ols_coeffs)
+                                generate_population, papo, pate)
 
 
 def params(**overrides):
@@ -86,14 +85,6 @@ def test_papo_rejects_bad_regimes():
         papo(pop, np.zeros(3, dtype=int))
     with pytest.raises(ParamError):
         papo(pop, np.full(pop.n_plots, 5))
-
-
-def test_population_ols_intercept_only_is_column_mean():
-    pop = generate_population(params(), 4)
-    flat = Population(baseline=pop.baseline, po=pop.po,
-                      covariates=np.ones((pop.n_plots, 1)))
-    coeffs = population_ols_coeffs(flat, 1)
-    assert coeffs == pytest.approx([pop.po[:, 1].mean()])
 
 
 def test_population_validation():

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from soilrct.errors import ParamError
-from soilrct.stats import norm_cdf, norm_ppf, wald_halfwidth
+from soilrct.stats import norm_ppf, wald_halfwidth
 
 
 def test_norm_ppf_matches_scipy_everywhere():
@@ -33,17 +33,6 @@ def test_norm_ppf_known_value():
 def test_norm_ppf_rejects_out_of_range(p):
     with pytest.raises(ParamError):
         norm_ppf(p)
-
-
-def test_norm_cdf_matches_scipy():
-    xs = np.linspace(-8, 8, 1000)
-    ours = np.array([norm_cdf(x) for x in xs])
-    assert np.max(np.abs(ours - ndtr(xs))) < 1e-14
-
-
-def test_ppf_cdf_roundtrip():
-    for p in np.linspace(0.01, 0.99, 99):
-        assert norm_cdf(norm_ppf(p)) == pytest.approx(p, abs=1e-12)
 
 
 def test_wald_halfwidth_values():
