@@ -274,7 +274,11 @@ def _write_dicts(path, header, table) -> None:
 @click.argument("study_csv", type=_INPUT)
 @click.option("--estimator", "name",
               type=click.Choice(["dim", "did", "ols", "naive-mod"]),
-              default="dim", help="Which estimator to apply.")
+              default="dim",
+              help="Which estimator to apply. `ols` also prints each "
+                   "moderator `mod{j}` per raw baseline unit; `naive-mod` "
+                   "reports its slope per sample SD of the observed "
+                   "baseline.")
 @click.option("--alpha", type=float, default=estimators.DEFAULT_ALPHA,
               help="Nominal two-sided error rate for the Wald interval.")
 def estimate(study_csv, name, alpha):
@@ -379,7 +383,7 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
     summary = {
         "predicted_mean": regime.predicted_mean,
         "realized_mean": realized,
-        "total_cost": costs.total_cost(regime.regime),
+        "total_cost": regime.total_cost,
         "budget": "inf" if costs.budget == math.inf else costs.budget,
         "optimality_gap": regime.optimality_gap,
     }

@@ -5,18 +5,16 @@ outcomes for a target population; regimes are then chosen per plot,
 either unconstrained (row-wise argmax), restricted to a uniform arm, or
 under an additive budget.  The budgeted problem is a multiple-choice
 knapsack; it is solved exactly by dynamic programming when costs are
-integral and the instance is small, and otherwise by the LP relaxation
-with at most K-1 fractional plots rounded down to their cheapest
-supported arm.
+integral and the instance is small, and otherwise by the LP relaxation,
+solved exactly by a greedy walk of each plot's convex hull, with its one
+fractional plot rounded down to the cheaper of its two hull arms.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from . import linalg
 from .errors import (DimensionError, FitError, InfeasibleBudgetError,
@@ -27,9 +25,6 @@ from .population import Population, papo
 #: Largest instance the exact dynamic program will accept.
 DP_MAX_PLOTS = 10_000
 DP_MAX_CELLS = 50_000_000
-
-#: LP entries within this distance of 0/1 are treated as integral.
-_LP_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,43 +152,70 @@ def _check_budget_inputs(imputed: np.ndarray, costs: CostModel):
 def _budgeted_lp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
     """LP relaxation of the multiple-choice knapsack, then rounding.
 
-    At a vertex of the relaxation at most K-1 plots are fractional; each
-    is rounded down to the cheapest arm in its support, which can only
-    reduce cost, so feasibility is preserved.  The value lost is reported
-    as `optimality_gap`, measured against the LP optimum as HiGHS reports
-    it.  That optimum bounds the best integral regime only to the solver's
-    tolerance: the best regime may beat the rounded one by a little more
-    than the reported gap, even when that gap is 0.
+    The relaxation is solved exactly by the greedy of Sinha & Zoltners
+    (1979): each plot starts at its cheapest arm (the most valuable among
+    equal costs) and walks its upper convex hull of (cost, value); all
+    hull increments are then taken in order of decreasing value per unit
+    cost until the budget binds.  At most one plot, the one whose
+    increment does not fit, is fractional; it stays at its cheaper hull
+    vertex, so the regime keeps within budget.  `optimality_gap` is the
+    LP optimum minus the rounded regime's mean value, computed from the
+    same sums, so it is nonnegative and bounds the value lost to rounding
+    up to round-off.
     """
     n, k = imputed.shape
-    nk = n * k
-    # maximize mean imputed value  <=>  minimize -values
-    c = -imputed.ravel() / n
-    rows = np.repeat(np.arange(n), k)
-    a_eq = sparse.csr_matrix((np.ones(nk), (rows, np.arange(nk))),
-                             shape=(n, nk))
-    a_ub = sparse.csr_matrix(costs.cost.ravel()[np.newaxis, :])
-    res = linprog(c, A_ub=a_ub, b_ub=[costs.budget], A_eq=a_eq,
-                  b_eq=np.ones(n), bounds=(0, None), method="highs")
-    if res.status == 2:
+    cost = costs.cost
+    rows = np.arange(n)
+    # path[d, i] is plot i's arm after d hull steps; slope[d - 1, i] is
+    # the value per unit cost of step d, -inf where the hull has ended
+    path = np.empty((k, n), dtype=np.intp)
+    path[0] = np.where(cost == cost.min(axis=1, keepdims=True), imputed,
+                       -np.inf).argmax(axis=1)
+    start_cost = float(cost[rows, path[0]].sum())
+    if start_cost > costs.budget + 1e-12:
         raise InfeasibleBudgetError(
-            f"no regime satisfies budget {costs.budget}")
-    if not res.success:
-        raise InfeasibleBudgetError(f"LP solver failed: {res.message}")
-    x = res.x.reshape(n, k)
-    regime = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        support = np.nonzero(x[i] > _LP_ATOL)[0]
-        if support.size == 1 or x[i].max() >= 1.0 - _LP_ATOL:
-            regime[i] = support[x[i][support].argmax()]
-        else:
-            # fractional plot: cheapest supported arm, ties to lower index
-            regime[i] = support[costs.cost[i][support].argmin()]
-    predicted = float(imputed[np.arange(n), regime].mean())
-    gap = float(-res.fun - predicted)
+            f"even the cheapest regime costs {start_cost:g} > budget "
+            f"{costs.budget:g}")
+    slope = np.full((k - 1, n), -np.inf)
+    for d in range(k - 1):
+        here = path[d]
+        d_cost = cost - cost[rows, here][:, np.newaxis]
+        d_value = imputed - imputed[rows, here][:, np.newaxis]
+        up = (d_cost > 0) & (d_value > 0)
+        steep = np.where(up, d_value / np.where(up, d_cost, 1.0), -np.inf)
+        best = steep.max(axis=1)
+        # of equally steep arms the nearest is the next hull vertex
+        nearest = np.where(steep == best[:, np.newaxis], d_cost,
+                           np.inf).argmin(axis=1)
+        path[d + 1] = np.where(best > -np.inf, nearest, here)
+        # a hull's slopes do not increase; the cap stops round-off on
+        # collinear arms from sorting a later step before an earlier one
+        slope[d] = best if d == 0 else np.minimum(best, slope[d - 1])
+    # steps in depth-major order; the stable sort keeps each plot's equally
+    # steep steps in hull order, so the steps a plot takes are a prefix
+    # of its hull and their count is its depth
+    depth, plot = np.nonzero(slope > -np.inf)
+    order = np.argsort(-slope[depth, plot], kind="stable")
+    depth, plot = depth[order] + 1, plot[order]
+    step_cost = (cost[plot, path[depth, plot]]
+                 - cost[plot, path[depth - 1, plot]])
+    spent = start_cost + np.cumsum(step_cost)
+    taken = int(np.searchsorted(spent, costs.budget, side="right"))
+    regime = path[np.bincount(plot[:taken], minlength=n), rows]
+    value = imputed[rows, regime].sum()
+    fractional = 0.0
+    if taken < plot.size:
+        i, d = plot[taken], depth[taken]
+        # the start may overrun the budget by the round-off allowed above
+        left = costs.budget - (spent[taken - 1] if taken else start_cost)
+        theta = max(left, 0.0) / step_cost[taken]
+        fractional = theta * (imputed[i, path[d, i]]
+                              - imputed[i, path[d - 1, i]])
+    predicted = float(value / n)
     return PolicyRegime(regime=regime, predicted_mean=predicted,
                         total_cost=costs.total_cost(regime),
-                        optimality_gap=max(gap, 0.0))
+                        optimality_gap=float((value + fractional) / n)
+                        - predicted)
 
 
 def _budgeted_dp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
@@ -255,12 +277,16 @@ def optimal_budgeted(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
 
     Solved exactly by dynamic programming when the costs are integral and
     the instance is within the DP's limits, by the LP relaxation with
-    rounding otherwise.  With an infinite budget this reduces to the
-    unconstrained argmax.
+    rounding otherwise; `optimality_gap` is 0 for an exact answer and the
+    LP optimum minus the rounded value otherwise.  With an infinite budget
+    this reduces to the unconstrained argmax, which is exact and costs
+    what its arms cost.
     """
     imputed = _check_budget_inputs(imputed, costs)
     if costs.budget == math.inf:
-        return optimal_unconstrained(imputed)
+        best = optimal_unconstrained(imputed)
+        return replace(best, total_cost=costs.total_cost(best.regime),
+                       optimality_gap=0.0)
     cheapest = float(costs.cost.min(axis=1).sum())
     if cheapest > costs.budget + 1e-12:
         raise InfeasibleBudgetError(

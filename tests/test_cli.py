@@ -114,6 +114,19 @@ def test_simulate_is_byte_identical_under_blas_threads(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_import_loads_no_lp_or_sparse_solver():
+    # no command needs either subpackage, and importing them slows every
+    # command's start
+    src = str(Path(soilrct.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, soilrct, soilrct.cli; "
+         "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_simulate_unknown_key_exits_2(runner, tmp_path):
     config = tmp_path / "run.yaml"
     config.write_text("grid: paper\nbogus_key: 1\n")
@@ -300,6 +313,24 @@ def test_policy_unconstrained_argmax(runner, tmp_path):
     assert summary["realized_mean"] == pytest.approx(
         pop.po[np.arange(pop.n_plots), regime].mean())
     assert summary["budget"] == "inf"
+
+
+def test_policy_costs_without_budget_report_their_cost(runner, tmp_path):
+    study_path, target_path, _ = make_policy_files(tmp_path)
+    cost_path = tmp_path / "costs.csv"
+    cost_path.write_text("plot_id,cost0,cost1\n0,1,2\n1,0.5,4\n2,3,1\n")
+    result = runner.invoke(cli.main, ["policy", str(study_path),
+                                      str(target_path), "--costs",
+                                      str(cost_path), "--out",
+                                      str(tmp_path / "pol")])
+    assert result.exit_code == 0, result.output
+    with (tmp_path / "pol" / "regime.csv").open() as fh:
+        arms = [int(r[1]) for r in list(csv.reader(fh))[1:]]
+    summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
+    cost = np.array([[1.0, 2.0], [0.5, 4.0], [3.0, 1.0]])
+    assert summary["budget"] == "inf"
+    assert summary["total_cost"] == cost[np.arange(3), arms].sum()
+    assert summary["optimality_gap"] == 0.0
 
 
 def test_policy_budget_matches_brute_force(runner, tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from soilrct.design import ObservedStudy
 from soilrct.errors import (DimensionError, FitError, InfeasibleBudgetError,
@@ -42,6 +43,16 @@ def brute_force_best(imputed, cost, budget):
     feasible = totals <= budget + 1e-9
     assert feasible.any()
     return values[feasible].max()
+
+
+def linprog_optimum(imputed, cost, budget):
+    """LP relaxation optimum of the budgeted problem, solved by HiGHS."""
+    n, k = imputed.shape
+    res = linprog(-imputed.ravel() / n, A_ub=cost.ravel()[np.newaxis],
+                  b_ub=[budget], A_eq=np.kron(np.eye(n), np.ones(k)),
+                  b_eq=np.ones(n), bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return -res.fun
 
 
 def test_fit_per_arm_matches_polyfit():
@@ -165,10 +176,88 @@ def test_lp_path_respects_budget_and_gap_bound():
                                     int(cost.max(axis=1).sum()) + 2))
         best = brute_force_best(imputed, cost, budget)
         got = _budgeted_lp(imputed, CostModel(cost=cost, budget=budget))
-        assert cost[np.arange(n), got.regime].sum() <= budget + 1e-6
+        assert cost[np.arange(n), got.regime].sum() <= budget * (1 + 1e-12)
         # LP value plus reported gap upper-bounds the true optimum
         assert got.predicted_mean <= best + 1e-9
-        assert got.predicted_mean + got.optimality_gap >= best - 1e-7
+        assert got.predicted_mean + got.optimality_gap >= best - 1e-12
+
+
+def test_lp_optimum_matches_linprog():
+    rng = np.random.default_rng(37)
+    for trial in range(200):
+        n, k = int(rng.integers(5, 61)), int(rng.integers(2, 5))
+        imputed = rng.normal(0, 1, (n, k))
+        cost = (rng.integers(0, 8, (n, k)).astype(float) if trial % 2
+                else rng.uniform(0, 3, (n, k)))
+        budget = float(rng.uniform(cost.min(axis=1).sum(),
+                                   cost.max(axis=1).sum()))
+        got = _budgeted_lp(imputed, CostModel(cost=cost, budget=budget))
+        assert got.total_cost <= budget * (1 + 1e-12)
+        assert got.optimality_gap >= 0.0
+        assert got.predicted_mean + got.optimality_gap == pytest.approx(
+            linprog_optimum(imputed, cost, budget), rel=1e-9)
+
+
+#: name: (imputed, cost, budget, expected regime, expected gap)
+HULL_CASES = {
+    # arm 2 costs more than arm 1 and is worth no more
+    "dominated-arm": ([[0.0, 1.0, 1.0]], [[0.0, 1.0, 2.0]], 2.0, [1], 0.0),
+    # arm 1 lies below the chord from arm 0 to arm 2; half of that step
+    # fits and rounds down to arm 0, though arm 1 alone would fit
+    "below-chord": ([[0.0, 0.2, 2.0]], [[0.0, 1.0, 2.0]], 1.0, [0], 1.0),
+    # the better of two equally cheap arms starts, the better of two
+    # equally costly arms is the next vertex
+    "equal-costs": ([[0.0, 0.5, 1.0, 3.0]], [[1.0, 1.0, 2.0, 2.0]], 2.0,
+                    [3], 0.0),
+    # a free arm worth more than arm 0 starts
+    "free-better-arm": ([[0.0, 1.0, 2.0]], [[0.0, 0.0, 3.0]], 0.0, [1], 0.0),
+    # three collinear arms whose second slope rounds above the first; the
+    # step to arm 2 must not be taken before the step to arm 1
+    "collinear-round-off": ([[0.0, 4.628571428571429, 9.771428571428572]],
+                            [[0.0, 0.9, 1.9]], 1.0, [1],
+                            0.1 * 5.142857142857143),
+    # the cheapest arms sum to 0.30000000000000004, within round-off of
+    # the budget, and are taken whole
+    "start-over-by-round-off": ([[0.0, 1.0]] * 3, [[0.1, 0.5]] * 3, 0.3,
+                                [0, 0, 0], 0.0),
+    # increments by slope: 3 (plot 2), 2 (plot 0), 2 (plot 1, over its
+    # below-chord arm 1), 1, 0.5; a budget of 4 ends on the third
+    "vertex-budget": ([[0.0, 2.0, 3.0], [0.0, 1.0, 4.0], [0.0, 3.0, 3.5]],
+                      [[0.0, 1.0, 2.0]] * 3, 4.0, [1, 2, 1], 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HULL_CASES))
+def test_lp_hull_edge_cases(case):
+    imputed, cost, budget, regime, gap = HULL_CASES[case]
+    imputed, cost = np.array(imputed), np.array(cost)
+    got = _budgeted_lp(imputed, CostModel(cost=cost, budget=budget))
+    assert got.regime.tolist() == regime
+    assert got.optimality_gap == pytest.approx(gap, rel=1e-12, abs=0.0)
+    bound = got.predicted_mean + got.optimality_gap
+    assert got.predicted_mean <= brute_force_best(imputed, cost, budget) <= bound
+    assert bound == pytest.approx(linprog_optimum(imputed, cost, budget),
+                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lp_gap_bounds_the_dp_optimum_at_workload_scale(seed):
+    # shaped like the study-policy benchmark: n = 5000, integer arm-1 costs
+    rng = np.random.default_rng(seed)
+    n = 5000
+    b = rng.normal(2.34, 0.47, n)
+    y0 = b + 0.16
+    y1 = y0 + 0.15 - 0.5 * (b - 2.34) / 0.47 + rng.normal(0, 0.05, n)
+    imputed = np.column_stack([y0, y1])
+    cost = np.zeros((n, 2))
+    cost[:, 1] = rng.integers(1, 4, n)
+    costs = CostModel(cost=cost, budget=math.floor(0.3 * cost[:, 1].sum()))
+    exact = _budgeted_dp(imputed, costs).predicted_mean
+    got = _budgeted_lp(imputed, costs)
+    assert got.total_cost <= costs.budget
+    assert got.predicted_mean <= exact
+    assert (got.predicted_mean + got.optimality_gap
+            >= exact - 1e-12 * abs(exact))
 
 
 def test_budgeted_infinite_budget_is_unconstrained():
@@ -177,6 +266,9 @@ def test_budgeted_infinite_budget_is_unconstrained():
     cost = rng.uniform(0, 5, (20, 3))
     free = optimal_budgeted(imputed, CostModel(cost=cost, budget=math.inf))
     assert np.array_equal(free.regime, optimal_unconstrained(imputed).regime)
+    # the argmax is exact, and it costs what its arms cost
+    assert free.optimality_gap == 0.0
+    assert free.total_cost == cost[np.arange(20), free.regime].sum()
 
 
 def test_budgeted_zero_budget_zero_cost_control():
