@@ -7,7 +7,11 @@ under an additive budget.  The budgeted problem is a multiple-choice
 knapsack; it is solved exactly by dynamic programming when costs are
 integral and the instance is small, and otherwise by the LP relaxation,
 solved exactly by a greedy walk of each plot's convex hull, with its one
-fractional plot rounded down to the cheaper of its two hull arms.
+fractional plot rounded down to the cheaper of its two hull arms.  The
+exact solver fixes every plot that the LP's bound settles and runs its
+table on the core of plots left, so its memory scales with the core;
+its size limits still count n_plots * (budget + 1) cells, so the choice
+between the two solvers depends on the instance alone.
 """
 
 import math
@@ -149,22 +153,19 @@ def _check_budget_inputs(imputed: np.ndarray, costs: CostModel):
     return imputed
 
 
-def _budgeted_lp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
-    """LP relaxation of the multiple-choice knapsack, then rounding.
+def _hull_greedy(imputed: np.ndarray, cost: np.ndarray, budget: float):
+    """Greedy solution of the LP relaxation of the multiple-choice knapsack.
 
-    The relaxation is solved exactly by the greedy of Sinha & Zoltners
-    (1979): each plot starts at its cheapest arm (the most valuable among
-    equal costs) and walks its upper convex hull of (cost, value); all
-    hull increments are then taken in order of decreasing value per unit
-    cost until the budget binds.  At most one plot, the one whose
-    increment does not fit, is fractional; it stays at its cheaper hull
-    vertex, so the regime keeps within budget.  `optimality_gap` is the
-    LP optimum minus the rounded regime's mean value, computed from the
-    same sums, so it is nonnegative and bounds the value lost to rounding
-    up to round-off.
+    Each plot starts at its cheapest arm (the most valuable among equal
+    costs) and walks its upper convex hull of (cost, value); all hull
+    increments are then taken in order of decreasing value per unit cost
+    until the budget binds (Sinha & Zoltners 1979; Zemel 1984).  Returns
+    the start cost, the regime of the increments that fit, the value of
+    the fitting fraction of the first one that does not, and that
+    increment's slope lam, the LP's dual price of the budget (0 if every
+    increment fits).
     """
     n, k = imputed.shape
-    cost = costs.cost
     rows = np.arange(n)
     # path[d, i] is plot i's arm after d hull steps; slope[d - 1, i] is
     # the value per unit cost of step d, -inf where the hull has ended
@@ -172,10 +173,6 @@ def _budgeted_lp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
     path[0] = np.where(cost == cost.min(axis=1, keepdims=True), imputed,
                        -np.inf).argmax(axis=1)
     start_cost = float(cost[rows, path[0]].sum())
-    if start_cost > costs.budget + 1e-12:
-        raise InfeasibleBudgetError(
-            f"even the cheapest regime costs {start_cost:g} > budget "
-            f"{costs.budget:g}")
     slope = np.full((k - 1, n), -np.inf)
     for d in range(k - 1):
         here = path[d]
@@ -195,22 +192,50 @@ def _budgeted_lp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
     # steep steps in hull order, so the steps a plot takes are a prefix
     # of its hull and their count is its depth
     depth, plot = np.nonzero(slope > -np.inf)
-    order = np.argsort(-slope[depth, plot], kind="stable")
-    depth, plot = depth[order] + 1, plot[order]
+    steep = slope[depth, plot]
+    order = np.argsort(-steep, kind="stable")
+    depth, plot, steep = depth[order] + 1, plot[order], steep[order]
     step_cost = (cost[plot, path[depth, plot]]
                  - cost[plot, path[depth - 1, plot]])
     spent = start_cost + np.cumsum(step_cost)
-    taken = int(np.searchsorted(spent, costs.budget, side="right"))
+    taken = int(np.searchsorted(spent, budget, side="right"))
     regime = path[np.bincount(plot[:taken], minlength=n), rows]
-    value = imputed[rows, regime].sum()
-    fractional = 0.0
+    fractional, lam = 0.0, 0.0
     if taken < plot.size:
         i, d = plot[taken], depth[taken]
-        # the start may overrun the budget by the round-off allowed above
-        left = costs.budget - (spent[taken - 1] if taken else start_cost)
+        # the start may overrun the budget by round-off
+        left = budget - (spent[taken - 1] if taken else start_cost)
         theta = max(left, 0.0) / step_cost[taken]
         fractional = theta * (imputed[i, path[d, i]]
                               - imputed[i, path[d - 1, i]])
+        lam = float(steep[taken])
+    return start_cost, regime, fractional, lam
+
+
+def _check_cheapest(cheapest: float, budget: float):
+    # a relative slack, so that a budget equal to the decimal sum of the
+    # cheapest costs is not refused for the round-off of their float sum
+    if cheapest > budget * (1 + 1e-12):
+        raise InfeasibleBudgetError(
+            f"even the cheapest regime costs {cheapest:.17g} > budget "
+            f"{budget:.17g}")
+
+
+def _budgeted_lp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
+    """LP relaxation of the multiple-choice knapsack, then rounding.
+
+    The relaxation is solved exactly by `_hull_greedy`.  At most one plot,
+    the one whose increment does not fit, is fractional; it stays at its
+    cheaper hull vertex, so the regime keeps within budget.
+    `optimality_gap` is the LP optimum minus the rounded regime's mean
+    value, computed from the same sums, so it is nonnegative and bounds
+    the value lost to rounding up to round-off.
+    """
+    n = imputed.shape[0]
+    start_cost, regime, fractional, _ = _hull_greedy(imputed, costs.cost,
+                                                     costs.budget)
+    _check_cheapest(start_cost, costs.budget)
+    value = imputed[np.arange(n), regime].sum()
     predicted = float(value / n)
     return PolicyRegime(regime=regime, predicted_mean=predicted,
                         total_cost=costs.total_cost(regime),
@@ -218,24 +243,13 @@ def _budgeted_lp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
                         - predicted)
 
 
-def _budgeted_dp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
-    """Exact multiple-choice knapsack by dynamic programming.
-
-    Requires integral costs and budget; memory scales with
-    n_plots * (budget + 1).
-    """
-    n, k = imputed.shape
-    if n > DP_MAX_PLOTS:
-        raise SizeLimitError(
-            f"exact solver limited to {DP_MAX_PLOTS} plots, got {n}")
-    cost_int = np.rint(costs.cost).astype(np.int64)
-    if not np.allclose(costs.cost, cost_int, atol=1e-9):
-        raise ParamError("exact solver requires integer costs")
-    budget = int(math.floor(costs.budget + 1e-9))
-    if budget < 0 or n * (budget + 1) > DP_MAX_CELLS:
-        raise SizeLimitError(
-            f"budget grid of {n} x {budget + 1} cells exceeds the exact "
-            f"solver limit")
+def _dp_table(values: np.ndarray, cost_int: np.ndarray,
+              budget: int) -> Optional[np.ndarray]:
+    """Best regime within an integer budget by the textbook table, or None
+    if no regime fits; memory scales with n_plots * (budget + 1)."""
+    n, k = values.shape
+    if budget < 0:
+        return None
     neg_inf = -np.inf
     best = np.full(budget + 1, neg_inf)
     best[budget] = 0.0  # best[r] = max value with r budget still unspent
@@ -251,14 +265,13 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
                 shifted = best
             else:
                 shifted[:budget + 1 - ci] = best[ci:]
-            cand = shifted + imputed[i, arm]
+            cand = shifted + values[i, arm]
             take = cand > nxt
             nxt[take] = cand[take]
             choice[i][take] = arm
         best = nxt
     if not np.isfinite(best.max()):
-        raise InfeasibleBudgetError(
-            f"no regime satisfies budget {costs.budget}")
+        return None
     regime = np.empty(n, dtype=np.intp)
     remaining = int(best.argmax())
     # argmax leaves ties at the lowest remaining budget; any optimal cell works
@@ -266,7 +279,75 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
         arm = int(choice[i, remaining])
         regime[i] = arm
         remaining += int(cost_int[i, arm])
-    predicted = float(imputed[np.arange(n), regime].mean())
+    return regime
+
+
+def _budgeted_dp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
+    """Exact multiple-choice knapsack: a DP table on an LP-reduced core.
+
+    Requires integral costs and budget, and n_plots * (budget + 1) within
+    the limits, as if the table covered every plot.  With lam the LP's
+    dual price of the budget and r = value - lam * cost, every regime
+    within budget B is worth at most U = sum_i max_a r_ia + lam * B
+    (Dembo & Hammer 1980).  So a plot whose best arm by r beats its
+    second best by more than U - L, L the value of any regime within
+    budget, keeps its best arm in every optimum.  The table runs on the
+    core of plots with the smallest such slack, the rest fixed at their
+    best arm, and the core grows until it holds every plot that the bound
+    cannot fix (Pisinger 1995).  Memory scales with the core's size times
+    its largest possible spend; the limits above still count
+    n_plots * (budget + 1) cells, and a core of every plot is the full
+    table.
+    """
+    n, k = imputed.shape
+    if n > DP_MAX_PLOTS:
+        raise SizeLimitError(
+            f"exact solver limited to {DP_MAX_PLOTS} plots, got {n}")
+    cost_int = np.rint(costs.cost).astype(np.int64)
+    if not np.allclose(costs.cost, cost_int, atol=1e-9):
+        raise ParamError("exact solver requires integer costs")
+    budget = int(math.floor(costs.budget + 1e-9))
+    if budget < 0 or n * (budget + 1) > DP_MAX_CELLS:
+        raise SizeLimitError(
+            f"budget grid of {n} x {budget + 1} cells exceeds the exact "
+            f"solver limit")
+    if cost_int.min(axis=1).sum() > budget:
+        raise InfeasibleBudgetError(
+            f"no regime satisfies budget {costs.budget}")
+    rows = np.arange(n)
+    lam = _hull_greedy(imputed, costs.cost, budget)[3]
+    reduced = imputed - lam * cost_int
+    top = reduced.argmax(axis=1)
+    ranked = np.sort(reduced, axis=1)
+    # with one arm the slack is 0 and the table gets every plot
+    slack = ranked[:, -1] - ranked[:, -min(2, k)]
+    upper = ranked[:, -1].sum() + lam * budget
+    # far above the round-off of these sums, so it can only enlarge the core
+    tol = 1e-9 * (np.abs(reduced).max(axis=1).sum() + lam * budget + 1.0)
+    order = np.argsort(slack, kind="stable")
+    sorted_slack = slack[order]
+    size = min(64, n)
+    while True:
+        core = np.sort(order[:size])
+        fixed = order[size:]
+        left = budget - int(cost_int[fixed, top[fixed]].sum())
+        core_cost = cost_int[core]
+        core_regime = _dp_table(imputed[core], core_cost,
+                                min(left, int(core_cost.max(axis=1).sum())))
+        if core_regime is None:
+            size = min(2 * size, n)
+            continue
+        regime = top.copy()
+        regime[core] = core_regime
+        lower = imputed[rows, regime].sum()
+        # a plot outside the core leaves its best arm in an optimum only
+        # if its slack is at most upper - lower
+        need = int(np.searchsorted(sorted_slack, upper - lower + tol,
+                                   side="right"))
+        if need <= size:
+            break
+        size = need
+    predicted = float(imputed[rows, regime].mean())
     return PolicyRegime(regime=regime, predicted_mean=predicted,
                         total_cost=costs.total_cost(regime),
                         optimality_gap=0.0)
@@ -287,11 +368,7 @@ def optimal_budgeted(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
         best = optimal_unconstrained(imputed)
         return replace(best, total_cost=costs.total_cost(best.regime),
                        optimality_gap=0.0)
-    cheapest = float(costs.cost.min(axis=1).sum())
-    if cheapest > costs.budget + 1e-12:
-        raise InfeasibleBudgetError(
-            f"even the cheapest regime costs {cheapest:g} > budget "
-            f"{costs.budget:g}")
+    _check_cheapest(float(costs.cost.min(axis=1).sum()), costs.budget)
     try:
         return _budgeted_dp(imputed, costs)
     except (ParamError, SizeLimitError):

@@ -387,6 +387,27 @@ def test_policy_infeasible_budget_exits_5(runner, tmp_path):
     assert result.exit_code == 5
 
 
+def test_policy_budget_equal_to_decimal_cheapest_sum_is_feasible(runner,
+                                                                  tmp_path):
+    # the two-decimal cheapest costs sum to 25005.26, which the float sum
+    # overruns by 2e-12; only the cheapest regime fits
+    study_path, target_path, _ = make_policy_files(tmp_path, n_target=5000)
+    cents = np.random.default_rng(1).integers(100, 900, 5000)
+    cost_path = tmp_path / "costs.csv"
+    cost_path.write_text("plot_id,cost0,cost1\n" + "".join(
+        f"{i},{c / 100:.2f},{c / 100 + 1:.2f}\n" for i, c in enumerate(cents)))
+    result = runner.invoke(cli.main, ["policy", str(study_path),
+                                      str(target_path), "--costs",
+                                      str(cost_path), "--budget", "25005.26",
+                                      "--out", str(tmp_path / "pol")])
+    assert result.exit_code == 0, result.output
+    with (tmp_path / "pol" / "regime.csv").open() as fh:
+        arms = [int(r[1]) for r in list(csv.reader(fh))[1:]]
+    assert arms == [0] * 5000
+    summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
+    assert summary["total_cost"] <= 25005.26 * (1 + 1e-12)
+
+
 def test_policy_budget_without_costs_exits_2(runner, tmp_path):
     study_path, target_path, _ = make_policy_files(tmp_path)
     result = runner.invoke(cli.main, ["policy", str(study_path),

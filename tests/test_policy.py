@@ -8,8 +8,9 @@ from scipy.optimize import linprog
 from soilrct.design import ObservedStudy
 from soilrct.errors import (DimensionError, FitError, InfeasibleBudgetError,
                             ParamError, SizeLimitError)
+from soilrct import policy
 from soilrct.policy import (CostModel, PolicyRegime, _budgeted_dp,
-                            _budgeted_lp, fit_per_arm,
+                            _budgeted_lp, _dp_table, fit_per_arm,
                             impute_population, optimal_budgeted,
                             optimal_restricted, optimal_unconstrained,
                             realized_value)
@@ -240,9 +241,9 @@ def test_lp_hull_edge_cases(case):
                                   rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_lp_gap_bounds_the_dp_optimum_at_workload_scale(seed):
-    # shaped like the study-policy benchmark: n = 5000, integer arm-1 costs
+def workload_instance(seed):
+    """Shaped like the study-policy benchmark: n = 5000, integer arm-1
+    costs, a budget of 30% of treating every plot."""
     rng = np.random.default_rng(seed)
     n = 5000
     b = rng.normal(2.34, 0.47, n)
@@ -251,13 +252,96 @@ def test_lp_gap_bounds_the_dp_optimum_at_workload_scale(seed):
     imputed = np.column_stack([y0, y1])
     cost = np.zeros((n, 2))
     cost[:, 1] = rng.integers(1, 4, n)
-    costs = CostModel(cost=cost, budget=math.floor(0.3 * cost[:, 1].sum()))
+    return imputed, CostModel(cost=cost,
+                              budget=math.floor(0.3 * cost[:, 1].sum()))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lp_gap_bounds_the_dp_optimum_at_workload_scale(seed):
+    imputed, costs = workload_instance(seed)
     exact = _budgeted_dp(imputed, costs).predicted_mean
     got = _budgeted_lp(imputed, costs)
     assert got.total_cost <= costs.budget
     assert got.predicted_mean <= exact
     assert (got.predicted_mean + got.optimality_gap
             >= exact - 1e-12 * abs(exact))
+
+
+def full_table(imputed, costs):
+    """The DP table on every plot: the regime and its mean value."""
+    regime = _dp_table(imputed, costs.cost.astype(np.int64),
+                       int(costs.budget))
+    return regime, float(imputed[np.arange(imputed.shape[0]), regime].mean())
+
+
+@pytest.fixture
+def core_sizes(monkeypatch):
+    """Plot counts of the tables that `_budgeted_dp` runs, in order."""
+    sizes = []
+
+    def spy(values, cost_int, budget):
+        sizes.append(values.shape[0])
+        return _dp_table(values, cost_int, budget)
+
+    monkeypatch.setattr(policy, "_dp_table", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_core_dp_matches_full_table_at_workload_scale(seed):
+    imputed, costs = workload_instance(seed)
+    regime, mean = full_table(imputed, costs)
+    got = _budgeted_dp(imputed, costs)
+    assert got.regime.tobytes() == regime.tobytes()
+    assert repr(got.predicted_mean) == repr(mean)
+
+
+def test_core_dp_matches_full_table_on_random_instances():
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        n, k = int(rng.integers(65, 701)), int(rng.integers(2, 5))
+        cost = rng.integers(0, 4, (n, k)).astype(float)
+        # a third of the instances have small integer values, full of ties
+        imputed = (rng.normal(0, 1, (n, k)) if trial % 3
+                   else rng.integers(0, 4, (n, k)).astype(float))
+        budget = float(rng.integers(int(cost.min(axis=1).sum()),
+                                    int(cost.max(axis=1).sum()) + 1))
+        costs = CostModel(cost=cost, budget=budget)
+        _, mean = full_table(imputed, costs)
+        got = _budgeted_dp(imputed, costs)
+        assert got.predicted_mean == mean
+        assert got.total_cost <= budget
+
+
+def test_core_grows_to_every_plot_when_all_slacks_are_zero(core_sizes):
+    # value = cost / 2 on every arm: every hull step has slope 1/2, so the
+    # reduced values are all 0 and no plot can be fixed
+    rng = np.random.default_rng(43)
+    n = 200
+    cost = np.sort(rng.integers(0, 6, (n, 3)), axis=1).astype(float)
+    imputed = cost / 2
+    costs = CostModel(cost=cost, budget=float(cost[:, 1].sum()) + 0.5)
+    got = _budgeted_dp(imputed, costs)
+    assert core_sizes == [64, n]
+    assert got.predicted_mean == full_table(imputed, costs)[1]
+
+
+def test_core_doubles_when_its_residual_budget_is_infeasible(core_sizes):
+    # plots 0-149 tie between arm 0 (cost 3, value 2) and arm 1 (cost 1,
+    # value 0) at the LP price 1, and the tie goes to the costly arm 0;
+    # plots 150-299 clearly take arm 1.  With 64 tied plots in the core
+    # the other 86 fixed at arm 0 overrun the budget, with 128 they do not
+    n = 300
+    cost = np.tile([3.0, 1.0], (n, 1))
+    imputed = np.tile([2.0, 0.0], (n, 1))
+    imputed[150:, 0] = -100.0
+    costs = CostModel(cost=cost, budget=n + 2 * 40)
+    got = _budgeted_dp(imputed, costs)
+    # the first core has no regime within budget; the second settles no
+    # tied plot, so the core grows to all 150
+    assert core_sizes == [64, 128, 150]
+    assert got.predicted_mean == full_table(imputed, costs)[1] == 80 / n
+    assert got.total_cost <= costs.budget
 
 
 def test_budgeted_infinite_budget_is_unconstrained():
