@@ -18,7 +18,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__, estimators, harness, kernels, policy, tables
@@ -258,7 +257,6 @@ def _write_run(run_dir, run, grid_name, threads, digest) -> None:
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
         },
     }
@@ -283,6 +281,8 @@ def _write_dicts(path, header, table) -> None:
               help="Nominal two-sided error rate for the Wald interval.")
 def estimate(study_csv, name, alpha):
     """Apply one treatment-effect estimator to an observed-study CSV."""
+    if not 0.0 < alpha < 1.0:
+        _fail(EXIT_CONFIG, f"alpha must lie in (0, 1), got {alpha}")
     try:
         study = ObservedStudy.from_csv(study_csv)
     except SoilRctError as exc:

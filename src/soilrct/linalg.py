@@ -7,7 +7,6 @@ deficiency directly on the diagonal.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionError, InsufficientDataError, SingularMatrixError
 
@@ -43,6 +42,20 @@ def qr_factor(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return qmat, rmat
 
 
+def _back_substitute(rmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve R x = rhs for upper-triangular R by back substitution.
+
+    `rhs` is a vector of length q or a (q, k) matrix; each row of x is
+    found from the rows below it.  R comes from `qr_factor`, whose rank
+    check keeps every diagonal entry away from zero.
+    """
+    x = np.array(rhs, dtype=np.float64)
+    for i in range(rmat.shape[0] - 1, -1, -1):
+        x[i] -= rmat[i, i + 1:] @ x[i + 1:]
+        x[i] /= rmat[i, i]
+    return x
+
+
 def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of `response` on the columns of `design`.
 
@@ -55,7 +68,7 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
             f"response shape {response.shape} does not match design "
             f"{np.shape(design)}")
     qmat, rmat = qr_factor(design)
-    return solve_triangular(rmat, qmat.T @ response)
+    return _back_substitute(rmat, qmat.T @ response)
 
 
 def hc2_covariance(design: np.ndarray, residuals: np.ndarray) -> np.ndarray:
@@ -71,7 +84,7 @@ def hc2_covariance(design: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     leverage = np.einsum("ij,ij->i", qmat, qmat)
     # h_i = 1 exactly means the point is fit perfectly; its residual is 0
     denom = np.clip(1.0 - leverage, 1e-12, None)
-    a = solve_triangular(rmat, qmat.T)
+    a = _back_substitute(rmat, qmat.T)
     scaled = a * (residuals / np.sqrt(denom))[np.newaxis, :]
     cov = scaled @ scaled.T
     return 0.5 * (cov + cov.T)

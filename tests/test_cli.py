@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from click.testing import CliRunner
 
 import soilrct
@@ -65,7 +64,7 @@ def test_simulate_writes_run_dir(runner, tmp_path):
     assert manifest["rng_stream"] == harness.RNG_STREAM == 2
     assert manifest["environment"] == {
         "python": platform.python_version(), "numpy": np.__version__,
-        "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
+        "cpu_count": os.cpu_count()}
     assert manifest["outputs"] == ["metrics.csv", "policy_summary.json",
                                    "power_curves.csv", "attenuation.csv"]
     rows = harness.metrics_from_csv(run_dir / "metrics.csv")
@@ -114,15 +113,16 @@ def test_simulate_is_byte_identical_under_blas_threads(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_import_loads_no_lp_or_sparse_solver():
-    # no command needs either subpackage, and importing them slows every
+def test_import_loads_no_scipy():
+    # no command runs scipy, and importing any of it slows every
     # command's start
     src = str(Path(soilrct.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", "import sys, soilrct, soilrct.cli; "
-         "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))"],
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
@@ -270,6 +270,16 @@ def test_estimate_degenerate_study_exits_4(runner, tmp_path):
                   source_index=study.source_index).to_csv(path)
     result = runner.invoke(cli.main, ["estimate", str(path)])
     assert result.exit_code == 4
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+def test_estimate_bad_alpha_exits_2(runner, tmp_path, alpha):
+    path = tmp_path / "study.csv"
+    write_study(path)
+    result = runner.invoke(cli.main, ["estimate", str(path),
+                                      "--alpha", alpha])
+    assert result.exit_code == 2
+    assert "alpha must lie in (0, 1)" in result.output
 
 
 def test_estimate_bad_schema_exits_2(runner, tmp_path):

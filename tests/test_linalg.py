@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from soilrct.errors import (DimensionError, InsufficientDataError,
                             SingularMatrixError)
-from soilrct.linalg import least_squares, qr_factor
+from soilrct.linalg import (_back_substitute, hc2_covariance, least_squares,
+                            qr_factor)
 
 
 def _random_system(rng, n, q):
@@ -13,13 +15,17 @@ def _random_system(rng, n, q):
     return design, response
 
 
-def test_least_squares_matches_normal_equations_oracle():
-    # independent oracle: solve (X'X) beta = X'y directly
+def _oracle_systems():
     rng = np.random.default_rng(5)
     for _ in range(200):
         n = int(rng.integers(5, 60))
         q = int(rng.integers(1, min(6, n)))
-        design, response = _random_system(rng, n, q)
+        yield _random_system(rng, n, q)
+
+
+def test_least_squares_matches_normal_equations_oracle():
+    # independent oracle: solve (X'X) beta = X'y directly
+    for design, response in _oracle_systems():
         oracle = np.linalg.solve(design.T @ design, design.T @ response)
         ours = least_squares(design, response)
         assert np.max(np.abs(ours - oracle)) < 1e-8
@@ -67,3 +73,53 @@ def test_shape_mismatch_rejected():
     with pytest.raises(DimensionError):
         least_squares(np.ones((4, 2)), np.ones(5))
 
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_back_substitution_matches_lapack_to_round_off(q):
+    # LAPACK's triangular solve as an oracle. Both solves are backward
+    # stable, so each lies within about q eps cond(R) of the exact x and
+    # they differ by at most twice that; the bound allows 4 q eps cond(R)
+    # relative, in the max norm.
+    rng = np.random.default_rng(100 + q)
+    eps = np.finfo(np.float64).eps
+    conds = []
+    for _ in range(300):
+        n = int(rng.integers(q, 300))
+        scales = np.logspace(0.0, -rng.uniform(0.0, 4.0), q)
+        _, rmat = qr_factor(rng.standard_normal((n, q)) * scales)
+        cond = np.linalg.cond(rmat)
+        conds.append(cond)
+        for rhs in (rng.standard_normal(q), rng.standard_normal((q, n))):
+            got = _back_substitute(rmat, rhs)
+            want = solve_triangular(rmat, rhs)
+            assert got.shape == want.shape
+            tol = 4.0 * q * eps * cond * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= tol
+    if q > 1:
+        assert max(conds) > 1e3
+
+
+def _lapack_fits(design, response):
+    """`least_squares` and `hc2_covariance` as computed with LAPACK's
+    triangular solve."""
+    qmat, rmat = qr_factor(design)
+    coeffs = solve_triangular(rmat, qmat.T @ response)
+    resid = response - design @ coeffs
+    leverage = np.einsum("ij,ij->i", qmat, qmat)
+    a = solve_triangular(rmat, qmat.T)
+    scaled = a * (resid / np.sqrt(np.clip(1.0 - leverage, 1e-12, None)))
+    cov = scaled @ scaled.T
+    return coeffs, resid, 0.5 * (cov + cov.T)
+
+
+def test_fits_unchanged_from_lapack_solve():
+    systems = list(_oracle_systems())
+    systems.append(_random_system(np.random.default_rng(11), 40, 4))
+    design = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 4.0]])
+    systems.append((design, np.array([1.0, -0.5, 2.0, 0.25])))
+    for design, response in systems:
+        coeffs, resid, cov = _lapack_fits(design, response)
+        got = least_squares(design, response)
+        assert np.max(np.abs(got - coeffs)) <= 1e-10 * np.max(np.abs(coeffs))
+        got = hc2_covariance(design, resid)
+        assert np.max(np.abs(got - cov)) <= 1e-10 * np.max(np.abs(cov))
