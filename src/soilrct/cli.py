@@ -14,6 +14,7 @@ import os
 import platform
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -36,11 +37,6 @@ DEFAULT_SEED = 20250801
 
 #: An input table: a file that must exist.
 _INPUT = click.Path(exists=True, dir_okay=False)
-
-POWER_HEADER = ["estimator", "n", "m", "tau", "tau_relative", "power",
-                "power_se"]
-ATTENUATION_HEADER = ["estimator", "n", "m", "tau", "beta_mod", "sd_eps1",
-                      "bias", "bias_se", "coverage"]
 
 #: Config keys that mirror ScenarioGrid axes and parameters.
 _GRID_KEYS = ("taus", "beta_mods", "sd_eps1s", "sample_sizes",
@@ -238,9 +234,9 @@ def _write_run(run_dir, run, grid_name, threads, digest) -> None:
     summary = harness.policy_summary(run)
     (run_dir / "policy_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_dicts(run_dir / "power_curves.csv", POWER_HEADER,
+    _write_dicts(run_dir / "power_curves.csv", harness.POWER_HEADER,
                  harness.power_table(rows, grid.n_replicates))
-    _write_dicts(run_dir / "attenuation.csv", ATTENUATION_HEADER,
+    _write_dicts(run_dir / "attenuation.csv", harness.ATTENUATION_HEADER,
                  harness.attenuation_table(run))
     outputs = ["metrics.csv", "policy_summary.json", "power_curves.csv",
                "attenuation.csv"]
@@ -374,19 +370,15 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
     except SoilRctError as exc:
         _fail(EXIT_ESTIMATOR, str(exc))
 
-    realized = (policy.realized_value(target_pop, regime)
-                if target_pop is not None else None)
+    if target_pop is not None:
+        regime = replace(regime, realized_mean=policy.realized_value(
+            target_pop, regime))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables.write(out_dir / "regime.csv", ["plot_id", "arm"],
                  enumerate(regime.regime.tolist()))
-    summary = {
-        "predicted_mean": regime.predicted_mean,
-        "realized_mean": realized,
-        "total_cost": regime.total_cost,
-        "budget": "inf" if costs.budget == math.inf else costs.budget,
-        "optimality_gap": regime.optimality_gap,
-    }
+    summary = regime.summary()
+    summary["budget"] = "inf" if costs.budget == math.inf else costs.budget
     (out_dir / "policy.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     click.echo(str(out_dir / "regime.csv"))

@@ -536,6 +536,11 @@ def policy_summary(run: GridResult) -> dict:
     return summary
 
 
+#: power_curves.csv columns, the keys of each `power_table` row.
+POWER_HEADER = ["estimator", "n", "m", "tau", "tau_relative", "power",
+                "power_se"]
+
+
 def power_table(rows, n_replicates: int) -> list:
     """Power per (estimator, n, m, tau) from the `metrics_rows` of a run
     of `n_replicates` replicates per scenario, with the effect also
@@ -553,6 +558,11 @@ def power_table(rows, n_replicates: int) -> list:
             "power_se": se,
         })
     return out
+
+
+#: attenuation.csv columns, the keys of each `attenuation_table` row.
+ATTENUATION_HEADER = ["estimator", "n", "m", "tau", "beta_mod", "sd_eps1",
+                      "bias", "bias_se", "coverage"]
 
 
 def attenuation_table(run: GridResult) -> list:

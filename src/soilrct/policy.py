@@ -5,13 +5,12 @@ outcomes for a target population; regimes are then chosen per plot,
 either unconstrained (row-wise argmax), restricted to a uniform arm, or
 under an additive budget.  The budgeted problem is a multiple-choice
 knapsack; it is solved exactly by dynamic programming when costs are
-integral and the instance is small, and otherwise by the LP relaxation,
-solved exactly by a greedy walk of each plot's convex hull, with its one
-fractional plot rounded down to the cheaper of its two hull arms.  The
-exact solver fixes every plot that the LP's bound settles and runs its
-table on the core of plots left, so its memory scales with the core;
-its size limits still count n_plots * (budget + 1) cells, so the choice
-between the two solvers depends on the instance alone.
+integral and its table fits the limits, and otherwise by the LP
+relaxation, solved exactly by a greedy walk of each plot's convex hull,
+with its one fractional plot rounded down to the cheaper of its two hull
+arms.  The exact solver fixes every plot that the LP's bound settles and
+runs its table on the core of plots left; its size limits count the
+cells of that core table, so the solver is picked from the instance.
 """
 
 import math
@@ -22,11 +21,11 @@ import numpy as np
 
 from . import linalg
 from .errors import (DimensionError, FitError, InfeasibleBudgetError,
-                     ParamError, SingularMatrixError, SizeLimitError)
+                     ParamError, SingularMatrixError)
 from .design import ObservedStudy
 from .population import Population, papo
 
-#: Largest instance the exact dynamic program will accept.
+#: Largest core table the exact dynamic program will fill.
 DP_MAX_PLOTS = 10_000
 DP_MAX_CELLS = 50_000_000
 
@@ -282,36 +281,30 @@ def _dp_table(values: np.ndarray, cost_int: np.ndarray,
     return regime
 
 
-def _budgeted_dp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
+def _budgeted_dp(imputed: np.ndarray,
+                 costs: CostModel) -> Optional[PolicyRegime]:
     """Exact multiple-choice knapsack: a DP table on an LP-reduced core.
 
-    Requires integral costs and budget, and n_plots * (budget + 1) within
-    the limits, as if the table covered every plot.  With lam the LP's
-    dual price of the budget and r = value - lam * cost, every regime
-    within budget B is worth at most U = sum_i max_a r_ia + lam * B
-    (Dembo & Hammer 1980).  So a plot whose best arm by r beats its
-    second best by more than U - L, L the value of any regime within
-    budget, keeps its best arm in every optimum.  The table runs on the
-    core of plots with the smallest such slack, the rest fixed at their
-    best arm, and the core grows until it holds every plot that the bound
-    cannot fix (Pisinger 1995).  Memory scales with the core's size times
-    its largest possible spend; the limits above still count
-    n_plots * (budget + 1) cells, and a core of every plot is the full
-    table.
+    Returns None if the costs are not integral, or if the next core table
+    would hold more than DP_MAX_PLOTS plots or DP_MAX_CELLS cells.  With
+    lam the LP's dual price of the budget and r = value - lam * cost,
+    every regime within budget B is worth at most
+    U = sum_i max_a r_ia + lam * B (Dembo & Hammer 1980).  So a plot whose
+    best arm by r beats its second best by more than U - L, L the value of
+    any regime within budget, keeps its best arm in every optimum.  The
+    table runs on the core of plots with the smallest such slack, the
+    rest fixed at their best arm, and the core grows until it holds every
+    plot that the bound cannot fix (Pisinger 1995).  Its cells are the
+    core's size times its largest possible spend, at most
+    n_plots * (budget + 1).  Spends are summed in float64, which never
+    wraps and is exact below 2**53.
     """
     n, k = imputed.shape
-    if n > DP_MAX_PLOTS:
-        raise SizeLimitError(
-            f"exact solver limited to {DP_MAX_PLOTS} plots, got {n}")
     cost_int = np.rint(costs.cost).astype(np.int64)
     if not np.allclose(costs.cost, cost_int, atol=1e-9):
-        raise ParamError("exact solver requires integer costs")
+        return None
     budget = int(math.floor(costs.budget + 1e-9))
-    if budget < 0 or n * (budget + 1) > DP_MAX_CELLS:
-        raise SizeLimitError(
-            f"budget grid of {n} x {budget + 1} cells exceeds the exact "
-            f"solver limit")
-    if cost_int.min(axis=1).sum() > budget:
+    if cost_int.min(axis=1).sum(dtype=np.float64) > budget:
         raise InfeasibleBudgetError(
             f"no regime satisfies budget {costs.budget}")
     rows = np.arange(n)
@@ -330,11 +323,17 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
     while True:
         core = np.sort(order[:size])
         fixed = order[size:]
-        left = budget - int(cost_int[fixed, top[fixed]].sum())
         core_cost = cost_int[core]
-        core_regime = _dp_table(imputed[core], core_cost,
-                                min(left, int(core_cost.max(axis=1).sum())))
+        fixed_spend = cost_int[fixed, top[fixed]].sum(dtype=np.float64)
+        spend = min(budget - fixed_spend,
+                    core_cost.max(axis=1).sum(dtype=np.float64))
+        if size > DP_MAX_PLOTS or size * (spend + 1) > DP_MAX_CELLS:
+            return None
+        core_regime = _dp_table(imputed[core], core_cost, int(spend))
         if core_regime is None:
+            if size == n:
+                raise InfeasibleBudgetError(
+                    f"no regime satisfies budget {costs.budget}")
             size = min(2 * size, n)
             continue
         regime = top.copy()
@@ -356,10 +355,10 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
 def optimal_budgeted(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
     """Best regime subject to an additive budget constraint.
 
-    Solved exactly by dynamic programming when the costs are integral and
-    the instance is within the DP's limits, by the LP relaxation with
-    rounding otherwise; `optimality_gap` is 0 for an exact answer and the
-    LP optimum minus the rounded value otherwise.  With an infinite budget
+    Solved exactly by `_budgeted_dp` when the costs are integral and its
+    core table fits the limits, by the LP relaxation with rounding
+    otherwise; `optimality_gap` is 0 for an exact answer and the LP
+    optimum minus the rounded value otherwise.  With an infinite budget
     this reduces to the unconstrained argmax, which is exact and costs
     what its arms cost.
     """
@@ -369,7 +368,5 @@ def optimal_budgeted(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
         return replace(best, total_cost=costs.total_cost(best.regime),
                        optimality_gap=0.0)
     _check_cheapest(float(costs.cost.min(axis=1).sum()), costs.budget)
-    try:
-        return _budgeted_dp(imputed, costs)
-    except (ParamError, SizeLimitError):
-        return _budgeted_lp(imputed, costs)
+    exact = _budgeted_dp(imputed, costs)
+    return exact if exact is not None else _budgeted_lp(imputed, costs)

@@ -93,10 +93,6 @@ class Population:
     def n_arms(self) -> int:
         return self.po.shape[1]
 
-    @property
-    def n_covariates(self) -> int:
-        return self.covariates.shape[1]
-
     def to_csv(self, path) -> None:
         """Write `plot_id,baseline,y0,y1[,...]` at full double precision."""
         header = ["plot_id", "baseline"] + [f"y{k}" for k in range(self.n_arms)]

@@ -418,6 +418,29 @@ def test_policy_budget_equal_to_decimal_cheapest_sum_is_feasible(runner,
     assert summary["total_cost"] <= 25005.26 * (1 + 1e-12)
 
 
+def test_policy_large_integral_costs_return(tmp_path):
+    # ten arm-1 costs of 1e18 sum past int64; in a subprocess, so that a
+    # solver that loops fails the test instead of hanging it
+    study_path, target_path, _ = make_policy_files(tmp_path, n_target=10)
+    cost_path = tmp_path / "costs.csv"
+    cost_path.write_text("plot_id,cost0,cost1\n" + "".join(
+        f"{i},0,1000000000000000000\n" for i in range(10)))
+    src = str(Path(soilrct.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "from soilrct.cli import main; main()",
+         "policy", str(study_path), str(target_path), "--costs",
+         str(cost_path), "--budget", "10", "--out", str(tmp_path / "pol")],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    with (tmp_path / "pol" / "regime.csv").open() as fh:
+        arms = [int(r[1]) for r in list(csv.reader(fh))[1:]]
+    assert arms == [0] * 10
+    summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
+    assert summary["optimality_gap"] == 0.0
+
+
 def test_policy_budget_without_costs_exits_2(runner, tmp_path):
     study_path, target_path, _ = make_policy_files(tmp_path)
     result = runner.invoke(cli.main, ["policy", str(study_path),

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from soilrct.design import ObservedStudy
 from soilrct.errors import (DimensionError, FitError, InfeasibleBudgetError,
-                            ParamError, SizeLimitError)
+                            ParamError)
 from soilrct import policy
 from soilrct.policy import (CostModel, PolicyRegime, _budgeted_dp,
                             _budgeted_lp, _dp_table, fit_per_arm,
@@ -241,11 +241,10 @@ def test_lp_hull_edge_cases(case):
                                   rel=1e-12)
 
 
-def workload_instance(seed):
-    """Shaped like the study-policy benchmark: n = 5000, integer arm-1
-    costs, a budget of 30% of treating every plot."""
+def workload_instance(seed, n=5000):
+    """Shaped like the study-policy benchmark: n = 5000 by default, integer
+    arm-1 costs, a budget of 30% of treating every plot."""
     rng = np.random.default_rng(seed)
-    n = 5000
     b = rng.normal(2.34, 0.47, n)
     y0 = b + 0.16
     y1 = y0 + 0.15 - 0.5 * (b - 2.34) / 0.47 + rng.normal(0, 0.05, n)
@@ -385,13 +384,59 @@ def test_budgeted_noninteger_costs_fall_back_to_lp():
 def test_dp_guards():
     imputed = np.zeros((3, 2))
     cost = np.full((3, 2), 0.5)
-    with pytest.raises(ParamError):
-        _budgeted_dp(imputed, CostModel(cost=cost, budget=2.0))
+    assert _budgeted_dp(imputed, CostModel(cost=cost, budget=2.0)) is None
+    # every plot ties, so the core grows to all 20000, past DP_MAX_PLOTS
     big_cost = np.ones((20000, 2))
     big_cost[:, 0] = 0.0
-    with pytest.raises(SizeLimitError):
-        _budgeted_dp(np.zeros((20000, 2)),
-                     CostModel(cost=big_cost, budget=5.0))
+    assert _budgeted_dp(np.zeros((20000, 2)),
+                        CostModel(cost=big_cost, budget=5.0)) is None
+
+
+def test_dp_solves_past_the_full_tables_cell_limit():
+    # 10000 x 5982 full-table cells, over DP_MAX_CELLS; the core's are not
+    imputed, costs = workload_instance(0, n=10000)
+    assert costs.budget == 5981
+    got = optimal_budgeted(imputed, costs)
+    assert got.optimality_gap == 0.0
+    assert repr(got.predicted_mean) == "2.730182207906759"
+
+
+def test_dp_solves_past_the_full_tables_plot_limit():
+    imputed, costs = workload_instance(0, n=12000)
+    costs = CostModel(cost=costs.cost, budget=1500.0)
+    regime, mean = full_table(imputed, costs)
+    got = optimal_budgeted(imputed, costs)
+    assert got.optimality_gap == 0.0
+    assert got.regime.tobytes() == regime.tobytes()
+    assert repr(got.predicted_mean) == repr(mean)
+
+
+def test_core_over_the_cell_limit_falls_back_to_lp(monkeypatch):
+    imputed, costs = workload_instance(1)
+    monkeypatch.setattr(policy, "DP_MAX_CELLS", 64 * 10)
+    got = optimal_budgeted(imputed, costs)
+    lp = _budgeted_lp(imputed, costs)
+    assert got.regime.tobytes() == lp.regime.tobytes()
+    assert repr(got.predicted_mean) == repr(lp.predicted_mean)
+    assert repr(got.optimality_gap) == repr(lp.optimality_gap)
+    assert got.optimality_gap > 0.0
+
+
+def test_dp_spends_do_not_wrap_on_large_integral_costs():
+    # ten treated plots cost 1e19, past int64; the budget buys none
+    imputed = np.random.default_rng(44).normal(0, 1, (10, 2))
+    cost = np.zeros((10, 2))
+    cost[:, 1] = 1e18
+    got = optimal_budgeted(imputed, CostModel(cost=cost, budget=10.0))
+    assert np.all(got.regime == 0)
+    assert got.optimality_gap == 0.0
+
+
+def test_dp_refuses_when_no_core_of_every_plot_fits(monkeypatch):
+    monkeypatch.setattr(policy, "_dp_table", lambda *args: None)
+    imputed, costs = workload_instance(2)
+    with pytest.raises(InfeasibleBudgetError):
+        _budgeted_dp(imputed, costs)
 
 
 def test_cost_model_validation():
