@@ -220,19 +220,21 @@ def _check_cheapest(cheapest: float, budget: float):
             f"{budget:.17g}")
 
 
-def _budgeted_lp(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
+def _budgeted_lp(imputed: np.ndarray, costs: CostModel,
+                 hull=None) -> PolicyRegime:
     """LP relaxation of the multiple-choice knapsack, then rounding.
 
-    The relaxation is solved exactly by `_hull_greedy`.  At most one plot,
-    the one whose increment does not fit, is fractional; it stays at its
-    cheaper hull vertex, so the regime keeps within budget.
+    The relaxation is solved exactly by `_hull_greedy`, unless its result
+    is passed as `hull`.  At most one plot, the one whose increment does
+    not fit, is fractional; it stays at its cheaper hull vertex, so the
+    regime keeps within budget.
     `optimality_gap` is the LP optimum minus the rounded regime's mean
     value, computed from the same sums, so it is nonnegative and bounds
     the value lost to rounding up to round-off.
     """
     n = imputed.shape[0]
-    start_cost, regime, fractional, _ = _hull_greedy(imputed, costs.cost,
-                                                     costs.budget)
+    start_cost, regime, fractional, _ = hull or _hull_greedy(
+        imputed, costs.cost, costs.budget)
     _check_cheapest(start_cost, costs.budget)
     value = imputed[np.arange(n), regime].sum()
     predicted = float(value / n)
@@ -281,34 +283,35 @@ def _dp_table(values: np.ndarray, cost_int: np.ndarray,
     return regime
 
 
-def _budgeted_dp(imputed: np.ndarray,
-                 costs: CostModel) -> Optional[PolicyRegime]:
+def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
+                 lam: Optional[float] = None) -> Optional[PolicyRegime]:
     """Exact multiple-choice knapsack: a DP table on an LP-reduced core.
 
-    Returns None if the costs are not integral, or if the next core table
-    would hold more than DP_MAX_PLOTS plots or DP_MAX_CELLS cells.  With
-    lam the LP's dual price of the budget and r = value - lam * cost,
-    every regime within budget B is worth at most
-    U = sum_i max_a r_ia + lam * B (Dembo & Hammer 1980).  So a plot whose
-    best arm by r beats its second best by more than U - L, L the value of
-    any regime within budget, keeps its best arm in every optimum.  The
-    table runs on the core of plots with the smallest such slack, the
-    rest fixed at their best arm, and the core grows until it holds every
-    plot that the bound cannot fix (Pisinger 1995).  Its cells are the
-    core's size times its largest possible spend, at most
-    n_plots * (budget + 1).  Spends are summed in float64, which never
-    wraps and is exact below 2**53.
+    Returns None if some cost is more than 1e-9 from an integer, or if
+    the next core table would hold more than DP_MAX_PLOTS plots or
+    DP_MAX_CELLS cells.  With lam >= 0, by default the LP's dual price of
+    the budget, and r = value - lam * cost, every regime within budget B
+    is worth at most U = sum_i max_a r_ia + lam * B (Dembo & Hammer
+    1980).  So a plot whose best arm by r beats its second best by more
+    than U - L, L the value of any regime within budget, keeps its best
+    arm in every optimum.  The table runs on the core of plots with the
+    smallest such slack, the rest fixed at their best arm, and the core
+    grows until it holds every plot that the bound cannot fix (Pisinger
+    1995).  Its cells are the core's size times its largest possible
+    spend, at most n_plots * (budget + 1).  Spends are summed in float64,
+    which never wraps and is exact below 2**53.
     """
     n, k = imputed.shape
     cost_int = np.rint(costs.cost).astype(np.int64)
-    if not np.allclose(costs.cost, cost_int, atol=1e-9):
+    if not np.allclose(costs.cost, cost_int, rtol=0.0, atol=1e-9):
         return None
     budget = int(math.floor(costs.budget + 1e-9))
     if cost_int.min(axis=1).sum(dtype=np.float64) > budget:
         raise InfeasibleBudgetError(
             f"no regime satisfies budget {costs.budget}")
     rows = np.arange(n)
-    lam = _hull_greedy(imputed, costs.cost, budget)[3]
+    if lam is None:
+        lam = _hull_greedy(imputed, costs.cost, budget)[3]
     reduced = imputed - lam * cost_int
     top = reduced.argmax(axis=1)
     ranked = np.sort(reduced, axis=1)
@@ -367,6 +370,7 @@ def optimal_budgeted(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
         best = optimal_unconstrained(imputed)
         return replace(best, total_cost=costs.total_cost(best.regime),
                        optimality_gap=0.0)
-    _check_cheapest(float(costs.cost.min(axis=1).sum()), costs.budget)
-    exact = _budgeted_dp(imputed, costs)
-    return exact if exact is not None else _budgeted_lp(imputed, costs)
+    hull = _hull_greedy(imputed, costs.cost, costs.budget)
+    _check_cheapest(hull[0], costs.budget)
+    exact = _budgeted_dp(imputed, costs, hull[3])
+    return exact if exact is not None else _budgeted_lp(imputed, costs, hull)

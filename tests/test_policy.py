@@ -392,6 +392,19 @@ def test_dp_guards():
                         CostModel(cost=big_cost, budget=5.0)) is None
 
 
+def test_near_integral_large_costs_go_to_lp_within_budget():
+    # 100000.4 is within a relative 1e-5 of an integer; rounded to 100000
+    # two treated plots would fit, but they cost 200000.8
+    imputed = np.tile([0.0, 1.0], (3, 1))
+    cost = np.tile([0.0, 100000.4], (3, 1))
+    costs = CostModel(cost=cost, budget=200000.5)
+    assert _budgeted_dp(imputed, costs) is None
+    got = optimal_budgeted(imputed, costs)
+    assert got.total_cost <= costs.budget
+    assert got.total_cost == 100000.4
+    assert got.optimality_gap > 0.0
+
+
 def test_dp_solves_past_the_full_tables_cell_limit():
     # 10000 x 5982 full-table cells, over DP_MAX_CELLS; the core's are not
     imputed, costs = workload_instance(0, n=10000)
@@ -423,7 +436,7 @@ def test_core_over_the_cell_limit_falls_back_to_lp(monkeypatch):
 
 
 def test_dp_spends_do_not_wrap_on_large_integral_costs():
-    # ten treated plots cost 1e19, past int64; the budget buys none
+    # ten arm-1 costs of 1e18 sum past int64; the budget buys none
     imputed = np.random.default_rng(44).normal(0, 1, (10, 2))
     cost = np.zeros((10, 2))
     cost[:, 1] = 1e18
