@@ -333,6 +333,12 @@ def _read_costs(path, n_plots, n_arms, budget) -> policy.CostModel:
         row = int(negative[0])
         raise SchemaError(f"{path}:{row + 2}: costs must be nonnegative, "
                           f"got {float(cost[row].min())!r}")
+    # float64 sums of spends are exact only below 2**53
+    with np.errstate(over="ignore"):
+        most = float(cost.max(axis=1).sum())
+    if most >= 2.0 ** 53:
+        raise SchemaError(f"{path}: the most expensive regime costs "
+                          f"{most!r}; costs must sum to less than 2**53")
     return policy.CostModel(cost=cost, budget=budget)
 
 

@@ -4,17 +4,18 @@ Point estimates, variance estimates, and equal-tailed Wald intervals for
 the average treatment effect (difference-in-means, difference-in-
 differences, OLS with treatment-covariate interactions) and for the
 moderator slope (interaction coefficient, plus the naive change-on-
-baseline regression that ignores the randomization).
+baseline regression that ignores the randomization).  An estimate or
+variance that overflows is refused with `FitError`.
 """
 
-import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, tables
-from .errors import (DimensionError, InsufficientDataError, ParamError,
-                     SingularMatrixError)
+from . import linalg
+from .errors import (DimensionError, FitError, InsufficientDataError,
+                     ParamError, SingularMatrixError)
 from .design import ObservedStudy
 from .stats import wald_halfwidth
 
@@ -38,21 +39,21 @@ class EstimateWithCI:
     @classmethod
     def from_point(cls, estimate: float, variance: float,
                    alpha: float = DEFAULT_ALPHA) -> "EstimateWithCI":
+        """The Wald interval around `estimate`; raises FitError unless the
+        estimate and its variance are finite (then so is the interval)."""
+        estimate, variance = float(estimate), float(variance)
+        if not (math.isfinite(estimate) and math.isfinite(variance)):
+            raise FitError(f"estimate {estimate!r} with variance "
+                           f"{variance!r} is not finite")
         half = wald_halfwidth(variance, alpha)
-        return cls(estimate=float(estimate), variance=float(variance),
-                   ci_lower=float(estimate - half),
-                   ci_upper=float(estimate + half), alpha=float(alpha))
+        return cls(estimate=estimate, variance=variance,
+                   ci_lower=estimate - half, ci_upper=estimate + half,
+                   alpha=float(alpha))
 
     def row(self, name: str) -> list:
         """This estimate as a `CSV_HEADER` row labelled `name`."""
         return [name, self.estimate, self.variance, self.ci_lower,
                 self.ci_upper, self.alpha]
-
-    def csv_row(self, name: str) -> str:
-        """`row(name)` as one CSV line, without its line end."""
-        buf = io.StringIO()
-        tables.write(buf, CSV_HEADER, [self.row(name)])
-        return buf.getvalue().splitlines()[1]
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ def _two_sample(values: np.ndarray, z: np.ndarray, n0: int, n1: int,
     return EstimateWithCI.from_point(estimate, variance, alpha)
 
 
+# an overflow shows as a non-finite estimate, refused by `from_point`
+@np.errstate(all="ignore")
 def diff_in_means(study: ObservedStudy,
                   alpha: float = DEFAULT_ALPHA) -> EstimateWithCI:
     """Treated-minus-control mean of the observed outcomes.
@@ -98,6 +101,7 @@ def diff_in_means(study: ObservedStudy,
     return _two_sample(study.outcome_obs, study.arm, n0, n1, alpha)
 
 
+@np.errstate(all="ignore")
 def diff_in_diffs(study: ObservedStudy,
                   alpha: float = DEFAULT_ALPHA) -> EstimateWithCI:
     """Difference-in-means applied to the changes D_i = Y_i - B_i."""
@@ -119,6 +123,7 @@ def interaction_design(study: ObservedStudy) -> np.ndarray:
     return np.column_stack([np.ones(study.n), z, x, z[:, None] * centered])
 
 
+@np.errstate(all="ignore")
 def ols_interaction(study: ObservedStudy, alpha: float = DEFAULT_ALPHA
                     ) -> tuple[EstimateWithCI, list[EstimateWithCI],
                                InteractionFit]:
@@ -151,6 +156,7 @@ def ols_interaction(study: ObservedStudy, alpha: float = DEFAULT_ALPHA
     return tau, moderators, fit
 
 
+@np.errstate(all="ignore")
 def naive_moderator(study: ObservedStudy,
                     alpha: float = DEFAULT_ALPHA) -> EstimateWithCI:
     """Slope of the change D_i on baseline B_i, ignoring treatment arms.

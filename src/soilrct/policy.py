@@ -247,7 +247,8 @@ def _budgeted_lp(imputed: np.ndarray, costs: CostModel,
 def _dp_table(values: np.ndarray, cost_int: np.ndarray,
               budget: int) -> Optional[np.ndarray]:
     """Best regime within an integer budget by the textbook table, or None
-    if no regime fits; memory scales with n_plots * (budget + 1)."""
+    if no regime fits; `cost_int` holds integral costs, as integers or as
+    floats.  Memory scales with n_plots * (budget + 1)."""
     n, k = values.shape
     if budget < 0:
         return None
@@ -261,6 +262,7 @@ def _dp_table(values: np.ndarray, cost_int: np.ndarray,
             ci = cost_int[i, arm]
             if ci > budget:
                 continue
+            ci = int(ci)
             shifted = np.full(budget + 1, neg_inf)
             if ci == 0:
                 shifted = best
@@ -302,7 +304,8 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
     which never wraps and is exact below 2**53.
     """
     n, k = imputed.shape
-    cost_int = np.rint(costs.cost).astype(np.int64)
+    # integral float64 costs: a cast to int64 could overflow
+    cost_int = np.rint(costs.cost)
     if not np.allclose(costs.cost, cost_int, rtol=0.0, atol=1e-9):
         return None
     budget = int(math.floor(costs.budget + 1e-9))

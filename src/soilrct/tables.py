@@ -5,11 +5,20 @@ each ending in `\\n`.  Floats are written with `%.17g`, which round-trips
 IEEE doubles exactly, and `None` as an empty cell.  Reading checks the
 header, the width of every row and every numeric cell, and reports the
 first fault as a `SchemaError` naming the file and line.
+
+Every table soilrct writes itself (populations, studies, `regime.csv`,
+the `simulate` tables) needs no quoting, and is read and written by
+plain string splits and joins.  Anything else, or any fault at all,
+goes through the `csv` module: a table with a quote, a `\\r`, a blank
+line, a ragged row or no final `\\n` is read by the strict reader, which
+raises every `SchemaError`, and a cell that needs quoting is written by
+`csv.writer`.
 """
 
 import csv
 import math
 import os
+from itertools import repeat
 
 from .errors import SchemaError
 
@@ -24,11 +33,20 @@ def write(path_or_file, header, rows) -> None:
         with open(path_or_file, "w", newline="") as fh:
             write(fh, header, rows)
         return
-    writer = csv.writer(path_or_file, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(
-        [format(v, FLOAT_FMT) if isinstance(v, float) else v for v in row]
-        for row in rows)
+    table = [["" if v is None else str(v) for v in header]]
+    table.extend([format(v, FLOAT_FMT) if isinstance(v, float)
+                  else "" if v is None else str(v) for v in row]
+                 for row in rows)
+    text = "\n".join(map(",".join, table)) + "\n"
+    # a cell needs quoting if it holds a quote, a comma or a line end, or
+    # if it is the only cell of its row and empty; the counts find commas
+    # and line ends, and send an empty row to `csv.writer` too
+    if ('"' in text or "\r" in text or [""] in table
+            or text.count("\n") != len(table)
+            or text.count(",") != sum(map(len, table)) - len(table)):
+        csv.writer(path_or_file, lineterminator="\n").writerows(table)
+    else:
+        path_or_file.write(text)
 
 
 def read(path, header_check) -> list:
@@ -43,16 +61,63 @@ def read(path, header_check) -> list:
     value.  A table with no data rows is refused.
     """
     try:
+        columns = _read_plain(path, header_check)
+    except ValueError:  # SchemaError and UnicodeDecodeError among them
+        columns = None
+    return _read_strict(path, header_check) if columns is None else columns
+
+
+def _parsers(header, header_check) -> list:
+    if callable(header_check):
+        return list(header_check(header))
+    if header == list(header_check):
+        return list(header_check.values())
+    raise SchemaError(f"expected header {','.join(header_check)}")
+
+
+def _read_plain(path, header_check):
+    """`read` by string splits, or None where the strict reader is needed:
+    for a quote, a `\\r`, a blank line, a row of the wrong width, no final
+    `\\n`, a line past the `csv` field limit, no data rows or a non-finite
+    `float` cell.  Raises ValueError where the strict reader may answer
+    otherwise."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    # `csv.reader` refuses \x00 before Python 3.11
+    if ('"' in text or "\r" in text or "\x00" in text
+            or not text.endswith("\n") or text.startswith("\n")
+            or "\n\n" in text):
+        return None
+    head, _, body = text[:-1].partition("\n")
+    header = head.split(",")
+    parsers = _parsers(header, header_check)
+    # `split("\n")`, not `splitlines()`: like `csv.reader`, it keeps
+    # \x0b, \x0c, \x1c and U+2028 inside a cell
+    lines = body.split("\n")
+    width = len(header)
+    if (not body
+            or max(len(head), max(map(len, lines))) > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {width - 1}):
+        return None
+    cells = body.replace("\n", ",").split(",")
+    columns = []
+    for j, parse in zip(range(width), parsers):
+        column = cells[j::width]
+        if parse is not str:
+            column = list(map(parse, column))
+            if parse is float and not all(map(math.isfinite, column)):
+                return None
+        columns.append(column)
+    return columns
+
+
+def _read_strict(path, header_check) -> list:
+    """`read` by `csv.reader`, which reports the first fault of any table."""
+    try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh, strict=True)
             header = next(reader, [])
-            if callable(header_check):
-                parsers = list(header_check(header))
-            elif header == list(header_check):
-                parsers = list(header_check.values())
-            else:
-                raise SchemaError(
-                    f"expected header {','.join(header_check)}")
+            parsers = _parsers(header, header_check)
             rows = list(reader)
     except SchemaError as exc:
         raise SchemaError(f"{path}:1: {exc}") from exc

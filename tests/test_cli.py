@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import soilrct
+from conftest import csv_row
 from soilrct import cli, estimators, harness
 from soilrct.design import ObservedStudy
 from soilrct.errors import ScenarioAbortError
@@ -245,7 +246,7 @@ def test_estimate_matches_library(runner, tmp_path):
         assert result.exit_code == 0, result.output
         lines = result.output.strip().splitlines()
         assert lines[0] == "estimator,estimate,variance,ci_lower,ci_upper,alpha"
-        assert lines[1] == fn(study).csv_row(name)
+        assert lines[1] == csv_row(fn(study), name)
 
 
 def test_estimate_ols_emits_moderator_rows(runner, tmp_path):
@@ -256,8 +257,8 @@ def test_estimate_ols_emits_moderator_rows(runner, tmp_path):
     assert result.exit_code == 0, result.output
     lines = result.output.strip().splitlines()
     tau, mods, _ = estimators.ols_interaction(study)
-    assert lines[1] == tau.csv_row("ols")
-    assert lines[2] == mods[0].csv_row("mod0")
+    assert lines[1] == csv_row(tau, "ols")
+    assert lines[2] == csv_row(mods[0], "mod0")
 
 
 def test_estimate_degenerate_study_exits_4(runner, tmp_path):
@@ -418,27 +419,63 @@ def test_policy_budget_equal_to_decimal_cheapest_sum_is_feasible(runner,
     assert summary["total_cost"] <= 25005.26 * (1 + 1e-12)
 
 
+def run_cli(*argv):
+    """`soilrct *argv` in a subprocess, so that its real stderr is seen
+    and a command that loops fails the test instead of hanging it."""
+    src = str(Path(soilrct.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", "from soilrct.cli import main; main()",
+         *map(str, argv)], env=env, capture_output=True, text=True,
+        timeout=30)
+
+
+def assert_one_error_line(done, code, match):
+    assert done.returncode == code, done.stderr
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert match in lines[0]
+
+
 def test_policy_large_integral_costs_return(tmp_path):
-    # ten arm-1 costs of 1e18 sum past int64; in a subprocess, so that a
-    # solver that loops fails the test instead of hanging it
+    # ten arm-1 costs of 1e18 sum past int64, and past 2**53, where float64
+    # spends stop being exact: the cost table is refused before any solver
     study_path, target_path, _ = make_policy_files(tmp_path, n_target=10)
     cost_path = tmp_path / "costs.csv"
     cost_path.write_text("plot_id,cost0,cost1\n" + "".join(
         f"{i},0,1000000000000000000\n" for i in range(10)))
-    src = str(Path(soilrct.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "from soilrct.cli import main; main()",
-         "policy", str(study_path), str(target_path), "--costs",
-         str(cost_path), "--budget", "10", "--out", str(tmp_path / "pol")],
-        env=env, capture_output=True, text=True, timeout=30)
-    assert done.returncode == 0, done.stderr
-    with (tmp_path / "pol" / "regime.csv").open() as fh:
-        arms = [int(r[1]) for r in list(csv.reader(fh))[1:]]
-    assert arms == [0] * 10
-    summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
-    assert summary["optimality_gap"] == 0.0
+    done = run_cli("policy", study_path, target_path, "--costs", cost_path,
+                   "--budget", "10", "--out", tmp_path / "pol")
+    assert_one_error_line(done, 2, "costs must sum to less than 2**53")
+    assert not (tmp_path / "pol").exists()
+
+
+@pytest.mark.parametrize("arm1, budget", [
+    # the three plots cost 2**53 + 1 in all, which float64 reads as 2**53
+    ([3002399751580330, 3002399751580331, 3002399751580332], 2 ** 53),
+    # 2**63 and more cannot be cast to int64
+    ([2 ** 63, 2 ** 64, 1], 10),
+], ids=["sum-past-2**53", "past-int64"])
+def test_policy_costs_reaching_2_53_exit_2(tmp_path, arm1, budget):
+    study_path, target_path, _ = make_policy_files(tmp_path)
+    cost_path = tmp_path / "costs.csv"
+    cost_path.write_text("plot_id,cost0,cost1\n" + "".join(
+        f"{i},0,{c}\n" for i, c in enumerate(arm1)))
+    done = run_cli("policy", study_path, target_path, "--costs", cost_path,
+                   "--budget", budget, "--out", tmp_path / "pol")
+    assert_one_error_line(done, 2, f"{cost_path}: the most expensive regime")
+
+
+@pytest.mark.parametrize("estimator", ["dim", "did"])
+def test_estimate_overflow_exits_4(tmp_path, estimator):
+    path = tmp_path / "study.csv"
+    path.write_text("plot_id,source_index,arm,baseline_obs,outcome_obs\n"
+                    "0,0,0,1e300,-1e300\n1,1,0,-1e300,1e300\n"
+                    "2,2,1,1e300,1e300\n3,3,1,-1e300,-1e300\n")
+    done = run_cli("estimate", path, "--estimator", estimator)
+    assert_one_error_line(done, 4, "variance inf is not finite")
 
 
 def test_policy_budget_without_costs_exits_2(runner, tmp_path):

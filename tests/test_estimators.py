@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from conftest import csv_row
 from soilrct.design import ObservedStudy, assignment_enumeration
-from soilrct.errors import InsufficientDataError, ParamError
+from soilrct.errors import FitError, InsufficientDataError, ParamError
 from soilrct.estimators import (diff_in_diffs, diff_in_means, naive_moderator,
                                 ols_interaction)
 from soilrct.stats import norm_ppf
@@ -193,8 +196,19 @@ def test_estimators_reject_degenerate_studies():
 
 def test_estimate_csv_row_format():
     s = study_from([0, 0, 0, 0], [1.0, 3.0, 6.0, 10.0], [0, 0, 1, 1])
-    row = diff_in_means(s).csv_row("dim")
+    row = csv_row(diff_in_means(s), "dim")
     fields = row.split(",")
     assert fields[0] == "dim"
     assert float(fields[1]) == pytest.approx(6.0)
     assert len(fields) == 6
+
+
+@pytest.mark.parametrize("fit", [diff_in_means, diff_in_diffs])
+def test_overflowing_estimate_raises_fit_error_without_warning(fit):
+    # cells of +-1e300: each arm's sample variance overflows to inf
+    s = study_from([1e300, -1e300, 1e300, -1e300],
+                   [-1e300, 1e300, 1e300, -1e300], [0, 0, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match="variance inf is not finite"):
+            fit(s)

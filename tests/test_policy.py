@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,19 @@ def test_dp_spends_do_not_wrap_on_large_integral_costs():
     got = optimal_budgeted(imputed, CostModel(cost=cost, budget=10.0))
     assert np.all(got.regime == 0)
     assert got.optimality_gap == 0.0
+
+
+def test_dp_takes_costs_past_int64_without_a_cast():
+    # 2**63 and 2**64 are integral but overflow an int64 cast, which numpy
+    # reports with a RuntimeWarning
+    imputed = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 0.5], [0.0, -1.0]])
+    cost = np.array([[0.0, 2.0 ** 63], [0.0, 2.0 ** 64], [0.0, 3.0],
+                     [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = optimal_budgeted(imputed, CostModel(cost=cost, budget=10.0))
+    assert got.regime.tolist() == [0, 0, 1, 0]
+    assert got.total_cost == 3.0 and got.optimality_gap == 0.0
 
 
 def test_dp_refuses_when_no_core_of_every_plot_fits(monkeypatch):

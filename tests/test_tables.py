@@ -1,10 +1,19 @@
+import csv
 import io
+import json
 import math
 
+import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from soilrct import tables
+from soilrct import cli, harness, tables
+from soilrct.design import ObservedStudy
 from soilrct.errors import SchemaError
+from soilrct.population import (Population, PopulationParams,
+                                generate_population)
 
 COLUMNS = {"id": str, "k": int, "x": float}
 
@@ -62,3 +71,174 @@ def test_read_header_function_and_lenient_parser(tmp_path):
     path.write_text("n,y0\n1,2\n")
     with pytest.raises(SchemaError, match=r"t\.csv:1: first column must be m"):
         tables.read(path, check)
+
+
+def _lenient(header):
+    # inf and nan pass in the third column; fewer parsers than columns
+    # leave the columns past them out, as `zip` does
+    if header[:1] != ["id"]:
+        raise SchemaError("first column must be id")
+    return [str, int, lambda cell: float(cell)][:len(header)]
+
+
+#: header checks by name: the mapping, a function that refuses some
+#: headers, and one that takes any header
+_CHECKS = {"columns": COLUMNS, "lenient": _lenient,
+           "any": lambda header: [str] * len(header)}
+
+
+def _outcome(read, path, header_check):
+    try:
+        columns = read(path, header_check)
+    except SchemaError as exc:
+        return "error", str(exc)
+    # repr tells int from float, -0.0 from 0.0 and keeps nan comparable
+    return "columns", [[repr(v) for v in column] for column in columns]
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "-2", "1.5", "-0.0", "1e3", "1_0", " 1", "1 ",
+                     "inf", "nan", "-inf", "", "x", "\uff11", "1\x0c",
+                     "\x00", "\x0b", "\x1c", "\u2028", '"', '"1"', "a,b"]),
+    st.text(alphabet='01.-e,"\r\n x\x0b', max_size=4))
+
+
+@st.composite
+def _table_bytes(draw):
+    header = draw(st.sampled_from(["id,k,x", "id,k,x", "id,k", "id,x,k",
+                                   "id", "", "id,k,x,y"]))
+    rows = draw(st.lists(
+        st.one_of(st.lists(_CELLS, min_size=3, max_size=3),
+                  st.lists(_CELLS, max_size=5)).map(",".join), max_size=6))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]),
+                         min_size=len(rows) + 1, max_size=len(rows) + 1))
+    text = "".join(line + end for line, end in zip([header] + rows, ends))
+    if draw(st.booleans()):
+        text = text[:-1]
+    data = text.encode()
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_table_bytes(), check=st.sampled_from(sorted(_CHECKS)))
+@example(data=b"id,k,x\n0,1,1.0\n\n1,2,3\n", check="columns")
+@example(data=b"id,k,x\n0,1,1.0\n\n", check="columns")
+@example(data=b"id\n0\n\n", check="lenient")
+@example(data=b"\nid\n0\n", check="any")
+@example(data=b"\nid,k,x\n0,1,1.0\n", check="columns")
+@example(data=b"id,k,x\n0,1\n1,2,3,4\n", check="columns")
+@example(data=b'id,k,x\n"0",1,1.0\n', check="columns")
+@example(data=b"id,k,x\r\n0,1,1.0\r\n", check="columns")
+@example(data=b"id,k,x\n0,1,1.0\r1,2,3\n", check="columns")
+@example(data=b"id,k,x\n0,1,1.0", check="columns")
+@example(data=b"id,k,x\n", check="columns")
+@example(data=b"", check="columns")
+@example(data=b"id,k,x\n0,1_0,1_0\n", check="columns")
+@example(data=b"id,k,x\n0, 1, 1\n", check="columns")
+@example(data=b"id,k,x\n0,1,inf\n1,2,nan\n2,3,-inf\n", check="columns")
+@example(data=b"id,k,x\n0,1,inf\n1,2,nan\n2,3,-inf\n", check="lenient")
+@example(data=b"id,k,x\na\x00b,1,1\n", check="columns")
+@example(data="id,k,x\n\x0b,1,1\x0c\n\x1c,2,\u20282\n".encode(),
+         check="columns")
+@example(data="id\na\x0bb\nc\x0cd\ne\x1cf\ng\u2028h\n".encode(),
+         check="any")
+@example(data=b"id,k,x\n" + b"a" * (csv.field_size_limit() + 1)
+         + b",1,1\n", check="columns")
+@example(data=b"id,k,x\n0,1,\xff\n", check="columns")
+@example(data=b"\xffid,k,x\n0,1,1\n", check="lenient")
+def test_read_matches_the_strict_reader(tmp_path, data, check):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    assert (_outcome(tables.read, path, _CHECKS[check])
+            == _outcome(tables._read_strict, path, _CHECKS[check]))
+
+
+def _csv_writer_table(header, rows) -> str:
+    """`header` and `rows` as `csv.writer` writes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [format(v, tables.FLOAT_FMT) if isinstance(v, float) else v
+         for v in row] for row in rows)
+    return buf.getvalue()
+
+
+_PLAIN = st.one_of(st.none(), st.booleans(), st.integers(),
+                   st.floats(allow_nan=True, allow_infinity=True),
+                   st.text(alphabet="ab1 .-\x0b\u2028", max_size=4))
+_QUOTED = st.one_of(_PLAIN, st.text(alphabet='ab,"\n\r', max_size=4))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cells=st.sampled_from([_PLAIN, _QUOTED]).flatmap(
+    lambda cell: st.lists(st.lists(cell, max_size=4), min_size=1,
+                          max_size=6)))
+@example(cells=[["a"], [""]])
+@example(cells=[["a"], [None]])
+@example(cells=[["a", "b"], ["x,y", ""], ["1\r", '"']])
+@example(cells=[["a"], ["b\nc"]])
+@example(cells=[["a"], [], ["b"]])
+def test_write_matches_csv_writer(tmp_path, cells):
+    header, rows = cells[0], cells[1:]
+    expected = _csv_writer_table(header, rows)
+    buf = io.StringIO()
+    tables.write(buf, header, rows)
+    assert buf.getvalue() == expected
+    path = tmp_path / "t.csv"
+    tables.write(path, header, iter(rows))
+    with open(path, newline="") as fh:
+        assert fh.read() == expected
+
+
+def test_soilrct_tables_take_the_fast_path(tmp_path, monkeypatch):
+    """Every table soilrct writes is written and read back without the
+    `csv` module, so a change that sends them to it fails here."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a soilrct table went through the csv module")
+
+    monkeypatch.setattr(tables, "_read_strict", refuse)
+    monkeypatch.setattr(csv, "writer", refuse)
+    pop = generate_population(PopulationParams(
+        mu_b=2.34, sd_b_across=0.47, mean_control_change=0.16,
+        sd_control_change=0.37, tau=0.1, beta_mod=-0.5, sd_eps1=0.3,
+        n_plots=40), 5)
+    pop.to_csv(tmp_path / "pop.csv")
+    assert np.array_equal(Population.from_csv(tmp_path / "pop.csv").po,
+                          pop.po)
+    rng = np.random.default_rng(2)
+    b = rng.normal(2.3, 0.5, 12)
+    study = ObservedStudy(baseline_obs=b, outcome_obs=b + rng.normal(size=12),
+                          arm=np.repeat([0, 1], 6), source_index=np.arange(12))
+    study.to_csv(tmp_path / "study.csv")
+    assert np.array_equal(ObservedStudy.from_csv(tmp_path / "study.csv")
+                          .outcome_obs, study.outcome_obs)
+
+    runner = CliRunner()
+    config = tmp_path / "run.yaml"
+    config.write_text("grid: custom\ntaus: [0.0, 0.3]\nbeta_mods: [-0.5]\n"
+                      "sd_eps1s: [0.0]\nsample_sizes: [10]\n"
+                      "samples_per_plot: [5, inf]\nn_replicates: 10\n"
+                      "population_size: 200\n")
+    done = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                    "--out", str(tmp_path)])
+    assert done.exit_code == 0, done.output
+    run_dir = tmp_path / done.output.strip().splitlines()[-1]
+    assert harness.metrics_from_csv(run_dir / "metrics.csv")
+    for name in ("power_curves.csv", "attenuation.csv"):
+        assert tables.read(run_dir / name, lambda h: [str] * len(h))[0]
+
+    done = runner.invoke(cli.main, [
+        "policy", str(tmp_path / "study.csv"), str(tmp_path / "pop.csv"),
+        "--out", str(tmp_path / "pol")])
+    assert done.exit_code == 0, done.output
+    ids, arms = tables.read(tmp_path / "pol" / "regime.csv",
+                            {"plot_id": int, "arm": int})
+    assert ids == list(range(40)) and set(arms) <= {0, 1}
+    summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
+    assert summary["realized_mean"] is not None
