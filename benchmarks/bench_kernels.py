@@ -1,11 +1,12 @@
 """Time the replicate draws and the scenario kernel at n = 10, 100 and
 1000, and check the kernel.
 
-For each sample size, times `harness.draw_replicates` for the replicates
-of one scenario, times `kernels.scenario_kernel` on them (best and mean
-of several calls each), and re-derives every replicate with the QR-based
-library estimators.  Exits 1 if any replicate disagrees by more
-than 1e-8 in columns 0-9, or is flagged as failed.
+For each sample size, times `design.draw_replicates` (the one draw
+behind every harness replicate and every library study) for the
+replicates of one scenario, times `kernels.scenario_kernel` on them
+(best and mean of several calls each), and re-derives every replicate
+with the QR-based library estimators.  Exits 1 if any replicate
+disagrees by more than 1e-8 in columns 0-9, or is flagged as failed.
 
 Usage: python benchmarks/bench_kernels.py [--replicates R] [--repeat K]
                                           [--population N]
@@ -18,8 +19,7 @@ import time
 
 import numpy as np
 
-from soilrct import estimators, harness, kernels
-from soilrct.design import ObservedStudy
+from soilrct import design, estimators, harness, kernels
 from soilrct.population import generate_population
 
 SAMPLE_SIZES = (10, 100, 1000)
@@ -45,7 +45,7 @@ def kernel_args(n, replicates, n_pop):
     pop = generate_population(grid.population_params(*scenario.pop_key),
                               harness.population_rng(SEED, *scenario.pop_key))
     bundle = harness.build_bundle(pop)
-    perm, noise = harness.draw_replicates(
+    perm, noise = design.draw_replicates(
         harness.scenario_rng(SEED, scenario), replicates, n, n_pop)
     return (pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
             np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
@@ -62,12 +62,12 @@ def library_row(args, r):
     z = np.repeat([0, 1], [n0, n - n0])
     b_obs = b[idx] + sd * noise[r, :, 0]
     y_obs = np.where(z == 0, y0[idx], y1[idx]) + sd * noise[r, :, 1]
-    raw = ObservedStudy(baseline_obs=b_obs, outcome_obs=y_obs, arm=z,
-                        source_index=idx)
+    raw = design.ObservedStudy(baseline_obs=b_obs, outcome_obs=y_obs,
+                               arm=z, source_index=idx)
     scaled = (b_obs - b_obs.mean()) / b_obs.std(ddof=1)
-    std = ObservedStudy(baseline_obs=b_obs, outcome_obs=y_obs, arm=z,
-                        source_index=idx,
-                        covariates_obs=np.column_stack([np.ones(n), scaled]))
+    std = design.ObservedStudy(
+        baseline_obs=b_obs, outcome_obs=y_obs, arm=z, source_index=idx,
+        covariates_obs=np.column_stack([np.ones(n), scaled]))
     dim = estimators.diff_in_means(raw)
     did = estimators.diff_in_diffs(raw)
     tau, mods, _ = estimators.ols_interaction(std)
@@ -86,14 +86,14 @@ def main():
 
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
           f"kernel backend {kernels.BACKEND}, RNG stream "
-          f"{harness.RNG_STREAM}, {opts.replicates} replicates, "
+          f"{design.RNG_STREAM}, {opts.replicates} replicates, "
           f"population {opts.population}")
     bad_total = 0
     for n in SAMPLE_SIZES:
         best, mean, _ = best_and_mean(
-            lambda: harness.draw_replicates(np.random.default_rng(SEED),
-                                            opts.replicates, n,
-                                            opts.population), opts.repeat)
+            lambda: design.draw_replicates(np.random.default_rng(SEED),
+                                           opts.replicates, n,
+                                           opts.population), opts.repeat)
         print(f"draws  n={n:>5}: best {best * 1e3:9.2f} ms "
               f"({best / opts.replicates * 1e6:8.2f} us/replicate), "
               f"mean of {opts.repeat} {mean * 1e3:.2f} ms")

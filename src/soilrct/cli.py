@@ -21,8 +21,8 @@ import click
 import numpy as np
 import yaml
 
-from . import __version__, estimators, harness, kernels, policy, tables
-from .design import ObservedStudy
+from . import (__version__, design, estimators, harness, kernels, policy,
+               tables)
 from .errors import (InfeasibleBudgetError, ScenarioAbortError, SchemaError,
                      SoilRctError)
 from .population import Population
@@ -121,21 +121,18 @@ def _normalize_grid_settings(config: dict) -> dict:
 
 def build_grid(grid_name: str, config: dict) -> harness.ScenarioGrid:
     settings = _normalize_grid_settings(config)
-    try:
-        if grid_name == "paper":
-            return harness.ScenarioGrid.paper_defaults(**settings)
-        if grid_name == "figure3":
-            return harness.ScenarioGrid.power_curve_defaults(**settings)
-        if grid_name == "custom":
-            missing = [k for k in ("taus", "beta_mods", "sd_eps1s",
-                                   "sample_sizes", "samples_per_plot")
-                       if k not in settings]
-            if missing:
-                raise ConfigError(
-                    f"custom grid requires keys: {', '.join(missing)}")
-            return harness.ScenarioGrid(**settings)
-    except SoilRctError:
-        raise
+    if grid_name == "paper":
+        return harness.ScenarioGrid.paper_defaults(**settings)
+    if grid_name == "figure3":
+        return harness.ScenarioGrid.power_curve_defaults(**settings)
+    if grid_name == "custom":
+        missing = [k for k in ("taus", "beta_mods", "sd_eps1s",
+                               "sample_sizes", "samples_per_plot")
+                   if k not in settings]
+        if missing:
+            raise ConfigError(
+                f"custom grid requires keys: {', '.join(missing)}")
+        return harness.ScenarioGrid(**settings)
     raise ConfigError(f"unknown grid {grid_name!r}")
 
 
@@ -158,7 +155,7 @@ def _grid_echo(grid: harness.ScenarioGrid) -> dict:
 def grid_hash(grid: harness.ScenarioGrid, seed: int) -> str:
     """Content hash of a run: its grid, seed and RNG stream version."""
     doc = _canonical({"grid": _grid_echo(grid), "seed": seed,
-                      "rng_stream": harness.RNG_STREAM})
+                      "rng_stream": design.RNG_STREAM})
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -185,8 +182,6 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     try:
         config = _load_config(config_path) if config_path else {}
         grid_name = grid_name or config.get("grid", "paper")
-        if grid_name not in ("paper", "figure3", "custom"):
-            raise ConfigError(f"unknown grid {grid_name!r}")
         seed = seed if seed is not None else config.get("seed", DEFAULT_SEED)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("seed: expected an integer")
@@ -243,7 +238,7 @@ def _write_run(run_dir, run, grid_name, threads, digest) -> None:
     manifest = {
         "version": __version__,
         "backend": kernels.BACKEND,
-        "rng_stream": harness.RNG_STREAM,
+        "rng_stream": design.RNG_STREAM,
         "seed": seed,
         "threads": threads,
         "grid": grid_name,
@@ -280,7 +275,7 @@ def estimate(study_csv, name, alpha):
     if not 0.0 < alpha < 1.0:
         _fail(EXIT_CONFIG, f"alpha must lie in (0, 1), got {alpha}")
     try:
-        study = ObservedStudy.from_csv(study_csv)
+        study = design.ObservedStudy.from_csv(study_csv)
     except SoilRctError as exc:
         _fail(EXIT_CONFIG, str(exc))
     try:
@@ -356,7 +351,7 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
     try:
         if budget is not None and cost_csv is None:
             raise SchemaError("--budget requires --costs")
-        study = ObservedStudy.from_csv(study_csv)
+        study = design.ObservedStudy.from_csv(study_csv)
         target_cov, target_pop = _read_target(target_csv)
         shape = (target_cov.shape[0], study.n_arms)
         costs = (policy.CostModel(np.zeros(shape)) if cost_csv is None

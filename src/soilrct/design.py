@@ -2,27 +2,31 @@
 
 Enrollment is simple random sampling without replacement; treatment is a
 completely randomized design (uniform partition into arms of fixed
-sizes).  Both are realized by one uniform permutation of the population:
-the first `n` permuted plots are enrolled, and consecutive blocks of the
-sample receive consecutive arm labels.  Measurement error with SD
-`sd_within_plot / sqrt(samples_per_plot)` is added independently to the
-baseline and follow-up observations.
+sizes).  Both are realized by one uniformly random ordered subset of the
+population, drawn by `draw_replicates`: its plots are enrolled, and
+consecutive blocks of it receive consecutive arm labels.  Measurement
+error with SD `sd_within_plot / sqrt(samples_per_plot)` is added
+independently to the baseline and follow-up observations.  A library
+study from `enroll_and_assign` is replicate 0 of the same draw that the
+Monte Carlo harness makes for every replicate.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
 from . import tables
-from .errors import (DesignError, DimensionError, EnrollmentError, ParamError,
-                     SchemaError, SizeLimitError)
+from .errors import DesignError, DimensionError, EnrollmentError, SchemaError
 from .population import Population
 
-#: Guard for exhaustive assignment enumeration.
-MAX_ENUMERATION_N = 12
+#: Version of the stream of random draws behind every replicate and every
+#: study.  Stream 2 draws each replicate's plots with `Generator.choice`,
+#: which for populations of up to 10000 plots runs Floyd's subset sampler
+#: and then shuffles the chosen plots; stream 1 took the head of a full
+#: permutation of the population.  The same seed gives different
+#: replicates on the two streams, so the version enters the run hash.
+RNG_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -115,9 +119,6 @@ class ObservedStudy:
         """Follow-up minus baseline, D_i = Y_i - B_i."""
         return self.outcome_obs - self.baseline_obs
 
-    def arm_counts(self) -> np.ndarray:
-        return np.bincount(self.arm, minlength=self.n_arms)
-
     def to_csv(self, path) -> None:
         """Write `plot_id,source_index,arm,baseline_obs,outcome_obs`."""
         tables.write(path, ["plot_id", "source_index", "arm", "baseline_obs",
@@ -150,11 +151,35 @@ def arm_labels(spec: DesignSpec) -> np.ndarray:
     return np.repeat(np.arange(spec.n_arms, dtype=np.intp), spec.arm_sizes)
 
 
+def draw_replicates(rng, reps: int, n: int, n_pop: int,
+                    with_noise: bool = True):
+    """The randomness of `reps` replicates that enroll `n` of `n_pop` plots.
+
+    Returns `perm`, a (reps, n) int64 array whose row r lists the plots
+    replicate r enrolls (a uniformly random ordered subset, so splitting
+    a row into blocks is a complete randomization), and `noise`, a
+    (reps, n, 2) standard-normal array for the baseline and outcome
+    measurement errors.  The stream (`RNG_STREAM`) is fixed: one
+    `rng.choice(n_pop, n, replace=False)` per replicate, then all the
+    noise.  `choice` picks the subset in O(n) draws and shuffles it, so
+    each row is uniform over ordered subsets, as a permutation's head is.
+
+    The noise is the stream's last draw, so `with_noise=False` returns
+    the same `perm` and None for `noise`.
+    """
+    perm = np.empty((reps, n), dtype=np.int64)
+    for r in range(reps):
+        perm[r] = rng.choice(n_pop, n, replace=False)
+    noise = rng.standard_normal((reps, n, 2)) if with_noise else None
+    return perm, noise
+
+
 def enroll_and_assign(pop: Population, spec: DesignSpec, seed) -> ObservedStudy:
     """Enroll by SRS, assign by complete randomization, add measurement noise.
 
-    `seed` may be anything `numpy.random.default_rng` accepts, or an
-    existing Generator.
+    The study is replicate 0 of `draw_replicates`, measured.  `seed` may
+    be anything `numpy.random.default_rng` accepts, or an existing
+    Generator.
     """
     if spec.n_enrolled > pop.n_plots:
         raise EnrollmentError(
@@ -165,28 +190,15 @@ def enroll_and_assign(pop: Population, spec: DesignSpec, seed) -> ObservedStudy:
             f"design has {spec.n_arms} arms but population has {pop.n_arms}")
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
-    source = rng.permutation(pop.n_plots)[:spec.n_enrolled]
-    z = arm_labels(spec)
-    noise = rng.standard_normal((spec.n_enrolled, 2))
     sd = spec.sigma_delta
-    baseline_obs = pop.baseline[source] + sd * noise[:, 0]
-    outcome_obs = pop.po[source, z] + sd * noise[:, 1]
+    perm, noise = draw_replicates(rng, 1, spec.n_enrolled, pop.n_plots,
+                                  with_noise=sd != 0.0)
+    source = perm[0]
+    z = arm_labels(spec)
+    baseline_obs = pop.baseline[source]
+    outcome_obs = pop.po[source, z]
+    if noise is not None:
+        baseline_obs = baseline_obs + sd * noise[0, :, 0]
+        outcome_obs = outcome_obs + sd * noise[0, :, 1]
     return ObservedStudy(baseline_obs=baseline_obs, outcome_obs=outcome_obs,
                          arm=z, source_index=source)
-
-
-def assignment_enumeration(n: int, n1: int) -> Iterator[np.ndarray]:
-    """Yield every binary assignment of `n` plots with exactly `n1` treated.
-
-    Guarded at n <= 12 to keep the C(n, n1) enumeration tractable.
-    """
-    if n > MAX_ENUMERATION_N:
-        raise SizeLimitError(
-            f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_N}, "
-            f"got {n}")
-    if not 0 <= n1 <= n:
-        raise ParamError(f"need 0 <= n1 <= n, got n1={n1}, n={n}")
-    for treated in combinations(range(n), n1):
-        z = np.zeros(n, dtype=np.intp)
-        z[list(treated)] = 1
-        yield z

@@ -21,10 +21,6 @@ class EnrollmentError(DesignError):
     """The requested sample cannot be drawn from the population."""
 
 
-class SizeLimitError(SoilRctError, ValueError):
-    """A combinatorial routine was asked for an instance above its guard."""
-
-
 class InsufficientDataError(SoilRctError, ValueError):
     """Too few observations to compute the requested estimate."""
 

@@ -5,7 +5,8 @@ the average treatment effect (difference-in-means, difference-in-
 differences, OLS with treatment-covariate interactions) and for the
 moderator slope (interaction coefficient, plus the naive change-on-
 baseline regression that ignores the randomization).  An estimate or
-variance that overflows is refused with `FitError`.
+variance that overflows, and regression data whose squares overflow,
+are refused with `FitError`.
 """
 
 import math
@@ -88,6 +89,19 @@ def _two_sample(values: np.ndarray, z: np.ndarray, n0: int, n1: int,
     return EstimateWithCI.from_point(estimate, variance, alpha)
 
 
+def _require_finite_squares(**columns):
+    """Refuse regression data whose sum of squares is not finite.
+
+    That is NaN or inf cells, or cells whose squares overflow.  They are
+    refused before the QR, whose rank check would read their scale as a
+    dependent column, and whose HC2 variance would be inf.
+    """
+    for name, values in columns.items():
+        total = float(np.square(values).sum())
+        if not math.isfinite(total):
+            raise FitError(f"{name} sum of squares {total!r} is not finite")
+
+
 # an overflow shows as a non-finite estimate, refused by `from_point`
 @np.errstate(all="ignore")
 def diff_in_means(study: ObservedStudy,
@@ -139,6 +153,7 @@ def ols_interaction(study: ObservedStudy, alpha: float = DEFAULT_ALPHA
     if n <= q:
         raise InsufficientDataError(
             f"interacted OLS needs n > {q} observations, got {n}")
+    _require_finite_squares(design=design, response=study.outcome_obs)
     coeffs = linalg.least_squares(design, study.outcome_obs)
     fitted = design @ coeffs
     residuals = study.outcome_obs - fitted
@@ -170,6 +185,7 @@ def naive_moderator(study: ObservedStudy,
         raise InsufficientDataError(
             f"naive moderator needs n >= 3, got {study.n}")
     b = study.baseline_obs
+    _require_finite_squares(baseline=b, response=study.diffs)
     sd = b.std(ddof=1)
     if sd == 0.0:
         raise SingularMatrixError("baseline has zero variance", column=1)

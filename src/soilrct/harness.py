@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels, tables
+from . import design, kernels, tables
 from .errors import ParamError, ScenarioAbortError
 from .population import (Population, PopulationParams, generate_population,
                          pate)
@@ -32,14 +32,6 @@ BASELINE_MEAN = 2.34
 
 #: Replicate failure fraction beyond which a scenario aborts the run.
 MAX_FAILURE_RATE = 0.01
-
-#: Version of the stream of random draws behind every replicate.  Stream
-#: 2 draws each replicate's plots with `Generator.choice`, which for
-#: populations of up to 10000 plots runs Floyd's subset sampler and then
-#: shuffles the chosen plots; stream 1 took the head of a full permutation
-#: of the population.  The same seed gives different replicates on the
-#: two streams, so the version enters the run hash.
-RNG_STREAM = 2
 
 #: Smallest enrolled sample: the interacted regression fits 4 coefficients
 #: and needs more plots than that (`estimators.ols_interaction` refuses
@@ -238,29 +230,6 @@ class ScenarioResult:
         return self.raw[self.raw[:, 12] == 0.0]
 
 
-def draw_replicates(rng, reps: int, n: int, n_pop: int,
-                    with_noise: bool = True):
-    """The randomness of `reps` replicates that enroll `n` of `n_pop` plots.
-
-    Returns `perm`, a (reps, n) int64 array whose row r lists the plots
-    replicate r enrolls (a uniformly random ordered subset, so splitting
-    a row into halves is a complete randomization), and `noise`, a
-    (reps, n, 2) standard-normal array for the baseline and outcome
-    measurement errors.  The stream (`RNG_STREAM`) is fixed: one
-    `rng.choice(n_pop, n, replace=False)` per replicate, then all the
-    noise.  `choice` picks the subset in O(n) draws and shuffles it, so
-    each row is uniform over ordered subsets, as a permutation's head is.
-
-    The noise is the stream's last draw, so `with_noise=False` returns
-    the same `perm` and None for `noise`.
-    """
-    perm = np.empty((reps, n), dtype=np.int64)
-    for r in range(reps):
-        perm[r] = rng.choice(n_pop, n, replace=False)
-    noise = rng.standard_normal((reps, n, 2)) if with_noise else None
-    return perm, noise
-
-
 def run_scenario(grid: ScenarioGrid, scenario: Scenario,
                  bundle: PopulationBundle, master_seed: int) -> ScenarioResult:
     """Execute every replicate of one scenario through the kernel."""
@@ -269,9 +238,9 @@ def run_scenario(grid: ScenarioGrid, scenario: Scenario,
     pop = bundle.population
     sigma_delta = grid.sigma_delta(scenario.m)
     # a noise-free measurement (m = inf) needs no noise draw
-    perm, noise = draw_replicates(scenario_rng(master_seed, scenario), reps,
-                                  n, pop.n_plots,
-                                  with_noise=sigma_delta != 0.0)
+    perm, noise = design.draw_replicates(
+        scenario_rng(master_seed, scenario), reps, n, pop.n_plots,
+        with_noise=sigma_delta != 0.0)
     raw = kernels.scenario_kernel(
         pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
         np.ascontiguousarray(pop.po[:, 1]),
@@ -438,39 +407,6 @@ def metrics_from_csv(path) -> list:
     columns = tables.read(path, METRICS_COLUMNS)
     return [MetricsRow(**dict(zip(METRICS_HEADER, values)))
             for values in zip(*columns)]
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    """Metrics averaged uniformly over scenarios sharing (n, estimator)."""
-
-    n: int
-    estimator: str
-    bias: float
-    rmse: float
-    coverage: float
-    ci_width: float
-    n_scenarios: int
-
-
-def aggregate_by_size(rows) -> dict:
-    """Average treatment-effect metrics per (n, estimator), weighting each
-    scenario equally.  Keys are (n, estimator) tuples."""
-    groups = {}
-    for r in rows:
-        if r.estimator not in PATE_ESTIMATORS:
-            continue
-        groups.setdefault((r.n, r.estimator), []).append(r)
-    out = {}
-    for key, members in groups.items():
-        out[key] = AggregateRow(
-            n=key[0], estimator=key[1],
-            bias=float(np.mean([m.bias for m in members])),
-            rmse=float(np.mean([m.rmse for m in members])),
-            coverage=float(np.mean([m.coverage for m in members])),
-            ci_width=float(np.mean([m.ci_width for m in members])),
-            n_scenarios=len(members))
-    return out
 
 
 def _policy_block(results) -> dict:

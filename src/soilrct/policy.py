@@ -47,16 +47,12 @@ class CostModel:
             raise ParamError("budget must be a number or +inf")
         object.__setattr__(self, "cost", cost)
 
-    @classmethod
-    def uniform(cls, n_plots: int, arm_costs, budget: float = math.inf
-                ) -> "CostModel":
-        """Same arm costs for every plot; arm 0 defaults to cost 0."""
-        arm_costs = np.asarray(arm_costs, dtype=np.float64)
-        return cls(cost=np.tile(arm_costs, (n_plots, 1)), budget=budget)
-
     def total_cost(self, regime: np.ndarray) -> float:
         regime = np.asarray(regime, dtype=np.intp)
-        return float(self.cost[np.arange(self.cost.shape[0]), regime].sum())
+        # a total past float64's range is +inf, its correctly rounded value
+        with np.errstate(over="ignore"):
+            total = self.cost[np.arange(self.cost.shape[0]), regime].sum()
+        return float(total)
 
 
 @dataclass(frozen=True)
@@ -196,7 +192,10 @@ def _hull_greedy(imputed: np.ndarray, cost: np.ndarray, budget: float):
     depth, plot, steep = depth[order] + 1, plot[order], steep[order]
     step_cost = (cost[plot, path[depth, plot]]
                  - cost[plot, path[depth - 1, plot]])
-    spent = start_cost + np.cumsum(step_cost)
+    # spends are nonnegative, so one that overflows to +inf still compares
+    # correctly against a finite budget
+    with np.errstate(over="ignore"):
+        spent = start_cost + np.cumsum(step_cost)
     taken = int(np.searchsorted(spent, budget, side="right"))
     regime = path[np.bincount(plot[:taken], minlength=n), rows]
     fractional, lam = 0.0, 0.0
@@ -221,20 +220,19 @@ def _check_cheapest(cheapest: float, budget: float):
 
 
 def _budgeted_lp(imputed: np.ndarray, costs: CostModel,
-                 hull=None) -> PolicyRegime:
+                 hull: tuple) -> PolicyRegime:
     """LP relaxation of the multiple-choice knapsack, then rounding.
 
-    The relaxation is solved exactly by `_hull_greedy`, unless its result
-    is passed as `hull`.  At most one plot, the one whose increment does
-    not fit, is fractional; it stays at its cheaper hull vertex, so the
-    regime keeps within budget.
+    `hull` is the exact solution of the relaxation, as `_hull_greedy`
+    returns it for the instance's budget.  At most one plot, the one
+    whose increment does not fit, is fractional; it stays at its cheaper
+    hull vertex, so the regime keeps within budget.
     `optimality_gap` is the LP optimum minus the rounded regime's mean
     value, computed from the same sums, so it is nonnegative and bounds
     the value lost to rounding up to round-off.
     """
     n = imputed.shape[0]
-    start_cost, regime, fractional, _ = hull or _hull_greedy(
-        imputed, costs.cost, costs.budget)
+    start_cost, regime, fractional, _ = hull
     _check_cheapest(start_cost, costs.budget)
     value = imputed[np.arange(n), regime].sum()
     predicted = float(value / n)
@@ -286,22 +284,23 @@ def _dp_table(values: np.ndarray, cost_int: np.ndarray,
 
 
 def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
-                 lam: Optional[float] = None) -> Optional[PolicyRegime]:
+                 lam: float) -> Optional[PolicyRegime]:
     """Exact multiple-choice knapsack: a DP table on an LP-reduced core.
 
     Returns None if some cost is more than 1e-9 from an integer, or if
     the next core table would hold more than DP_MAX_PLOTS plots or
-    DP_MAX_CELLS cells.  With lam >= 0, by default the LP's dual price of
-    the budget, and r = value - lam * cost, every regime within budget B
-    is worth at most U = sum_i max_a r_ia + lam * B (Dembo & Hammer
-    1980).  So a plot whose best arm by r beats its second best by more
-    than U - L, L the value of any regime within budget, keeps its best
-    arm in every optimum.  The table runs on the core of plots with the
-    smallest such slack, the rest fixed at their best arm, and the core
-    grows until it holds every plot that the bound cannot fix (Pisinger
-    1995).  Its cells are the core's size times its largest possible
-    spend, at most n_plots * (budget + 1).  Spends are summed in float64,
-    which never wraps and is exact below 2**53.
+    DP_MAX_CELLS cells.  With lam >= 0 (`optimal_budgeted` passes the
+    LP's dual price of the budget) and r = value - lam * cost, every
+    regime within budget B is worth at most U = sum_i max_a r_ia +
+    lam * B (Dembo & Hammer 1980).  So a plot whose best arm by r beats
+    its second best by more than U - L, L the value of any regime within
+    budget, keeps its best arm in every optimum.  The table runs on the
+    core of plots with the smallest such slack, the rest fixed at their
+    best arm, and the core grows until it holds every plot that the
+    bound cannot fix (Pisinger 1995).  Its cells are the core's size
+    times its largest possible spend, at most n_plots * (budget + 1).
+    Spends are summed in float64, which never wraps and is exact below
+    2**53.
     """
     n, k = imputed.shape
     # integral float64 costs: a cast to int64 could overflow
@@ -309,12 +308,14 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
     if not np.allclose(costs.cost, cost_int, rtol=0.0, atol=1e-9):
         return None
     budget = int(math.floor(costs.budget + 1e-9))
-    if cost_int.min(axis=1).sum(dtype=np.float64) > budget:
+    # spends are nonnegative, so one that overflows to +inf still compares
+    # correctly against the finite budget
+    with np.errstate(over="ignore"):
+        cheapest = cost_int.min(axis=1).sum(dtype=np.float64)
+    if cheapest > budget:
         raise InfeasibleBudgetError(
             f"no regime satisfies budget {costs.budget}")
     rows = np.arange(n)
-    if lam is None:
-        lam = _hull_greedy(imputed, costs.cost, budget)[3]
     reduced = imputed - lam * cost_int
     top = reduced.argmax(axis=1)
     ranked = np.sort(reduced, axis=1)
@@ -330,9 +331,10 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
         core = np.sort(order[:size])
         fixed = order[size:]
         core_cost = cost_int[core]
-        fixed_spend = cost_int[fixed, top[fixed]].sum(dtype=np.float64)
-        spend = min(budget - fixed_spend,
-                    core_cost.max(axis=1).sum(dtype=np.float64))
+        with np.errstate(over="ignore"):
+            fixed_spend = cost_int[fixed, top[fixed]].sum(dtype=np.float64)
+            spend = min(budget - fixed_spend,
+                        core_cost.max(axis=1).sum(dtype=np.float64))
         if size > DP_MAX_PLOTS or size * (spend + 1) > DP_MAX_CELLS:
             return None
         core_regime = _dp_table(imputed[core], core_cost, int(spend))

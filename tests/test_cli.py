@@ -12,8 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 import soilrct
-from conftest import csv_row
-from soilrct import cli, estimators, harness
+from support import csv_row
+from soilrct import cli, design, estimators, harness
 from soilrct.design import ObservedStudy
 from soilrct.errors import ScenarioAbortError
 from soilrct.population import PopulationParams, generate_population
@@ -62,7 +62,7 @@ def test_simulate_writes_run_dir(runner, tmp_path):
     assert manifest["seed"] == 5
     assert manifest["grid"] == "custom"
     assert manifest["backend"] == "numpy"
-    assert manifest["rng_stream"] == harness.RNG_STREAM == 2
+    assert manifest["rng_stream"] == design.RNG_STREAM == 2
     assert manifest["environment"] == {
         "python": platform.python_version(), "numpy": np.__version__,
         "cpu_count": os.cpu_count()}
@@ -134,6 +134,14 @@ def test_simulate_unknown_key_exits_2(runner, tmp_path):
     result = runner.invoke(cli.main, ["simulate", "--config", str(config)])
     assert result.exit_code == 2
     assert "bogus_key" in result.output
+
+
+def test_simulate_unknown_grid_exits_2(tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text("grid: nope\n")
+    done = run_cli("simulate", "--config", config, "--out", tmp_path / "out")
+    assert_one_error_line(done, 2, "unknown grid 'nope'")
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_bad_yaml_reports_location(runner, tmp_path):
@@ -468,14 +476,25 @@ def test_policy_costs_reaching_2_53_exit_2(tmp_path, arm1, budget):
     assert_one_error_line(done, 2, f"{cost_path}: the most expensive regime")
 
 
-@pytest.mark.parametrize("estimator", ["dim", "did"])
+#: What each estimator refuses in a study whose cells are near +-1e300.
+OVERFLOW_ERRORS = {"dim": "variance inf is not finite",
+                   "did": "variance inf is not finite",
+                   "ols": "design sum of squares inf is not finite",
+                   "naive-mod": "baseline sum of squares inf is not finite"}
+
+
+@pytest.mark.parametrize("estimator", list(OVERFLOW_ERRORS))
 def test_estimate_overflow_exits_4(tmp_path, estimator):
+    # eight plots, so that the interacted OLS has more plots than
+    # coefficients and reaches its fit
+    rows = [(0, 1e300, -1e300), (0, -1e300, 1e300), (1, 1e300, 1e300),
+            (1, -1e300, -1e300)] * 2
     path = tmp_path / "study.csv"
     path.write_text("plot_id,source_index,arm,baseline_obs,outcome_obs\n"
-                    "0,0,0,1e300,-1e300\n1,1,0,-1e300,1e300\n"
-                    "2,2,1,1e300,1e300\n3,3,1,-1e300,-1e300\n")
+                    + "".join(f"{i},{i},{arm},{b},{y}\n"
+                              for i, (arm, b, y) in enumerate(rows)))
     done = run_cli("estimate", path, "--estimator", estimator)
-    assert_one_error_line(done, 4, "variance inf is not finite")
+    assert_one_error_line(done, 4, OVERFLOW_ERRORS[estimator])
 
 
 def test_policy_budget_without_costs_exits_2(runner, tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from soilrct.design import (DesignSpec, ObservedStudy, arm_labels,
-                            assignment_enumeration, enroll_and_assign)
-from soilrct.errors import (DesignError, EnrollmentError, ParamError,
-                            SchemaError, SizeLimitError)
-from soilrct.population import PopulationParams, generate_population
+                            draw_replicates, enroll_and_assign)
+from soilrct.errors import DesignError, EnrollmentError, SchemaError
+from soilrct.population import (Population, PopulationParams,
+                                generate_population)
 
 
 @pytest.fixture
@@ -56,6 +56,31 @@ def test_enroll_without_noise_reproduces_plot_values(pop):
                           pop.po[study.source_index, study.arm])
     # SRS without replacement: all sources distinct
     assert np.unique(study.source_index).size == 40
+
+
+@pytest.mark.parametrize("arm_sizes, m", [
+    ((20, 20), 5), ((20, 20), math.inf), ((14, 13, 13), 30)],
+    ids=["m=5", "m=inf", "3-arm"])
+def test_study_is_replicate_0_of_the_stream(pop, arm_sizes, m):
+    if len(arm_sizes) == 3:
+        # a third arm worth 0.1 more than arm 1
+        pop = Population(baseline=pop.baseline,
+                         po=np.column_stack([pop.po, pop.po[:, 1] + 0.1]),
+                         covariates=pop.covariates)
+    spec = DesignSpec(n_enrolled=sum(arm_sizes), arm_sizes=arm_sizes,
+                      samples_per_plot=m, sd_within_plot=1.02)
+    study = enroll_and_assign(pop, spec, 21)
+    # drawn with the noise even at m = inf: the noise is the stream's last
+    # draw, and times sd = 0 it adds nothing
+    perm, noise = draw_replicates(np.random.default_rng(21), 1,
+                                  spec.n_enrolled, pop.n_plots)
+    source, sd, z = perm[0], spec.sigma_delta, arm_labels(spec)
+    assert study.source_index.tolist() == source.tolist()
+    assert study.arm.tolist() == z.tolist()
+    assert study.baseline_obs.tobytes() == (
+        pop.baseline[source] + sd * noise[0, :, 0]).tobytes()
+    assert study.outcome_obs.tobytes() == (
+        pop.po[source, z] + sd * noise[0, :, 1]).tobytes()
 
 
 def test_enroll_is_deterministic_given_seed(pop):
@@ -113,21 +138,6 @@ def test_arm_count_mismatch_rejected(pop):
         enroll_and_assign(pop, spec, 0)
 
 
-def test_assignment_enumeration_complete_and_balanced():
-    assignments = list(assignment_enumeration(6, 3))
-    assert len(assignments) == 20
-    stacked = np.stack(assignments)
-    assert np.all(stacked.sum(axis=1) == 3)
-    assert np.unique(stacked, axis=0).shape[0] == 20
-
-
-def test_assignment_enumeration_guards():
-    with pytest.raises(SizeLimitError):
-        next(assignment_enumeration(13, 6))
-    with pytest.raises(ParamError):
-        next(assignment_enumeration(4, 5))
-
-
 def test_study_validation():
     with pytest.raises(DesignError):
         ObservedStudy(baseline_obs=np.ones(4), outcome_obs=np.ones(4),
@@ -143,7 +153,7 @@ def test_study_diffs_and_counts(pop):
     study = enroll_and_assign(pop, spec, 5)
     assert np.array_equal(study.diffs,
                           study.outcome_obs - study.baseline_obs)
-    assert list(study.arm_counts()) == [6, 4]
+    assert list(np.bincount(study.arm)) == [6, 4]
 
 
 def test_study_csv_roundtrip(tmp_path, pop):

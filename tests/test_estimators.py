@@ -1,10 +1,11 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import csv_row
-from soilrct.design import ObservedStudy, assignment_enumeration
+from support import csv_row
+from soilrct.design import ObservedStudy
 from soilrct.errors import FitError, InsufficientDataError, ParamError
 from soilrct.estimators import (diff_in_diffs, diff_in_means, naive_moderator,
                                 ols_interaction)
@@ -66,7 +67,8 @@ def test_exhaustive_assignment_unbiasedness():
     dim_sum = 0.0
     did_sum = 0.0
     count = 0
-    for z in assignment_enumeration(6, 3):
+    for treated in itertools.combinations(range(6), 3):
+        z = np.isin(np.arange(6), treated).astype(np.intp)
         y = np.where(z == 1, y1, y0)
         s = study_from(b, y, z)
         dim_sum += diff_in_means(s).estimate
@@ -86,7 +88,8 @@ def test_exhaustive_assignment_ols_small_bias():
     sate = (y1 - y0).mean()
     total = 0.0
     count = 0
-    for z in assignment_enumeration(8, 4):
+    for treated in itertools.combinations(range(8), 4):
+        z = np.isin(np.arange(8), treated).astype(np.intp)
         y = np.where(z == 1, y1, y0)
         total += ols_interaction(study_from(b, y, z))[0].estimate
         count += 1

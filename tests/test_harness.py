@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from soilrct import harness, kernels
+from soilrct import design, harness, kernels
 from soilrct.errors import ParamError, ScenarioAbortError
 from soilrct.population import Population, generate_population
 
@@ -39,9 +39,9 @@ def test_grid_rejects_the_saturated_design():
 
 def test_draw_replicates_keeps_the_stream():
     # stream 2: one `choice` subset per replicate, then the noise block
-    assert harness.RNG_STREAM == 2
-    perm, noise = harness.draw_replicates(np.random.default_rng(3), 5, 8,
-                                          40)
+    assert design.RNG_STREAM == 2
+    perm, noise = design.draw_replicates(np.random.default_rng(3), 5, 8,
+                                         40)
     rng = np.random.default_rng(3)
     expect = [rng.choice(40, 8, replace=False) for _ in range(5)]
     assert perm.dtype == np.int64 and perm.shape == (5, 8)
@@ -60,9 +60,9 @@ def test_noise_free_scenario_skips_the_noise_draw():
         grid.population_params(*scenario.pop_key),
         harness.population_rng(4, *scenario.pop_key))
     bundle = harness.build_bundle(pop)
-    draws = [harness.draw_replicates(harness.scenario_rng(4, scenario),
-                                     grid.n_replicates, scenario.n,
-                                     pop.n_plots, with_noise=with_noise)
+    draws = [design.draw_replicates(harness.scenario_rng(4, scenario),
+                                    grid.n_replicates, scenario.n,
+                                    pop.n_plots, with_noise=with_noise)
              for with_noise in (True, False)]
     (perm, noise), (bare_perm, bare_noise) = draws
     assert bare_noise is None and np.any(noise != 0.0)
@@ -80,8 +80,8 @@ def test_draw_replicates_is_uniform():
     # every plot is enrolled with probability n / N and lands in the
     # control arm (the first n / 2 positions) with probability n / 2N
     reps, n, n_pop = 4000, 6, 20
-    perm, _ = harness.draw_replicates(np.random.default_rng(11), reps, n,
-                                      n_pop)
+    perm, _ = design.draw_replicates(np.random.default_rng(11), reps, n,
+                                     n_pop)
     assert perm.min() >= 0 and perm.max() < n_pop
     assert all(len(set(row)) == n for row in perm)
     for block in (perm, perm[:, :n // 2]):
@@ -224,17 +224,6 @@ def test_single_replicate_flagged():
     rows = harness.metrics_rows(run)
     for r in rows:
         assert "single-replicate" in r.warnings
-
-
-def test_aggregate_by_size_uniform_weights():
-    run = harness.run_grid(small_grid(), 3)
-    rows = harness.metrics_rows(run)
-    agg = harness.aggregate_by_size(rows)
-    members = [r for r in rows if r.estimator == "dim" and r.n == 10]
-    assert agg[(10, "dim")].bias == pytest.approx(
-        np.mean([m.bias for m in members]))
-    assert agg[(10, "dim")].n_scenarios == len(members)
-    assert (10, "mod") not in agg
 
 
 def test_policy_summary_blocks():

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from soilrct import estimators, harness, kernels, linalg, policy
+from soilrct import design, estimators, harness, kernels, linalg, policy
 from soilrct.design import ObservedStudy
 from soilrct.population import Population, generate_population
 
@@ -25,7 +25,7 @@ def setup():
 
 
 def kernel_inputs(grid, scenario, pop, bundle, seed=99):
-    perm, noise = harness.draw_replicates(
+    perm, noise = design.draw_replicates(
         harness.scenario_rng(seed, scenario), grid.n_replicates, scenario.n,
         pop.n_plots)
     return (pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
@@ -134,7 +134,7 @@ def test_kernel_flags_degenerate_baseline():
     y0 = rng.normal(0, 1, n_pop)
     y1 = y0 + 0.5
     sort_b, cum0, cum1 = kernels.population_tables(b, y0, y1)
-    perm, noise = harness.draw_replicates(rng, 5, n, n_pop)
+    perm, noise = design.draw_replicates(rng, 5, n, n_pop)
     out = kernels.scenario_kernel(b, y0, y1, sort_b, cum0, cum1,
                                   float(y0.mean()), float(y1.mean()),
                                   perm, noise, 0.0, n // 2)
@@ -155,7 +155,7 @@ def test_mod_scale_var_tracks_the_sample_sd(sd):
     rng = np.random.default_rng(3)
     n_pop, n, reps = 500, 100, 10000
     b, y0, y1 = _property_population(rng, n_pop, "varied")
-    perm, noise = harness.draw_replicates(rng, reps, n, n_pop)
+    perm, noise = design.draw_replicates(rng, reps, n, n_pop)
     out = kernels.scenario_kernel(b, y0, y1,
                                   *kernels.population_tables(b, y0, y1),
                                   float(y0.mean()), float(y1.mean()),
@@ -175,7 +175,7 @@ def test_restricted_value_tie_goes_to_control():
     y0 = np.full(n_pop, 1.0)
     y1 = np.full(n_pop, 1.0)
     sort_b, cum0, cum1 = kernels.population_tables(b, y0, y1)
-    perm, noise = harness.draw_replicates(rng, 3, n, n_pop)
+    perm, noise = design.draw_replicates(rng, 3, n, n_pop)
     out = kernels.scenario_kernel(b, y0, y1, sort_b, cum0, cum1, 1.0, 2.0,
                                   perm, noise, 0.0, n // 2)
     # tied observed means resolve to the control-arm population value
@@ -239,7 +239,7 @@ def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
     rng = np.random.default_rng(seed)
     n_pop = 4 * n
     b, y0, y1 = _property_population(rng, n_pop, baseline)
-    perm, noise = harness.draw_replicates(rng, reps, n, n_pop)
+    perm, noise = design.draw_replicates(rng, reps, n, n_pop)
     if baseline == "constant-arm":
         # a few replicates enroll control plots that share one baseline
         for r in range(0, reps, 3):

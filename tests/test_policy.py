@@ -47,6 +47,11 @@ def brute_force_best(imputed, cost, budget):
     return values[feasible].max()
 
 
+def hull(imputed, costs):
+    """The LP solution that `optimal_budgeted` passes to both solvers."""
+    return policy._hull_greedy(imputed, costs.cost, costs.budget)
+
+
 def linprog_optimum(imputed, cost, budget):
     """LP relaxation optimum of the budgeted problem, solved by HiGHS."""
     n, k = imputed.shape
@@ -177,7 +182,8 @@ def test_lp_path_respects_budget_and_gap_bound():
         budget = float(rng.integers(int(cost.min(axis=1).sum()),
                                     int(cost.max(axis=1).sum()) + 2))
         best = brute_force_best(imputed, cost, budget)
-        got = _budgeted_lp(imputed, CostModel(cost=cost, budget=budget))
+        costs = CostModel(cost=cost, budget=budget)
+        got = _budgeted_lp(imputed, costs, hull(imputed, costs))
         assert cost[np.arange(n), got.regime].sum() <= budget * (1 + 1e-12)
         # LP value plus reported gap upper-bounds the true optimum
         assert got.predicted_mean <= best + 1e-9
@@ -193,7 +199,8 @@ def test_lp_optimum_matches_linprog():
                 else rng.uniform(0, 3, (n, k)))
         budget = float(rng.uniform(cost.min(axis=1).sum(),
                                    cost.max(axis=1).sum()))
-        got = _budgeted_lp(imputed, CostModel(cost=cost, budget=budget))
+        costs = CostModel(cost=cost, budget=budget)
+        got = _budgeted_lp(imputed, costs, hull(imputed, costs))
         assert got.total_cost <= budget * (1 + 1e-12)
         assert got.optimality_gap >= 0.0
         assert got.predicted_mean + got.optimality_gap == pytest.approx(
@@ -233,7 +240,8 @@ HULL_CASES = {
 def test_lp_hull_edge_cases(case):
     imputed, cost, budget, regime, gap = HULL_CASES[case]
     imputed, cost = np.array(imputed), np.array(cost)
-    got = _budgeted_lp(imputed, CostModel(cost=cost, budget=budget))
+    costs = CostModel(cost=cost, budget=budget)
+    got = _budgeted_lp(imputed, costs, hull(imputed, costs))
     assert got.regime.tolist() == regime
     assert got.optimality_gap == pytest.approx(gap, rel=1e-12, abs=0.0)
     bound = got.predicted_mean + got.optimality_gap
@@ -259,8 +267,9 @@ def workload_instance(seed, n=5000):
 @pytest.mark.parametrize("seed", range(8))
 def test_lp_gap_bounds_the_dp_optimum_at_workload_scale(seed):
     imputed, costs = workload_instance(seed)
-    exact = _budgeted_dp(imputed, costs).predicted_mean
-    got = _budgeted_lp(imputed, costs)
+    lp_solution = hull(imputed, costs)
+    exact = _budgeted_dp(imputed, costs, lp_solution[3]).predicted_mean
+    got = _budgeted_lp(imputed, costs, lp_solution)
     assert got.total_cost <= costs.budget
     assert got.predicted_mean <= exact
     assert (got.predicted_mean + got.optimality_gap
@@ -291,7 +300,7 @@ def core_sizes(monkeypatch):
 def test_core_dp_matches_full_table_at_workload_scale(seed):
     imputed, costs = workload_instance(seed)
     regime, mean = full_table(imputed, costs)
-    got = _budgeted_dp(imputed, costs)
+    got = _budgeted_dp(imputed, costs, hull(imputed, costs)[3])
     assert got.regime.tobytes() == regime.tobytes()
     assert repr(got.predicted_mean) == repr(mean)
 
@@ -308,7 +317,7 @@ def test_core_dp_matches_full_table_on_random_instances():
                                     int(cost.max(axis=1).sum()) + 1))
         costs = CostModel(cost=cost, budget=budget)
         _, mean = full_table(imputed, costs)
-        got = _budgeted_dp(imputed, costs)
+        got = _budgeted_dp(imputed, costs, hull(imputed, costs)[3])
         assert got.predicted_mean == mean
         assert got.total_cost <= budget
 
@@ -321,7 +330,7 @@ def test_core_grows_to_every_plot_when_all_slacks_are_zero(core_sizes):
     cost = np.sort(rng.integers(0, 6, (n, 3)), axis=1).astype(float)
     imputed = cost / 2
     costs = CostModel(cost=cost, budget=float(cost[:, 1].sum()) + 0.5)
-    got = _budgeted_dp(imputed, costs)
+    got = _budgeted_dp(imputed, costs, hull(imputed, costs)[3])
     assert core_sizes == [64, n]
     assert got.predicted_mean == full_table(imputed, costs)[1]
 
@@ -336,7 +345,7 @@ def test_core_doubles_when_its_residual_budget_is_infeasible(core_sizes):
     imputed = np.tile([2.0, 0.0], (n, 1))
     imputed[150:, 0] = -100.0
     costs = CostModel(cost=cost, budget=n + 2 * 40)
-    got = _budgeted_dp(imputed, costs)
+    got = _budgeted_dp(imputed, costs, hull(imputed, costs)[3])
     # the first core has no regime within budget; the second settles no
     # tied plot, so the core grows to all 150
     assert core_sizes == [64, 128, 150]
@@ -368,8 +377,9 @@ def test_budgeted_infeasible_raises():
     cost = np.ones((3, 2))
     with pytest.raises(InfeasibleBudgetError):
         optimal_budgeted(imputed, CostModel(cost=cost, budget=1.0))
+    costs = CostModel(cost=cost, budget=1.0)
     with pytest.raises(InfeasibleBudgetError):
-        _budgeted_lp(imputed, CostModel(cost=cost, budget=1.0))
+        _budgeted_lp(imputed, costs, hull(imputed, costs))
 
 
 def test_budgeted_noninteger_costs_fall_back_to_lp():
@@ -385,12 +395,14 @@ def test_budgeted_noninteger_costs_fall_back_to_lp():
 def test_dp_guards():
     imputed = np.zeros((3, 2))
     cost = np.full((3, 2), 0.5)
-    assert _budgeted_dp(imputed, CostModel(cost=cost, budget=2.0)) is None
+    costs = CostModel(cost=cost, budget=2.0)
+    assert _budgeted_dp(imputed, costs, hull(imputed, costs)[3]) is None
     # every plot ties, so the core grows to all 20000, past DP_MAX_PLOTS
+    imputed = np.zeros((20000, 2))
     big_cost = np.ones((20000, 2))
     big_cost[:, 0] = 0.0
-    assert _budgeted_dp(np.zeros((20000, 2)),
-                        CostModel(cost=big_cost, budget=5.0)) is None
+    costs = CostModel(cost=big_cost, budget=5.0)
+    assert _budgeted_dp(imputed, costs, hull(imputed, costs)[3]) is None
 
 
 def test_near_integral_large_costs_go_to_lp_within_budget():
@@ -399,7 +411,7 @@ def test_near_integral_large_costs_go_to_lp_within_budget():
     imputed = np.tile([0.0, 1.0], (3, 1))
     cost = np.tile([0.0, 100000.4], (3, 1))
     costs = CostModel(cost=cost, budget=200000.5)
-    assert _budgeted_dp(imputed, costs) is None
+    assert _budgeted_dp(imputed, costs, hull(imputed, costs)[3]) is None
     got = optimal_budgeted(imputed, costs)
     assert got.total_cost <= costs.budget
     assert got.total_cost == 100000.4
@@ -429,7 +441,7 @@ def test_core_over_the_cell_limit_falls_back_to_lp(monkeypatch):
     imputed, costs = workload_instance(1)
     monkeypatch.setattr(policy, "DP_MAX_CELLS", 64 * 10)
     got = optimal_budgeted(imputed, costs)
-    lp = _budgeted_lp(imputed, costs)
+    lp = _budgeted_lp(imputed, costs, hull(imputed, costs))
     assert got.regime.tobytes() == lp.regime.tobytes()
     assert repr(got.predicted_mean) == repr(lp.predicted_mean)
     assert repr(got.optimality_gap) == repr(lp.optimality_gap)
@@ -459,11 +471,27 @@ def test_dp_takes_costs_past_int64_without_a_cast():
     assert got.total_cost == 3.0 and got.optimality_gap == 0.0
 
 
+def test_spends_that_overflow_float64_give_no_warning():
+    # two arm-1 costs of 1e308 sum past float64's range; the +inf spend
+    # still compares correctly against a budget
+    imputed = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 2.0]])
+    cost = np.array([[0.0, 1e308], [0.0, 1e308], [0.0, 5.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = optimal_budgeted(imputed, CostModel(cost=cost, budget=10.0))
+        free = optimal_budgeted(imputed, CostModel(cost=cost))
+    assert got.regime.tolist() == [0, 0, 1]
+    assert got.optimality_gap == 0.0
+    # with no budget every plot is treated, at a cost past float64's range
+    assert free.regime.tolist() == [1, 1, 1]
+    assert free.total_cost == math.inf
+
+
 def test_dp_refuses_when_no_core_of_every_plot_fits(monkeypatch):
     monkeypatch.setattr(policy, "_dp_table", lambda *args: None)
     imputed, costs = workload_instance(2)
     with pytest.raises(InfeasibleBudgetError):
-        _budgeted_dp(imputed, costs)
+        _budgeted_dp(imputed, costs, hull(imputed, costs)[3])
 
 
 def test_cost_model_validation():
@@ -473,9 +501,6 @@ def test_cost_model_validation():
         CostModel(cost=np.ones(3))
     with pytest.raises(ParamError):
         CostModel(cost=np.ones((2, 2)), budget=math.nan)
-    uniform = CostModel.uniform(4, [0.0, 2.0], budget=5.0)
-    assert uniform.cost.shape == (4, 2)
-    assert uniform.total_cost(np.array([0, 1, 1, 0])) == pytest.approx(4.0)
 
 
 def test_regime_summary_fields():
