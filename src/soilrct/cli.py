@@ -256,7 +256,7 @@ def _write_run(run_dir, run, grid_name, threads, digest) -> None:
 
 
 def _write_dicts(path, header, table) -> None:
-    tables.write(path, header, ([row[key] for key in header] for row in table))
+    tables.write(path, header, [[row[key] for row in table] for key in header])
 
 
 @main.command()
@@ -290,7 +290,7 @@ def estimate(study_csv, name, alpha):
             rows = [fit(study, alpha).row(name)]
     except SoilRctError as exc:
         _fail(EXIT_ESTIMATOR, str(exc))
-    tables.write(sys.stdout, estimators.CSV_HEADER, rows)
+    tables.write(sys.stdout, estimators.CSV_HEADER, zip(*rows))
     sys.exit(EXIT_OK)
 
 
@@ -376,8 +376,9 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
             target_pop, regime))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    arms = regime.regime.tolist()
     tables.write(out_dir / "regime.csv", ["plot_id", "arm"],
-                 enumerate(regime.regime.tolist()))
+                 [range(len(arms)), arms])
     summary = regime.summary()
     summary["budget"] = "inf" if costs.budget == math.inf else costs.budget
     (out_dir / "policy.json").write_text(

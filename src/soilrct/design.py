@@ -123,9 +123,9 @@ class ObservedStudy:
         """Write `plot_id,source_index,arm,baseline_obs,outcome_obs`."""
         tables.write(path, ["plot_id", "source_index", "arm", "baseline_obs",
                             "outcome_obs"],
-                     zip(range(self.n), self.source_index.tolist(),
-                         self.arm.tolist(), self.baseline_obs.tolist(),
-                         self.outcome_obs.tolist()))
+                     [range(self.n), self.source_index.tolist(),
+                      self.arm.tolist(), self.baseline_obs.tolist(),
+                      self.outcome_obs.tolist()])
 
     @classmethod
     def from_csv(cls, path) -> "ObservedStudy":

@@ -399,7 +399,7 @@ METRICS_HEADER = list(METRICS_COLUMNS)
 def metrics_to_csv(rows, path) -> None:
     """Write metric rows with a stable column order and full precision."""
     tables.write(path, METRICS_HEADER,
-                 ([getattr(r, name) for name in METRICS_HEADER] for r in rows))
+                 [[getattr(r, name) for r in rows] for name in METRICS_HEADER])
 
 
 def metrics_from_csv(path) -> list:

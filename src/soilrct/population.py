@@ -96,9 +96,9 @@ class Population:
     def to_csv(self, path) -> None:
         """Write `plot_id,baseline,y0,y1[,...]` at full double precision."""
         header = ["plot_id", "baseline"] + [f"y{k}" for k in range(self.n_arms)]
-        tables.write(path, header, zip(range(self.n_plots),
-                                       self.baseline.tolist(),
-                                       *self.po.T.tolist()))
+        tables.write(path, header, [range(self.n_plots),
+                                    self.baseline.tolist(),
+                                    *self.po.T.tolist()])
 
     @classmethod
     def from_csv(cls, path) -> "Population":

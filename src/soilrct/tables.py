@@ -1,10 +1,13 @@
 """The CSV format of every table soilrct reads or writes.
 
 A table is comma-separated text: one header line, then one line per row,
-each ending in `\\n`.  Floats are written with `%.17g`, which round-trips
-IEEE doubles exactly, and `None` as an empty cell.  Reading checks the
-header, the width of every row and every numeric cell, and reports the
-first fault as a `SchemaError` naming the file and line.
+each ending in `\\n`.  Both `read` and `write` hold a table as columns,
+one sequence per header cell.  Floats are written with `%.17g`, which
+round-trips IEEE doubles exactly, and `None` as an empty cell; a column
+of floats only, or of ints and strs only, is formatted with one `map`.
+Reading checks the header, the width of every row and every numeric
+cell, and reports the first fault as a `SchemaError` naming the file and
+line.
 
 Every table soilrct writes itself (populations, studies, `regime.csv`,
 the `simulate` tables) needs no quoting, and is read and written by
@@ -26,27 +29,48 @@ from .errors import SchemaError
 FLOAT_FMT = ".17g"
 
 
-def write(path_or_file, header, rows) -> None:
-    """Write `header` and then `rows` to a path or an open text file: a
-    float cell with `FLOAT_FMT`, `None` as an empty cell, others by `str`."""
+def write(path_or_file, header, columns) -> None:
+    """Write `header` and then the table whose columns are `columns`, one
+    sequence per header cell, to a path or an open text file: a float
+    cell with `FLOAT_FMT`, `None` as an empty cell, others by `str`.
+
+    Raises ValueError when the columns differ in length or are not as
+    many as the header cells.
+    """
     if isinstance(path_or_file, (str, os.PathLike)):
         with open(path_or_file, "w", newline="") as fh:
-            write(fh, header, rows)
+            write(fh, header, columns)
         return
-    table = [["" if v is None else str(v) for v in header]]
-    table.extend([format(v, FLOAT_FMT) if isinstance(v, float)
-                  else "" if v is None else str(v) for v in row]
-                 for row in rows)
-    text = "\n".join(map(",".join, table)) + "\n"
+    header = ["" if v is None else str(v) for v in header]
+    cells = list(map(_format_column, columns))
+    if len(cells) != len(header) or len(set(map(len, cells))) > 1:
+        raise ValueError(f"{len(header)} header cells and columns of "
+                         f"lengths {list(map(len, cells))}")
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*cells)))
+    text = "\n".join(lines) + "\n"
     # a cell needs quoting if it holds a quote, a comma or a line end, or
     # if it is the only cell of its row and empty; the counts find commas
-    # and line ends, and send an empty row to `csv.writer` too
-    if ('"' in text or "\r" in text or [""] in table
-            or text.count("\n") != len(table)
-            or text.count(",") != sum(map(len, table)) - len(table)):
-        csv.writer(path_or_file, lineterminator="\n").writerows(table)
+    # and line ends, and an empty line sends an empty row to `csv.writer`
+    if ('"' in text or "\r" in text or "" in lines
+            or text.count("\n") != len(lines)
+            or text.count(",") != (len(header) - 1) * len(lines)):
+        csv.writer(path_or_file, lineterminator="\n").writerows(
+            [header, *zip(*cells)])
     else:
         path_or_file.write(text)
+
+
+def _format_column(column) -> list:
+    """The cells of one column, by one `map` where every value is a float,
+    or every value an int or a str, and by a rule per cell otherwise."""
+    types = set(map(type, column))
+    if types == {float}:
+        return list(map(float.__format__, column, repeat(FLOAT_FMT)))
+    if types <= {int, str}:
+        return list(map(str, column))
+    return [format(v, FLOAT_FMT) if isinstance(v, float)
+            else "" if v is None else str(v) for v in column]
 
 
 def read(path, header_check) -> list:
@@ -105,7 +129,10 @@ def _read_plain(path, header_check):
         column = cells[j::width]
         if parse is not str:
             column = list(map(parse, column))
-            if parse is float and not all(map(math.isfinite, column)):
+            # a float sum is finite only if every term is; a sum of
+            # finite terms can still overflow, so then test each cell
+            if parse is float and not (math.isfinite(sum(column))
+                                       or all(map(math.isfinite, column))):
                 return None
         columns.append(column)
     return columns

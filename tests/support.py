@@ -20,5 +20,5 @@ def csv_row(estimate, name: str) -> str:
     """`estimate.row(name)` as one `soilrct estimate` line, without its
     line end."""
     buf = io.StringIO()
-    tables.write(buf, estimators.CSV_HEADER, [estimate.row(name)])
+    tables.write(buf, estimators.CSV_HEADER, zip(estimate.row(name)))
     return buf.getvalue().splitlines()[1]

@@ -22,7 +22,8 @@ def test_write_then_read_is_exact(tmp_path):
     values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 2.0 / 3.0]
     path = tmp_path / "t.csv"
     tables.write(path, list(COLUMNS),
-                 [[f"p{i}", i, v] for i, v in enumerate(values)])
+                 [[f"p{i}" for i in range(len(values))],
+                  range(len(values)), values])
     text = path.read_bytes()
     assert b"\r" not in text and text.endswith(b"\n")
     ids, ks, xs = tables.read(path, COLUMNS)
@@ -33,7 +34,7 @@ def test_write_then_read_is_exact(tmp_path):
 
 def test_write_to_open_file_cells():
     buf = io.StringIO()
-    tables.write(buf, ["a", "b", "c"], [[None, 1, 0.5], ("x,y", "", 3.0)])
+    tables.write(buf, ["a", "b", "c"], [[None, "x,y"], (1, ""), [0.5, 3.0]])
     assert buf.getvalue() == 'a,b,c\n,1,0.5\n"x,y",,3\n'
 
 
@@ -150,6 +151,9 @@ def _table_bytes(draw):
          + b",1,1\n", check="columns")
 @example(data=b"id,k,x\n0,1,\xff\n", check="columns")
 @example(data=b"\xffid,k,x\n0,1,1\n", check="lenient")
+@example(data=b"id,k,x\n0,1,1e308\n1,2,1e308\n", check="columns")
+@example(data=b"id,k,x\n0,1,1e308\n1,2,-1e308\n2,3,1e308\n", check="columns")
+@example(data=b"id,k,x\n0,1,1e308\n1,2,1e308\n2,3,-1e308\n", check="columns")
 def test_read_matches_the_strict_reader(tmp_path, data, check):
     path = tmp_path / "t.csv"
     path.write_bytes(data)
@@ -157,43 +161,90 @@ def test_read_matches_the_strict_reader(tmp_path, data, check):
             == _outcome(tables._read_strict, path, _CHECKS[check]))
 
 
-def _csv_writer_table(header, rows) -> str:
-    """`header` and `rows` as `csv.writer` writes them."""
+@pytest.mark.parametrize("rows", [
+    [["0", 1, 1e308], ["1", 2, 1e308]],
+    [["0", 1, 1e308], ["1", 2, 1e308], ["2", 3, -1e308]],
+])
+def test_plain_reader_takes_finite_cells_whose_sum_overflows(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    tables.write(path, list(COLUMNS), zip(*rows))
+    assert tables._read_plain(path, COLUMNS) == [list(c) for c in zip(*rows)]
+
+
+def _csv_writer_table(header, columns) -> str:
+    """`header` and the rows of `columns` as `csv.writer` writes them."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(
         [format(v, tables.FLOAT_FMT) if isinstance(v, float) else v
-         for v in row] for row in rows)
+         for v in row] for row in zip(*columns))
     return buf.getvalue()
 
 
-_PLAIN = st.one_of(st.none(), st.booleans(), st.integers(),
-                   st.floats(allow_nan=True, allow_infinity=True),
-                   st.text(alphabet="ab1 .-\x0b\u2028", max_size=4))
-_QUOTED = st.one_of(_PLAIN, st.text(alphabet='ab,"\n\r', max_size=4))
+_FLOATS = st.one_of(st.floats(),
+                    st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                     5e-324]))
+_INTS = st.one_of(st.integers(), st.integers(2**63 - 2, 2**70),
+                  st.integers(-2**70, -2**63 + 1))
+_PLAIN_TEXT = st.text(alphabet="ab1 .-\x0b\u2028", max_size=4)
+_QUOTED_TEXT = st.text(alphabet='ab,"\n\r', max_size=4)
+
+
+def _column_values(text):
+    """Column strategies by kind: wholly float, int or str, or mixed,
+    so that each of `tables.write`'s formatters runs."""
+    mixed = st.one_of(st.none(), st.booleans(), _FLOATS, _INTS, text,
+                      _FLOATS.map(np.float64),
+                      st.integers(-2**63, 2**63 - 1).map(np.int64))
+    return st.sampled_from([_FLOATS, _INTS, text, mixed])
+
+
+@st.composite
+def _column_tables(draw):
+    """A header of 1-4 cells and as many columns of 0-5 values each; the
+    text cells of a table either never or sometimes need quoting."""
+    text = draw(st.sampled_from([_PLAIN_TEXT, _QUOTED_TEXT]))
+    width = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 5))
+    header = draw(st.lists(st.one_of(st.none(), st.booleans(), _INTS,
+                                     _FLOATS, text),
+                           min_size=width, max_size=width))
+    columns = [draw(st.lists(draw(_column_values(text)), min_size=n_rows,
+                             max_size=n_rows)) for _ in range(width)]
+    return header, columns
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cells=st.sampled_from([_PLAIN, _QUOTED]).flatmap(
-    lambda cell: st.lists(st.lists(cell, max_size=4), min_size=1,
-                          max_size=6)))
-@example(cells=[["a"], [""]])
-@example(cells=[["a"], [None]])
-@example(cells=[["a", "b"], ["x,y", ""], ["1\r", '"']])
-@example(cells=[["a"], ["b\nc"]])
-@example(cells=[["a"], [], ["b"]])
-def test_write_matches_csv_writer(tmp_path, cells):
-    header, rows = cells[0], cells[1:]
-    expected = _csv_writer_table(header, rows)
+@given(table=_column_tables())
+@example(table=(["a"], [[""]]))
+@example(table=(["a"], [[None]]))
+@example(table=(["a", "b"], [["x,y", "1\r"], ["", '"']]))
+@example(table=(["a"], [["b\nc"]]))
+@example(table=([""], [[]]))
+def test_write_matches_csv_writer(tmp_path, table):
+    header, columns = table
+    expected = _csv_writer_table(header, columns)
     buf = io.StringIO()
-    tables.write(buf, header, rows)
+    tables.write(buf, header, columns)
     assert buf.getvalue() == expected
     path = tmp_path / "t.csv"
-    tables.write(path, header, iter(rows))
+    tables.write(path, header, map(tuple, columns))
     with open(path, newline="") as fh:
         assert fh.read() == expected
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [[1, 2], [3]]),
+    (["a", "b"], [[0.5], [1.5, 2.5]]),
+    (["a", "b"], [[1, 2]]),
+    (["a"], [[1], [2]]),
+    ([], [[1]]),
+])
+def test_write_refuses_columns_unlike_the_header(header, columns):
+    with pytest.raises(ValueError):
+        tables.write(io.StringIO(), header, columns)
 
 
 def test_soilrct_tables_take_the_fast_path(tmp_path, monkeypatch):
