@@ -7,6 +7,7 @@ study CSV.  Exit codes are stable: 0 success, 2 config or schema error,
 3 scenario abort, 4 estimator failure, 5 infeasible budget.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -294,24 +295,23 @@ def estimate(study_csv, name, alpha):
     sys.exit(EXIT_OK)
 
 
-class _PopulationTarget(Exception):
-    """The target table has potential-outcome columns."""
-
-
-def _bare_target_columns(header) -> list:
-    if header != ["plot_id", "baseline"]:
-        raise _PopulationTarget
-    return [str, float]
-
-
 def _read_target(path):
     """Target covariates for imputation: a population CSV (which also
-    enables oracle evaluation) or a bare `plot_id,baseline` table."""
+    enables oracle evaluation) or a bare `plot_id,baseline` table.
+
+    The kind is decided by the header row alone, as the strict `csv`
+    reader sees it; a header row it cannot read makes the target a
+    population.  The table is then read once, a population by
+    `Population.from_csv`, which reports any fault in it."""
     try:
-        _, baseline = tables.read(path, _bare_target_columns)
-    except _PopulationTarget:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh, strict=True), None)
+    except (csv.Error, ValueError):
+        header = None
+    if header != ["plot_id", "baseline"]:
         pop = Population.from_csv(path)
         return pop.covariates, pop
+    _, baseline = tables.read(path, {"plot_id": str, "baseline": float})
     b = np.array(baseline)
     return np.column_stack([np.ones_like(b), b]), None
 
@@ -322,19 +322,21 @@ def _read_costs(path, n_plots, n_arms, budget) -> policy.CostModel:
     if len(cost[0]) != n_plots:
         raise SchemaError(
             f"{path}: {len(cost[0])} cost rows for {n_plots} target plots")
-    cost = np.column_stack(cost)
-    negative = np.flatnonzero((cost < 0.0).any(axis=1))
+    # arm-major: numpy reduces the first axis of a (K, n) array far faster
+    # than the second of an (n, K) one
+    cost = np.array(cost)
+    negative = np.flatnonzero((cost < 0.0).any(axis=0))
     if negative.size:
         row = int(negative[0])
         raise SchemaError(f"{path}:{row + 2}: costs must be nonnegative, "
-                          f"got {float(cost[row].min())!r}")
+                          f"got {float(cost[:, row].min())!r}")
     # float64 sums of spends are exact only below 2**53
     with np.errstate(over="ignore"):
-        most = float(cost.max(axis=1).sum())
+        most = float(cost.max(axis=0).sum())
     if most >= 2.0 ** 53:
         raise SchemaError(f"{path}: the most expensive regime costs "
                           f"{most!r}; costs must sum to less than 2**53")
-    return policy.CostModel(cost=cost, budget=budget)
+    return policy.CostModel(cost=cost.T, budget=budget)
 
 
 @main.command("policy")

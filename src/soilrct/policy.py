@@ -165,7 +165,11 @@ def _hull_greedy(imputed: np.ndarray, cost: np.ndarray, budget: float):
     # path[d, i] is plot i's arm after d hull steps; slope[d - 1, i] is
     # the value per unit cost of step d, -inf where the hull has ended
     path = np.empty((k, n), dtype=np.intp)
-    path[0] = np.where(cost == cost.min(axis=1, keepdims=True), imputed,
+    # per-plot minima and maxima are taken over a (K, n) copy: numpy
+    # reduces the short last axis of an (n, K) array an order of magnitude
+    # slower, while argmin and argmax are faster on the (n, K) array
+    cheapest = cost.T.copy().min(axis=0)
+    path[0] = np.where(cost == cheapest[:, np.newaxis], imputed,
                        -np.inf).argmax(axis=1)
     start_cost = float(cost[rows, path[0]].sum())
     slope = np.full((k - 1, n), -np.inf)
@@ -175,7 +179,7 @@ def _hull_greedy(imputed: np.ndarray, cost: np.ndarray, budget: float):
         d_value = imputed - imputed[rows, here][:, np.newaxis]
         up = (d_cost > 0) & (d_value > 0)
         steep = np.where(up, d_value / np.where(up, d_cost, 1.0), -np.inf)
-        best = steep.max(axis=1)
+        best = steep.T.copy().max(axis=0)
         # of equally steep arms the nearest is the next hull vertex
         nearest = np.where(steep == best[:, np.newaxis], d_cost,
                            np.inf).argmin(axis=1)
@@ -246,31 +250,49 @@ def _dp_table(values: np.ndarray, cost_int: np.ndarray,
               budget: int) -> Optional[np.ndarray]:
     """Best regime within an integer budget by the textbook table, or None
     if no regime fits; `cost_int` holds integral costs, as integers or as
-    floats.  Memory scales with n_plots * (budget + 1)."""
-    n, k = values.shape
+    floats.  Memory scales with n_plots * (budget + 1).
+
+    best[r] is the best value of the plots so far with r budget still
+    unspent.  Each table row is twice as wide, its second half -inf, so
+    that an arm of cost c reads its shifted row as the slice
+    best[c:c + budget + 1].  A plot's first arm within budget fills the
+    next row, and each later arm replaces a cell only where it is
+    strictly better, so ties keep the lower arm.  The backtrack reads
+    `choice` on finite cells only.
+    """
+    n = values.shape[0]
     if budget < 0:
         return None
-    neg_inf = -np.inf
-    best = np.full(budget + 1, neg_inf)
-    best[budget] = 0.0  # best[r] = max value with r budget still unspent
-    choice = np.zeros((n, budget + 1), dtype=np.int16)
+    width = budget + 1
+    # two table rows, each with a -inf tail; `best` and `nxt` swap per plot
+    best, nxt = np.full((2, 2 * width), -np.inf)
+    best[budget] = 0.0
+    cand = np.empty(width)
+    take = np.empty(width, dtype=bool)
+    choice = np.empty((n, width), dtype=np.int16)
+    # Python numbers read faster one at a time than numpy scalars
+    plot_costs, plot_values = cost_int.tolist(), values.tolist()
     for i in range(n):
-        nxt = np.full(budget + 1, neg_inf)
-        for arm in range(k):
-            ci = cost_int[i, arm]
+        head, arms = nxt[:width], choice[i]
+        filled = False
+        for arm, (ci, value) in enumerate(zip(plot_costs[i], plot_values[i])):
             if ci > budget:
                 continue
             ci = int(ci)
-            shifted = np.full(budget + 1, neg_inf)
-            if ci == 0:
-                shifted = best
-            else:
-                shifted[:budget + 1 - ci] = best[ci:]
-            cand = shifted + values[i, arm]
-            take = cand > nxt
-            nxt[take] = cand[take]
-            choice[i][take] = arm
-        best = nxt
+            shifted = best[ci:ci + width]
+            if not filled:
+                np.add(shifted, value, out=head)
+                arms.fill(arm)
+                filled = True
+                continue
+            np.add(shifted, value, out=cand)
+            np.greater(cand, head, out=take)
+            np.copyto(head, cand, where=take)
+            np.copyto(arms, arm, where=take)
+        if not filled:  # no arm of this plot fits the budget
+            return None
+        best, nxt = nxt, best
+    best = best[:width]
     if not np.isfinite(best.max()):
         return None
     regime = np.empty(n, dtype=np.intp)
@@ -300,30 +322,37 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
     bound cannot fix (Pisinger 1995).  Its cells are the core's size
     times its largest possible spend, at most n_plots * (budget + 1).
     Spends are summed in float64, which never wraps and is exact below
-    2**53.
+    2**53.  The per-plot minima and maxima are taken over (K, n) copies,
+    as in `_hull_greedy`; a plot's second best value by r is its largest
+    once its best arm is set to -inf, so tied best arms give a slack of 0.
     """
     n, k = imputed.shape
     # integral float64 costs: a cast to int64 could overflow
     cost_int = np.rint(costs.cost)
-    if not np.allclose(costs.cost, cost_int, rtol=0.0, atol=1e-9):
+    if np.abs(costs.cost - cost_int).max(initial=0.0) > 1e-9:
         return None
     budget = int(math.floor(costs.budget + 1e-9))
     # spends are nonnegative, so one that overflows to +inf still compares
     # correctly against the finite budget
     with np.errstate(over="ignore"):
-        cheapest = cost_int.min(axis=1).sum(dtype=np.float64)
+        cheapest = cost_int.T.copy().min(axis=0).sum(dtype=np.float64)
     if cheapest > budget:
         raise InfeasibleBudgetError(
             f"no regime satisfies budget {costs.budget}")
     rows = np.arange(n)
     reduced = imputed - lam * cost_int
     top = reduced.argmax(axis=1)
-    ranked = np.sort(reduced, axis=1)
-    # with one arm the slack is 0 and the table gets every plot
-    slack = ranked[:, -1] - ranked[:, -min(2, k)]
-    upper = ranked[:, -1].sum() + lam * budget
+    by_arm = reduced.T.copy()
+    best = by_arm.max(axis=0)
     # far above the round-off of these sums, so it can only enlarge the core
-    tol = 1e-9 * (np.abs(reduced).max(axis=1).sum() + lam * budget + 1.0)
+    tol = 1e-9 * (np.abs(by_arm).max(axis=0).sum() + lam * budget + 1.0)
+    # with one arm the slack is 0 and the table gets every plot
+    second = best
+    if k > 1:
+        by_arm[top, rows] = -np.inf
+        second = by_arm.max(axis=0)
+    slack = best - second
+    upper = best.sum() + lam * budget
     order = np.argsort(slack, kind="stable")
     sorted_slack = slack[order]
     size = min(64, n)

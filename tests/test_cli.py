@@ -1,19 +1,24 @@
 import csv
 import itertools
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import soilrct
 from support import csv_row
-from soilrct import cli, design, estimators, harness
+from soilrct import cli, design, estimators, harness, tables
 from soilrct.design import ObservedStudy
 from soilrct.errors import ScenarioAbortError
 from soilrct.population import PopulationParams, generate_population
@@ -483,16 +488,19 @@ OVERFLOW_ERRORS = {"dim": "variance inf is not finite",
                    "naive-mod": "baseline sum of squares inf is not finite"}
 
 
+#: A study whose cells are near +-1e300, of eight plots, so that the
+#: interacted OLS has more plots than coefficients and reaches its fit.
+HUGE_STUDY = ("plot_id,source_index,arm,baseline_obs,outcome_obs\n"
+              + "".join(f"{i},{i},{arm},{b},{y}\n" for i, (arm, b, y)
+                        in enumerate([(0, 1e300, -1e300), (0, -1e300, 1e300),
+                                      (1, 1e300, 1e300),
+                                      (1, -1e300, -1e300)] * 2)))
+
+
 @pytest.mark.parametrize("estimator", list(OVERFLOW_ERRORS))
 def test_estimate_overflow_exits_4(tmp_path, estimator):
-    # eight plots, so that the interacted OLS has more plots than
-    # coefficients and reaches its fit
-    rows = [(0, 1e300, -1e300), (0, -1e300, 1e300), (1, 1e300, 1e300),
-            (1, -1e300, -1e300)] * 2
     path = tmp_path / "study.csv"
-    path.write_text("plot_id,source_index,arm,baseline_obs,outcome_obs\n"
-                    + "".join(f"{i},{i},{arm},{b},{y}\n"
-                              for i, (arm, b, y) in enumerate(rows)))
+    path.write_text(HUGE_STUDY)
     done = run_cli("estimate", path, "--estimator", estimator)
     assert_one_error_line(done, 4, OVERFLOW_ERRORS[estimator])
 
@@ -514,6 +522,105 @@ def test_policy_bare_baseline_target(runner, tmp_path):
     assert result.exit_code == 0, result.output
     summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
     assert summary["realized_mean"] is None
+
+
+@pytest.mark.parametrize("text", [
+    '"plot_id","baseline"\n0,2.0\n1,2.5\n2,3.1\n',
+    "plot_id,baseline\r\n0,2.0\r\n1,2.5\r\n2,3.1\r\n",
+], ids=["quoted-header", "crlf"])
+def test_policy_bare_target_kind_follows_the_csv_reader(runner, tmp_path,
+                                                        text):
+    study_path, _, _ = make_policy_files(tmp_path)
+    plain = tmp_path / "plain.csv"
+    plain.write_text("plot_id,baseline\n0,2.0\n1,2.5\n2,3.1\n")
+    target = tmp_path / "bare.csv"
+    target.write_bytes(text.encode())
+    for path, out in ((plain, "want"), (target, "got")):
+        result = runner.invoke(cli.main, ["policy", str(study_path),
+                                          str(path), "--out",
+                                          str(tmp_path / out)])
+        assert result.exit_code == 0, result.output
+    for name in ("regime.csv", "policy.json"):
+        assert ((tmp_path / "got" / name).read_bytes()
+                == (tmp_path / "want" / name).read_bytes())
+    summary = json.loads((tmp_path / "got" / "policy.json").read_text())
+    assert summary["realized_mean"] is None
+
+
+def test_policy_reads_a_population_target_once(runner, tmp_path,
+                                               monkeypatch):
+    study_path, target_path, _ = make_policy_files(tmp_path)
+    opened = {"cli": 0, "tables": 0}
+    for name, module in (("cli", cli), ("tables", tables)):
+        def counting_open(file, *args, _name=name, **kwargs):
+            if os.fspath(file) == str(target_path):
+                opened[_name] += 1
+            return open(file, *args, **kwargs)
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    result = runner.invoke(cli.main, ["policy", str(study_path),
+                                      str(target_path), "--out",
+                                      str(tmp_path / "pol")])
+    assert result.exit_code == 0, result.output
+    # the header row is read on its own, the table by one `tables.read`
+    assert opened == {"cli": 1, "tables": 1}
+
+
+def _past_8kb(data: bytes) -> bytes:
+    """`data` with a \\xff byte past the first 8 KB, beyond the block that
+    reading the header row decodes."""
+    return data[:9000] + b"\xff" + data[9000:]
+
+
+#: name: (the target's bytes, made from a 300-plot population CSV and its
+#: bare `plot_id,baseline` table, and the error line after
+#: `error: <target path>`); each target exits 2
+TARGET_FAULTS = {
+    "empty": (lambda pop, bare: b"",
+              ":1: expected header plot_id,baseline,y0,y1[,...]"),
+    "bom": (lambda pop, bare: b"\xef\xbb\xbf" + bare,
+            ":1: expected header plot_id,baseline,y0,y1[,...]"),
+    "ff-in-header": (lambda pop, bare: b"plot_id,base\xffline" + bare[16:],
+                     ": 'utf-8' codec can't decode byte 0xff in position 12:"
+                     " invalid start byte"),
+    "ff-past-8kb-population": (
+        lambda pop, bare: _past_8kb(pop),
+        ": 'utf-8' codec can't decode byte 0xff in position 808: invalid "
+        "start byte"),
+    "ff-past-8kb-bare": (
+        lambda pop, bare: _past_8kb(bare),
+        ": 'utf-8' codec can't decode byte 0xff in position 6771: invalid "
+        "start byte"),
+    "y0-header": (lambda pop, bare: b"plot_id,baseline,y0\n0,2,1\n1,3,1\n",
+                  ":1: expected header plot_id,baseline,y0,y1[,...]"),
+    "unterminated-quote": (lambda pop, bare: b'"plot_id,baseline\n0,2\n1,3\n',
+                           ":3: unexpected end of data"),
+    "nul-in-header": (lambda pop, bare: b"plot_id\x00,baseline\n0,2\n1,3\n",
+                      ":1: expected header plot_id,baseline,y0,y1[,...]"),
+    "one-row-population": (
+        lambda pop, bare: b"".join(pop.splitlines(True)[:2]),
+        ": a population needs at least 2 data rows, got 1"),
+    "abc-cell": (lambda pop, bare: b"plot_id,baseline\n0,2.0\n1,abc\n",
+                 ":3: column baseline: could not convert string to float: "
+                 "'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TARGET_FAULTS))
+def test_policy_target_faults_exit_2_with_their_error(runner, tmp_path,
+                                                      case):
+    study_path, pop_path, pop = make_policy_files(tmp_path, n_target=300)
+    bare_path = tmp_path / "bare.csv"
+    tables.write(bare_path, ["plot_id", "baseline"],
+                 [range(pop.n_plots), pop.baseline.tolist()])
+    make, error = TARGET_FAULTS[case]
+    target = tmp_path / "target-fault.csv"
+    target.write_bytes(make(pop_path.read_bytes(), bare_path.read_bytes()))
+    result = runner.invoke(cli.main, ["policy", str(study_path), str(target),
+                                      "--out", str(tmp_path / "pol")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {target}{error}\n"
+    assert not (tmp_path / "pol").exists()
 
 
 def test_policy_cost_schema_mismatch_exits_2(runner, tmp_path):
@@ -593,3 +700,104 @@ def test_simulate_invalid_population_exits_2_before_writing(runner, tmp_path,
                                       "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert not out.exists()
+
+
+#: Cells of generated tables: plausible values, and values that must be
+#: refused or that overflow downstream.
+_GUARD_CELLS = st.floats(0.5, 4.0).map("{:.3g}".format)
+_GUARD_BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e300",
+                                    "-1e300", "1e400", '"1"', "0"])
+_GUARD_COSTS = st.integers(0, 4).map(str)
+_GUARD_BAD_COSTS = st.sampled_from(["0.5", "2.25", "-1", "nan", "x", "1e18",
+                                    str(2 ** 63), "3002399751580330",
+                                    "1e300"])
+
+
+@st.composite
+def _policy_inputs(draw):
+    """A `policy` request: the study kind, the target and cost tables as
+    text (costs may be None) and the budget (None or an option value).
+    Half the tables hold only plausible cells."""
+    n = draw(st.integers(1, 5))
+    header = draw(st.sampled_from(
+        ["plot_id,baseline,y0,y1"] * 3 + ["plot_id,baseline"] * 3
+        + ["plot_id,baseline,y0", "plot_id,b", '"plot_id","baseline"']))
+    width = len(next(csv.reader([header])))
+    cells = (st.one_of(_GUARD_CELLS, _GUARD_BAD_CELLS) if draw(st.booleans())
+             else _GUARD_CELLS)
+    target = header + "\n" + "".join(
+        ",".join([str(i)] + draw(st.lists(cells, min_size=width - 1,
+                                          max_size=width - 1))) + "\n"
+        for i in range(n))
+    costs = None
+    if draw(st.booleans()):
+        rows = draw(st.sampled_from([n, n, n, n + 1, max(n - 1, 1)]))
+        cost = (st.one_of(_GUARD_COSTS, _GUARD_BAD_COSTS)
+                if draw(st.booleans()) else _GUARD_COSTS)
+        costs = "plot_id,cost0,cost1\n" + "".join(
+            f"{i},{draw(cost)},{draw(cost)}\n" for i in range(rows))
+    budget = draw(st.one_of(st.none(), st.sampled_from(
+        ["0", "1", "3", "2.5", "8", "9007199254740992", "1e300", "-1", "nan",
+         "inf"])))
+    return {"study": draw(st.sampled_from(["plain", "plain", "huge"])),
+            "target": target, "costs": costs, "budget": budget}
+
+
+def _population_text(n):
+    return "plot_id,baseline,y0,y1\n" + "".join(
+        f"{i},{2 + i / 4},{2 + i / 3},{2.5 + i / 5}\n" for i in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_policy_inputs())
+# the refusals that `test_policy_costs_reaching_2_53_exit_2` and
+# `test_estimate_overflow_exits_4` pin
+@example(case={"study": "plain", "target": _population_text(3),
+               "costs": "plot_id,cost0,cost1\n0,0,3002399751580330\n"
+                        "1,0,3002399751580331\n2,0,3002399751580332\n",
+               "budget": str(2 ** 53)})
+@example(case={"study": "plain", "target": _population_text(3),
+               "costs": f"plot_id,cost0,cost1\n0,0,{2 ** 63}\n"
+                        f"1,0,{2 ** 64}\n2,0,1\n",
+               "budget": "10"})
+@example(case={"study": "huge", "target": _population_text(3),
+               "costs": None, "budget": None})
+def test_policy_answers_or_refuses_any_input(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        study, target, out = (tmp / "study.csv", tmp / "target.csv",
+                               tmp / "pol")
+        if case["study"] == "huge":
+            study.write_text(HUGE_STUDY)
+        else:
+            write_study(study, seed=9, n=24)
+        target.write_text(case["target"])
+        argv = ["policy", study, target, "--out", out]
+        if case["costs"] is not None:
+            (tmp / "costs.csv").write_text(case["costs"])
+            argv += ["--costs", tmp / "costs.csv"]
+        if case["budget"] is not None:
+            argv += ["--budget", case["budget"]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(cli.main, list(map(str, argv)))
+        assert not caught, [str(w.message) for w in caught]
+        # any other exception would reach the user as a traceback
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit), \
+            result.exception
+        assert result.exit_code in (0, 2, 4, 5)
+        if result.exit_code != 0:
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), \
+                result.stderr
+            return
+        assert result.stderr == ""
+        with (out / "regime.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["plot_id", "arm"]
+        assert all(arm in ("0", "1") for _, arm in rows[1:])
+        summary = json.loads((out / "policy.json").read_text())
+        numbers = [v for k, v in summary.items()
+                   if v is not None and (k, v) != ("budget", "inf")]
+        assert all(math.isfinite(v) for v in numbers), summary

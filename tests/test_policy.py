@@ -16,6 +16,7 @@ from soilrct.policy import (CostModel, PolicyRegime, _budgeted_dp,
                             optimal_restricted, optimal_unconstrained,
                             realized_value)
 from soilrct.population import PopulationParams, generate_population
+from support import textbook_dp_table
 
 
 def study_from(b, y, z):
@@ -281,6 +282,31 @@ def full_table(imputed, costs):
     regime = _dp_table(imputed, costs.cost.astype(np.int64),
                        int(costs.budget))
     return regime, float(imputed[np.arange(imputed.shape[0]), regime].mean())
+
+
+def test_dp_table_matches_the_textbook_table():
+    # values of 0-2 decimals make ties common; a quarter of the costs are
+    # 0, and budgets run from infeasible (some negative) to slack, so that
+    # many costs exceed the budget
+    rng = np.random.default_rng(1401)
+    solved = 0
+    for trial in range(600):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        values = np.round(rng.normal(0, 1, (n, k)), int(rng.integers(0, 3)))
+        cost = np.where(rng.random((n, k)) < 0.25, 0,
+                        rng.integers(1, 12, (n, k)))
+        low, high = int(cost.min(axis=1).sum()), int(cost.max(axis=1).sum())
+        budget = int(rng.integers(low - 3, high + 3))
+        for cost_int in (cost.astype(np.float64), cost.astype(np.int64)):
+            want = textbook_dp_table(values, cost_int, budget)
+            got = _dp_table(values, cost_int, budget)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                solved += 1
+    assert 600 < solved < 1200
 
 
 @pytest.fixture
