@@ -16,6 +16,7 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
@@ -40,8 +41,6 @@ MIN_SAMPLE_SIZE = 6
 
 _Z975 = norm_ppf(0.975)
 
-#: Estimator column layout in the kernel output.
-_EST_COLS = {"dim": 0, "did": 2, "ols": 4, "mod": 6, "naive": 8}
 #: Kernel column that the `mod` variance adds to its HC2 column.
 _MOD_SCALE_VAR = kernels.KERNEL_COLUMNS.index("mod_scale_var")
 PATE_ESTIMATORS = ("dim", "did", "ols")
@@ -89,8 +88,6 @@ class ScenarioGrid:
                     f"got {m}")
         if self.n_replicates < 1:
             raise ParamError("n_replicates must be >= 1")
-        if self.population_size < 2:
-            raise ParamError("population_size must be >= 2")
         if not 0.0 <= self.sd_within_plot < math.inf:
             raise ParamError(f"sd_within_plot must be finite and "
                              f"nonnegative, got {self.sd_within_plot}")
@@ -229,6 +226,51 @@ class ScenarioResult:
     def valid(self) -> np.ndarray:
         return self.raw[self.raw[:, 12] == 0.0]
 
+    @cached_property
+    def reduction(self) -> dict:
+        """Every number the run's tables report of this scenario, from one
+        pass over its valid kernel rows; nan where no row is valid.
+
+        `bias`, `rmse`, `coverage`, `ci_width`, `power` and `bias_se` list
+        dim, did, ols, mod and naive, in that order, each judged against
+        the PATE or the moderator slope; `value` holds the mean estimated
+        and restricted policy values, `gap_mean` and `gap_var` the mean of
+        their difference and its variance (0 below two rows), and
+        `n_valid` the number of valid rows.  The `mod`
+        variance is the HC2 variance plus the delta-method term for the
+        sample SD that scales its baseline.  Estimates and variances are
+        stacked as C-contiguous (5, k) rows, which numpy sums in the same
+        pairwise order as each lone column, so no digit depends on the
+        stacking.
+        """
+        ok = self.valid()
+        k = ok.shape[0]
+        est = np.ascontiguousarray(ok[:, 0:10:2].T)
+        var = np.ascontiguousarray(ok[:, 1:10:2].T)
+        var[3] += ok[:, _MOD_SCALE_VAR]
+        value = np.ascontiguousarray(ok[:, 10:12].T)
+        target = np.array([self.pate] * 3 + [self.scenario.beta_mod] * 2)
+        err = est - target[:, np.newaxis]
+        half = _Z975 * np.sqrt(var)
+        gap = value[0] - value[1]
+        with np.errstate(invalid="ignore"):  # k = 0 gives 0 / 0 = nan
+            means = {
+                "bias": err.sum(axis=1) / k,
+                "rmse": np.sqrt((err * err).sum(axis=1) / k),
+                "coverage": (np.abs(err) <= half).sum(axis=1) / k,
+                "ci_width": (2.0 * half).sum(axis=1) / k,
+                "power": (est - half > 0.0).sum(axis=1) / k,
+                "bias_se": est.std(axis=1, ddof=1) / math.sqrt(k) if k > 1
+                else np.full(5, math.nan),
+                # the mean realized policy values, estimated and restricted
+                "value": value.sum(axis=1) / k,
+                "gap_mean": gap.sum() / k,
+            }
+        out = {key: val.tolist() for key, val in means.items()}
+        out["gap_var"] = float(gap.var(ddof=1) / k) if k > 1 else 0.0
+        out["n_valid"] = k
+        return out
+
 
 def run_scenario(grid: ScenarioGrid, scenario: Scenario,
                  bundle: PopulationBundle, master_seed: int) -> ScenarioResult:
@@ -317,58 +359,29 @@ class MetricsRow:
     warnings: str
 
 
-def _estimates(ok: np.ndarray, name: str):
-    """Estimates and variances of estimator `name` over valid kernel rows.
-
-    The `mod` variance is the HC2 variance plus the delta-method term for
-    the sample SD that scales its baseline.
-    """
-    col = _EST_COLS[name]
-    var = ok[:, col + 1]
-    if name == "mod":
-        var = var + ok[:, _MOD_SCALE_VAR]
-    return ok[:, col], var
-
-
-def _estimator_metrics(est: np.ndarray, var: np.ndarray, target: float,
-                       with_power: bool):
-    half = _Z975 * np.sqrt(var)
-    err = est - target
-    bias = float(err.mean())
-    rmse = float(np.sqrt((err * err).mean()))
-    coverage = float((np.abs(err) <= half).mean())
-    ci_width = float((2.0 * half).mean())
-    power = float((est - half > 0.0).mean()) if with_power else None
-    return bias, rmse, coverage, ci_width, power
-
-
 def scenario_metrics(result: ScenarioResult,
                      n_replicates: int) -> list:
     """Metric rows for every estimator of one scenario."""
     sc = result.scenario
-    ok = result.valid()
+    red = result.reduction
     warn = []
     if result.n_fail:
         warn.append(f"failures={result.n_fail}")
     if n_replicates == 1:
         warn.append("single-replicate")
+    if red["n_valid"] == 0:
+        warn.append("no-valid-replicates")
     rows = []
-    for name in PATE_ESTIMATORS + MODERATOR_ESTIMATORS:
+    for i, name in enumerate(PATE_ESTIMATORS + MODERATOR_ESTIMATORS):
         with_power = name in PATE_ESTIMATORS
-        target = result.pate if with_power else sc.beta_mod
-        if ok.shape[0] == 0:
-            bias = rmse = coverage = ci_width = math.nan
-            power = math.nan if with_power else None
-            row_warn = warn + ["no-valid-replicates"]
-        else:
-            bias, rmse, coverage, ci_width, power = _estimator_metrics(
-                *_estimates(ok, name), target, with_power)
-            row_warn = warn
         rows.append(MetricsRow(
             tau=sc.tau, beta_mod=sc.beta_mod, sd_eps1=sc.sd_eps1,
-            n=sc.n, m=sc.m, estimator=name, target=target, bias=bias,
-            rmse=rmse, coverage=coverage, ci_width=ci_width, power=power,
-            n_fail=result.n_fail, warnings=";".join(row_warn)))
+            n=sc.n, m=sc.m, estimator=name,
+            target=result.pate if with_power else sc.beta_mod,
+            bias=red["bias"][i], rmse=red["rmse"][i],
+            coverage=red["coverage"][i], ci_width=red["ci_width"][i],
+            power=red["power"][i] if with_power else None,
+            n_fail=result.n_fail, warnings=";".join(warn)))
     return rows
 
 
@@ -410,16 +423,11 @@ def metrics_from_csv(path) -> list:
 
 
 def _policy_block(results) -> dict:
-    oracle = float(np.mean([r.oracle_value for r in results]))
-    est_means, restr_means = [], []
-    for r in results:
-        ok = r.valid()
-        est_means.append(float(ok[:, 10].mean()))
-        restr_means.append(float(ok[:, 11].mean()))
+    estimated, restricted = zip(*(r.reduction["value"] for r in results))
     return {
-        "oracle": oracle,
-        "estimated": float(np.mean(est_means)),
-        "restricted": float(np.mean(restr_means)),
+        "oracle": float(np.mean([r.oracle_value for r in results])),
+        "estimated": float(np.mean(estimated)),
+        "restricted": float(np.mean(restricted)),
         "n_scenarios": len(results),
     }
 
@@ -434,18 +442,15 @@ def _gap_stats(results) -> dict:
     replicate-level SE is the only one available and is used instead.
     """
     by_pop = {}
-    variances = []
     for r in results:
-        ok = r.valid()
-        gap = ok[:, 10] - ok[:, 11]
-        by_pop.setdefault(r.scenario.pop_key, []).append(float(gap.mean()))
-        variances.append(float(gap.var(ddof=1) / gap.shape[0])
-                         if gap.shape[0] > 1 else 0.0)
+        by_pop.setdefault(r.scenario.pop_key, []).append(
+            r.reduction["gap_mean"])
     pop_means = np.array([np.mean(v) for v in by_pop.values()])
     if pop_means.shape[0] > 1:
         se = float(pop_means.std(ddof=1) / math.sqrt(pop_means.shape[0]))
     else:
-        se = float(math.sqrt(sum(variances)) / len(results))
+        se = float(math.sqrt(sum(r.reduction["gap_var"] for r in results))
+                   / len(results))
     return {
         "gap_mean": float(pop_means.mean()),
         "gap_se": se,
@@ -506,20 +511,14 @@ def attenuation_table(run: GridResult) -> list:
     Carlo SE of the bias for step-size comparisons."""
     out = []
     for result in run.results:
-        sc = result.scenario
-        ok = result.valid()
-        if ok.shape[0] == 0:
+        sc, red = result.scenario, result.reduction
+        if red["n_valid"] == 0:
             continue
-        for name in MODERATOR_ESTIMATORS:
-            est, var = _estimates(ok, name)
-            half = _Z975 * np.sqrt(var)
-            err = est - sc.beta_mod
+        for i, name in enumerate(MODERATOR_ESTIMATORS, len(PATE_ESTIMATORS)):
             out.append({
                 "estimator": name, "n": sc.n, "m": sc.m, "tau": sc.tau,
                 "beta_mod": sc.beta_mod, "sd_eps1": sc.sd_eps1,
-                "bias": float(err.mean()),
-                "bias_se": float(est.std(ddof=1) / math.sqrt(est.shape[0]))
-                if est.shape[0] > 1 else math.nan,
-                "coverage": float((np.abs(err) <= half).mean()),
+                "bias": red["bias"][i], "bias_se": red["bias_se"][i],
+                "coverage": red["coverage"][i],
             })
     return out

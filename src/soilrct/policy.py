@@ -14,6 +14,7 @@ cells of that core table, so the solver is picked from the instance.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -214,10 +215,15 @@ def _hull_greedy(imputed: np.ndarray, cost: np.ndarray, budget: float):
     return start_cost, regime, fractional, lam
 
 
+def _spend_cap(budget: float) -> float:
+    """The most a regime may spend: the budget with a relative slack, so
+    that a budget equal to the decimal sum of some costs is not refused
+    for the round-off of their float sum."""
+    return budget * (1 + 1e-12)
+
+
 def _check_cheapest(cheapest: float, budget: float):
-    # a relative slack, so that a budget equal to the decimal sum of the
-    # cheapest costs is not refused for the round-off of their float sum
-    if cheapest > budget * (1 + 1e-12):
+    if cheapest > _spend_cap(budget):
         raise InfeasibleBudgetError(
             f"even the cheapest regime costs {cheapest:.17g} > budget "
             f"{budget:.17g}")
@@ -331,14 +337,9 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
     cost_int = np.rint(costs.cost)
     if np.abs(costs.cost - cost_int).max(initial=0.0) > 1e-9:
         return None
-    budget = int(math.floor(costs.budget + 1e-9))
-    # spends are nonnegative, so one that overflows to +inf still compares
-    # correctly against the finite budget
-    with np.errstate(over="ignore"):
-        cheapest = cost_int.T.copy().min(axis=0).sum(dtype=np.float64)
-    if cheapest > budget:
-        raise InfeasibleBudgetError(
-            f"no regime satisfies budget {costs.budget}")
+    # the largest integral spend `_check_cheapest` admits, kept finite
+    # for `floor` where the cap of a huge budget overflows
+    budget = math.floor(min(_spend_cap(costs.budget), sys.float_info.max))
     rows = np.arange(n)
     reduced = imputed - lam * cost_int
     top = reduced.argmax(axis=1)

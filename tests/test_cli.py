@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -93,6 +94,45 @@ def test_simulate_rerun_is_byte_identical(runner, tmp_path):
     for name in ("metrics.csv", "policy_summary.json", "power_curves.csv",
                  "attenuation.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+GOLDEN_CONFIG = """\
+grid: custom
+taus: [0.0, 0.3]
+beta_mods: [-0.5, 0.0]
+sd_eps1s: [0.0, 0.3]
+sample_sizes: [6, 10]
+samples_per_plot: [5, inf]
+n_replicates: 20
+population_size: 60
+"""
+
+# sha256 of each table that `simulate --config GOLDEN_CONFIG --seed 5`
+# wrote before the per-scenario reductions were stacked into one pass
+# (Python 3.11.7, numpy 2.4.6), taken with `sha256sum` in the run
+# directory.  A change that means to keep every artifact byte-identical
+# must keep these; one that means to change them says so and retakes them.
+GOLDEN_DIGESTS = {
+    "metrics.csv":
+        "cb25f87a53e974b78154e39c0922ad4d5d95d529f87da6255a0b6e45ddfdc6ab",
+    "power_curves.csv":
+        "c67a53c4bdf86301078f13bc3cc09f7021af1977e92d551d544821d320254800",
+    "attenuation.csv":
+        "c2b8a87a8293bc057b18ed10d1da3e7aa2efbfe4f8c2eb9d67e5400027ad410f",
+    "policy_summary.json":
+        "c369b8302e141a907650b70bc560b7a30a39b1127ea58e79bc03809b8a16ad88",
+}
+
+
+def test_simulate_tables_match_their_golden_digests(runner, tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text(GOLDEN_CONFIG)
+    result = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                      "--seed", "5", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    run_dir = Path(result.output.strip())
+    assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in GOLDEN_DIGESTS} == GOLDEN_DIGESTS
 
 
 def test_simulate_is_byte_identical_under_blas_threads(tmp_path):
@@ -430,6 +470,29 @@ def test_policy_budget_equal_to_decimal_cheapest_sum_is_feasible(runner,
     assert arms == [0] * 5000
     summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
     assert summary["total_cost"] <= 25005.26 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("cheapest", [("50000", "50000"),
+                                      ("50000.4", "49999.6")])
+def test_policy_budget_slack_is_one_rule_for_both_solvers(runner, tmp_path,
+                                                          cheapest):
+    # both cheapest regimes cost 100000, within the relative 1e-12 slack
+    # of the budget; integral costs go to the DP and the others to the
+    # LP, and either answers with the cheapest regime
+    study_path, target_path, _ = make_policy_files(tmp_path, n_target=2)
+    cost_path = tmp_path / "costs.csv"
+    cost_path.write_text("plot_id,cost0,cost1\n" + "".join(
+        f"{i},{c},60000\n" for i, c in enumerate(cheapest)))
+    result = runner.invoke(cli.main, ["policy", str(study_path),
+                                      str(target_path), "--costs",
+                                      str(cost_path), "--budget",
+                                      "99999.99999995",
+                                      "--out", str(tmp_path / "pol")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "pol" / "regime.csv").read_text() == (
+        "plot_id,arm\n0,0\n1,0\n")
+    summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
+    assert summary["total_cost"] == 100000.0
 
 
 def run_cli(*argv):

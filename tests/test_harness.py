@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 from soilrct import design, harness, kernels
 from soilrct.errors import ParamError, ScenarioAbortError
 from soilrct.population import Population, generate_population
+from soilrct.stats import norm_ppf
 
 
 def small_grid(**overrides):
@@ -35,6 +37,188 @@ def test_grid_rejects_the_saturated_design():
     with pytest.raises(ParamError, match=">= 6"):
         small_grid(sample_sizes=(4,))
     assert small_grid(sample_sizes=(6,)).sample_sizes == (6,)
+
+
+# The per-column reductions that `ScenarioResult.reduction` replaced, kept
+# as its oracle: one estimator column and one table at a time.
+ORACLE_COLUMNS = {"dim": 0, "did": 2, "ols": 4, "mod": 6, "naive": 8}
+
+
+def oracle_estimates(ok, name):
+    col = ORACLE_COLUMNS[name]
+    var = ok[:, col + 1]
+    if name == "mod":
+        var = var + ok[:, kernels.KERNEL_COLUMNS.index("mod_scale_var")]
+    return ok[:, col], var
+
+
+def oracle_estimator_metrics(est, var, target, with_power):
+    half = norm_ppf(0.975) * np.sqrt(var)
+    err = est - target
+    bias = float(err.mean())
+    rmse = float(np.sqrt((err * err).mean()))
+    coverage = float((np.abs(err) <= half).mean())
+    ci_width = float((2.0 * half).mean())
+    power = float((est - half > 0.0).mean()) if with_power else None
+    return bias, rmse, coverage, ci_width, power
+
+
+def oracle_metrics(run):
+    out = []
+    for r in run.results:
+        ok = r.valid()
+        for name in harness.PATE_ESTIMATORS + harness.MODERATOR_ESTIMATORS:
+            with_power = name in harness.PATE_ESTIMATORS
+            target = r.pate if with_power else r.scenario.beta_mod
+            if ok.shape[0] == 0:
+                out.append((math.nan,) * 4
+                           + ((math.nan,) if with_power else (None,)))
+            else:
+                out.append(oracle_estimator_metrics(
+                    *oracle_estimates(ok, name), target, with_power))
+    return out
+
+
+def oracle_attenuation(run):
+    out = []
+    for r in run.results:
+        ok = r.valid()
+        if ok.shape[0] == 0:
+            continue
+        for name in harness.MODERATOR_ESTIMATORS:
+            est, var = oracle_estimates(ok, name)
+            half = norm_ppf(0.975) * np.sqrt(var)
+            err = est - r.scenario.beta_mod
+            out.append((float(err.mean()),
+                        float(est.std(ddof=1) / math.sqrt(est.shape[0]))
+                        if est.shape[0] > 1 else math.nan,
+                        float((np.abs(err) <= half).mean())))
+    return out
+
+
+def oracle_policy_block(results):
+    means = [[float(r.valid()[:, col].mean()) for r in results]
+             for col in (10, 11)]
+    return {"oracle": float(np.mean([r.oracle_value for r in results])),
+            "estimated": float(np.mean(means[0])),
+            "restricted": float(np.mean(means[1])),
+            "n_scenarios": len(results)}
+
+
+def oracle_gap_stats(results):
+    by_pop, variances = {}, []
+    for r in results:
+        ok = r.valid()
+        gap = ok[:, 10] - ok[:, 11]
+        by_pop.setdefault(r.scenario.pop_key, []).append(float(gap.mean()))
+        variances.append(float(gap.var(ddof=1) / gap.shape[0])
+                         if gap.shape[0] > 1 else 0.0)
+    pop_means = np.array([np.mean(v) for v in by_pop.values()])
+    if pop_means.shape[0] > 1:
+        se = float(pop_means.std(ddof=1) / math.sqrt(pop_means.shape[0]))
+    else:
+        se = float(math.sqrt(sum(variances)) / len(results))
+    return {"gap_mean": float(pop_means.mean()), "gap_se": se}
+
+
+def oracle_policy_summary(run):
+    null_tau = [r for r in run.results if r.scenario.tau == 0.0]
+    summary = {"all_scenarios": oracle_policy_block(run.results),
+               "null_tau": oracle_policy_block(null_tau)}
+    summary["null_tau_gap_by_beta_mod"] = {
+        format(beta, "g"): oracle_gap_stats(
+            [r for r in null_tau if r.scenario.beta_mod == beta])
+        for beta in sorted({r.scenario.beta_mod for r in null_tau})}
+    return summary
+
+
+def bits(value):
+    """A float by its bits (nan included), anything else as it is."""
+    return float(value).hex() if isinstance(value, float) else value
+
+
+def bits_of(tree):
+    if isinstance(tree, dict):
+        return {key: bits_of(val) for key, val in tree.items()}
+    return [bits_of(val) for val in tree] if isinstance(
+        tree, (list, tuple)) else bits(tree)
+
+
+def tied_baselines(params, rng):
+    # baselines on a 0.5 grid: at m = inf an arm often sees one value
+    pop = generate_population(params, rng)
+    baseline = np.round(pop.baseline * 2.0) / 2.0
+    covariates = pop.covariates.copy()
+    covariates[:, 1] = baseline
+    return Population(baseline=baseline, po=pop.po, covariates=covariates)
+
+
+def all_rows_failed(result):
+    raw = result.raw.copy()
+    raw[:, 4:12] = raw[:, 13] = math.nan
+    raw[:, 12] = 1.0
+    return harness.ScenarioResult(
+        scenario=result.scenario, raw=raw, n_fail=raw.shape[0],
+        pate=result.pate, oracle_value=result.oracle_value)
+
+
+def failing_run(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_FAILURE_RATE", 1.0)
+    monkeypatch.setattr(harness, "generate_population", tied_baselines)
+    run = harness.run_grid(small_grid(
+        beta_mods=(-0.5, 0.0), sample_sizes=(6, 10), population_size=60,
+        n_replicates=30), 8)
+    fails = [r.n_fail for r in run.results]
+    assert 0 < sum(fails) and all(0 <= f < 30 for f in fails)
+    assert len({r.n_fail for r in run.results}) > 2
+    return run
+
+
+def single_replicate_run(monkeypatch):
+    return harness.run_grid(small_grid(n_replicates=1,
+                                       beta_mods=(-0.5, 0.0)), 9)
+
+
+def run_with_a_scenario_all_failed(monkeypatch):
+    run = harness.run_grid(small_grid(), 10)
+    results = list(run.results)
+    results[0] = all_rows_failed(results[0])
+    results[5] = all_rows_failed(results[5])
+    return harness.GridResult(grid=run.grid, master_seed=run.master_seed,
+                              scenarios=run.scenarios, results=results,
+                              bundles=run.bundles)
+
+
+@pytest.mark.parametrize("make_run", [
+    failing_run, single_replicate_run, run_with_a_scenario_all_failed])
+def test_tables_match_the_per_column_reductions_bit_for_bit(make_run,
+                                                            monkeypatch):
+    run = make_run(monkeypatch)
+    rows = harness.metrics_rows(run)
+    got = [(r.bias, r.rmse, r.coverage, r.ci_width, r.power) for r in rows]
+    attenuation = harness.attenuation_table(run)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        # the oracle takes means of empty columns where every row failed
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert bits_of(got) == bits_of(oracle_metrics(run))
+        assert bits_of([(a["bias"], a["bias_se"], a["coverage"])
+                        for a in attenuation]) == bits_of(
+            oracle_attenuation(run))
+        assert bits_of(harness.policy_summary(run)) == bits_of(
+            oracle_policy_summary(run))
+    # every number is a Python float, as metrics.csv's `%.17g` expects
+    assert {type(v) for row in got for v in row} <= {float, type(None)}
+    # an attenuation row reports its metrics row's bias and coverage
+    by_key = {(r.tau, r.beta_mod, r.n, r.m, r.estimator): r for r in rows}
+    for a in attenuation:
+        row = by_key[(a["tau"], a["beta_mod"], a["n"], a["m"],
+                      a["estimator"])]
+        assert bits(a["bias"]) == bits(row.bias)
+        assert bits(a["coverage"]) == bits(row.coverage)
+    empty = [r.n_fail == r.raw.shape[0] for r in run.results]
+    assert len(attenuation) == 2 * empty.count(False)
+    assert [("no-valid-replicates" in r.warnings) for r in rows] == [
+        e for e in empty for _ in range(5)]
 
 
 def test_draw_replicates_keeps_the_stream():
@@ -170,7 +354,7 @@ def test_moderator_coverage_under_measurement_noise():
                                 samples_per_plot=(30.0,),
                                 n_replicates=4000, population_size=5000)
     result = harness.run_grid(grid, 12).results[0]
-    est, var = harness._estimates(result.valid(), "mod")
+    est, var = oracle_estimates(result.valid(), "mod")
     assert est.mean() > -0.5
     coverage = (np.abs(est - est.mean()) <= 1.96 * np.sqrt(var)).mean()
     assert 0.94 <= coverage <= 0.96
@@ -184,10 +368,9 @@ def test_rmse_decomposition_per_scenario():
     for result in run.results:
         ok = result.valid()
         for name in harness.PATE_ESTIMATORS:
-            col = harness._EST_COLS[name]
             sc = result.scenario
             row = by_key[(sc.tau, sc.beta_mod, sc.sd_eps1, sc.n, sc.m, name)]
-            variance = ok[:, col].var()
+            variance = oracle_estimates(ok, name)[0].var()
             assert row.rmse ** 2 == pytest.approx(row.bias ** 2 + variance,
                                                   rel=1e-10)
 

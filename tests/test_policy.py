@@ -408,6 +408,14 @@ def test_budgeted_infeasible_raises():
         _budgeted_lp(imputed, costs, hull(imputed, costs))
 
 
+def test_integral_budgets_keep_their_value_in_the_dp():
+    # the DP's integer budget is the largest spend `_check_cheapest`
+    # admits, which for an integral budget is the budget itself
+    assert all(math.floor(policy._spend_cap(float(b))) == b
+               for b in range(0, 200_000, 7))
+    assert math.floor(policy._spend_cap(99999.99999995)) == 100000
+
+
 def test_budgeted_noninteger_costs_fall_back_to_lp():
     rng = np.random.default_rng(36)
     imputed = rng.normal(0, 1, (6, 2))

@@ -29,6 +29,13 @@ def test_norm_ppf_known_value():
     assert norm_ppf(0.975) == pytest.approx(1.959963984540054, abs=1e-12)
 
 
+def test_norm_ppf_975_is_pinned_to_the_bit():
+    # every Wald interval in metrics.csv scales by this quantile; an
+    # interpreter whose `statistics.NormalDist` differs must fail here
+    # rather than move the last digits of every `ci_width`
+    assert norm_ppf(0.975).hex() == "0x1.f5c0331eeff82p+0"
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
 def test_norm_ppf_rejects_out_of_range(p):
     with pytest.raises(ParamError):
