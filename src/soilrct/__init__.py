@@ -8,8 +8,7 @@ from .estimators import (EstimateWithCI, diff_in_diffs, diff_in_means,
                          naive_moderator, ols_interaction)
 from .harness import ScenarioGrid, run_grid
 from .policy import (CostModel, PolicyRegime, fit_per_arm, impute_population,
-                     optimal_budgeted, optimal_restricted,
-                     optimal_unconstrained)
+                     optimal_budgeted, optimal_unconstrained)
 from .population import Population, PopulationParams, generate_population
 
 __all__ = [
@@ -19,5 +18,5 @@ __all__ = [
     "SoilRctError", "diff_in_diffs", "diff_in_means", "enroll_and_assign",
     "fit_per_arm", "generate_population", "impute_population",
     "naive_moderator", "ols_interaction", "optimal_budgeted",
-    "optimal_restricted", "optimal_unconstrained", "run_grid",
+    "optimal_unconstrained", "run_grid",
 ]

@@ -24,9 +24,9 @@ import yaml
 
 from . import (__version__, design, estimators, harness, kernels, policy,
                tables)
-from .errors import (InfeasibleBudgetError, ScenarioAbortError, SchemaError,
-                     SoilRctError)
-from .population import Population
+from .errors import (InfeasibleBudgetError, ParamError, ScenarioAbortError,
+                     SchemaError, SoilRctError)
+from .population import Population, papo
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,7 +90,7 @@ def _as_float(value, key):
 
 def _normalize_grid_settings(config: dict) -> dict:
     settings = {}
-    for key in ("taus", "beta_mods", "sd_eps1s"):
+    for key in ("taus", "beta_mods", "sd_eps1s", "samples_per_plot"):
         if key in config:
             if not isinstance(config[key], list):
                 raise ConfigError(f"{key}: expected a list")
@@ -102,12 +102,6 @@ def _normalize_grid_settings(config: dict) -> dict:
                        for v in vals)):
             raise ConfigError("sample_sizes: expected a list of integers")
         settings["sample_sizes"] = tuple(vals)
-    if "samples_per_plot" in config:
-        if not isinstance(config["samples_per_plot"], list):
-            raise ConfigError("samples_per_plot: expected a list")
-        settings["samples_per_plot"] = tuple(
-            _as_float(v, "samples_per_plot")
-            for v in config["samples_per_plot"])
     for key in ("n_replicates", "population_size"):
         if key in config:
             if isinstance(config[key], bool) or not isinstance(config[key], int):
@@ -171,7 +165,7 @@ def main():
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="YAML run configuration.")
 @click.option("--seed", type=int, default=None, help="Master seed.")
-@click.option("--out", "out_dir", type=click.Path(), default=".",
+@click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Directory that will hold the run directory.")
 @click.option("--threads", type=int, default=None,
               help="Worker threads for scenario execution.")
@@ -184,14 +178,16 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
         config = _load_config(config_path) if config_path else {}
         grid_name = grid_name or config.get("grid", "paper")
         seed = seed if seed is not None else config.get("seed", DEFAULT_SEED)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("seed: expected an integer")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError("seed: expected a nonnegative integer")
         threads = threads if threads is not None else config.get("threads", 1)
         if isinstance(threads, bool) or not isinstance(threads, int) \
                 or threads < 1:
             raise ConfigError("threads: expected a positive integer")
-        out_dir = Path(config.get("out", out_dir)
-                       if out_dir == "." else out_dir)
+        out_dir = out_dir if out_dir is not None else config.get("out", ".")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"out: expected a path, got {out_dir!r}")
+        out_dir = Path(out_dir)
         grid = build_grid(grid_name, config)
     except SoilRctError as exc:
         _fail(EXIT_CONFIG, str(exc))
@@ -212,6 +208,8 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
             run = harness.run_grid(grid, seed, threads=threads)
         except ScenarioAbortError as exc:
             _fail(EXIT_ABORT, str(exc))
+        except ParamError as exc:  # a population the parameters cannot give
+            _fail(EXIT_CONFIG, str(exc))
         _write_run(tmp_dir, run, grid_name, threads, digest)
         if run_dir.exists():
             shutil.rmtree(run_dir)
@@ -374,8 +372,8 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
         _fail(EXIT_ESTIMATOR, str(exc))
 
     if target_pop is not None:
-        regime = replace(regime, realized_mean=policy.realized_value(
-            target_pop, regime))
+        regime = replace(regime,
+                         realized_mean=papo(target_pop, regime.regime))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     arms = regime.regime.tolist()

@@ -14,11 +14,11 @@ other scenarios share the run, and thread count cannot affect output.
 
 import hashlib
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
@@ -314,8 +314,9 @@ def run_grid(grid: ScenarioGrid, master_seed: int,
              threads: int = 1) -> GridResult:
     """Run the whole grid, optionally spreading scenarios over threads.
 
-    Populations are generated up front, one per parameter combination.
-    Output is identical for any thread count because each scenario owns
+    Populations are generated up front, one per parameter combination,
+    and parameters that give a population with a value or a sum past
+    float64 raise ParamError.  Output is identical for any thread count because each scenario owns
     a content-keyed random stream and results are ordered by the grid.
     """
     scenarios = grid_scenarios(grid)
@@ -323,9 +324,14 @@ def run_grid(grid: ScenarioGrid, master_seed: int,
     for sc in scenarios:
         if sc.pop_key not in bundles:
             rng = population_rng(master_seed, *sc.pop_key)
-            pop = generate_population(
-                grid.population_params(*sc.pop_key), rng)
-            bundles[sc.pop_key] = build_bundle(pop)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    pop = generate_population(
+                        grid.population_params(*sc.pop_key), rng)
+                    bundles[sc.pop_key] = build_bundle(pop)
+            except FloatingPointError as exc:
+                raise ParamError(
+                    f"the population parameters overflow: {exc}") from exc
 
     def one(sc):
         return run_scenario(grid, sc, bundles[sc.pop_key], master_seed)
@@ -337,26 +343,6 @@ def run_grid(grid: ScenarioGrid, master_seed: int,
         results = [one(sc) for sc in scenarios]
     return GridResult(grid=grid, master_seed=master_seed,
                       scenarios=scenarios, results=results, bundles=bundles)
-
-
-@dataclass(frozen=True)
-class MetricsRow:
-    """Per-scenario, per-estimator summary metrics."""
-
-    tau: float
-    beta_mod: float
-    sd_eps1: float
-    n: int
-    m: float
-    estimator: str
-    target: float
-    bias: float
-    rmse: float
-    coverage: float
-    ci_width: float
-    power: Optional[float]
-    n_fail: int
-    warnings: str
 
 
 def scenario_metrics(result: ScenarioResult,
@@ -398,7 +384,7 @@ def _number(cell) -> float:
     return float(cell)
 
 
-#: metrics.csv columns and their parsers; the names are MetricsRow fields.
+#: metrics.csv columns and their parsers, in file order.
 METRICS_COLUMNS = {
     "n": int, "m": _number, "tau": _number, "beta_mod": _number,
     "sd_eps1": _number, "estimator": str, "target": _number,
@@ -408,18 +394,19 @@ METRICS_COLUMNS = {
     "n_fail": int, "warnings": str}
 METRICS_HEADER = list(METRICS_COLUMNS)
 
+#: Per-scenario, per-estimator summary metrics: one metrics.csv row.
+MetricsRow = namedtuple("MetricsRow", METRICS_HEADER)
+
 
 def metrics_to_csv(rows, path) -> None:
     """Write metric rows with a stable column order and full precision."""
-    tables.write(path, METRICS_HEADER,
-                 [[getattr(r, name) for r in rows] for name in METRICS_HEADER])
+    tables.write(path, METRICS_HEADER, zip(*rows))
 
 
 def metrics_from_csv(path) -> list:
     """Inverse of `metrics_to_csv` (exact for finite values)."""
-    columns = tables.read(path, METRICS_COLUMNS)
-    return [MetricsRow(**dict(zip(METRICS_HEADER, values)))
-            for values in zip(*columns)]
+    return list(map(MetricsRow._make,
+                    zip(*tables.read(path, METRICS_COLUMNS))))
 
 
 def _policy_block(results) -> dict:

@@ -218,25 +218,18 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     out[:, 12] = 0.0
 
     # the regressions and the per-arm line fits need an observed baseline
-    # that varies overall and within each arm
+    # that varies overall and within each arm; every row is computed, and
+    # a row without one is failed, so its 0 / 0 and x / 0 are never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fits = (_arm_fit(bobs[:, :n0], yobs[:, :n0]),
+                _arm_fit(bobs[:, n0:], yobs[:, n0:]))
+        _regressions(bobs, diffs, fits, fpc, out)
+        _policy(fits, sort_b, cum0, cum1, out)
     ok = _varies(bobs) & _varies(bobs[:, :n0]) & _varies(bobs[:, n0:])
     if not ok.all():
         out[~ok, 4:12] = np.nan
         out[~ok, 12] = 1.0
         out[~ok, 13] = np.nan
-        rows = np.flatnonzero(ok)
-        if rows.size == 0:
-            return
-        bobs, yobs, diffs = bobs[rows], yobs[rows], diffs[rows]
-        sub = out[rows]
-    else:
-        rows, sub = None, out
-    fits = (_arm_fit(bobs[:, :n0], yobs[:, :n0]),
-            _arm_fit(bobs[:, n0:], yobs[:, n0:]))
-    _regressions(bobs, diffs, fits, fpc, sub)
-    _policy(fits, sort_b, cum0, cum1, sub)
-    if rows is not None:
-        out[rows] = sub
 
 
 def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,

@@ -2,15 +2,15 @@
 
 Per-arm regression fits from a study are used to impute potential
 outcomes for a target population; regimes are then chosen per plot,
-either unconstrained (row-wise argmax), restricted to a uniform arm, or
-under an additive budget.  The budgeted problem is a multiple-choice
-knapsack; it is solved exactly by dynamic programming when costs are
-integral and its table fits the limits, and otherwise by the LP
-relaxation, solved exactly by a greedy walk of each plot's convex hull,
-with its one fractional plot rounded down to the cheaper of its two hull
-arms.  The exact solver fixes every plot that the LP's bound settles and
-runs its table on the core of plots left; its size limits count the
-cells of that core table, so the solver is picked from the instance.
+either unconstrained (row-wise argmax) or under an additive budget.
+The budgeted problem is a multiple-choice knapsack; it is solved
+exactly by dynamic programming when costs are integral and its table
+fits the limits, and otherwise by the LP relaxation, solved exactly by
+a greedy walk of each plot's convex hull, with its one fractional plot
+rounded down to the cheaper of its two hull arms.  The exact solver
+fixes every plot that the LP's bound settles and runs its table on the
+core of plots left; its size limits count the cells of that core table,
+so the solver is picked from the instance.
 """
 
 import math
@@ -24,7 +24,6 @@ from . import linalg
 from .errors import (DimensionError, FitError, InfeasibleBudgetError,
                      ParamError, SingularMatrixError)
 from .design import ObservedStudy
-from .population import Population, papo
 
 #: Largest core table the exact dynamic program will fill.
 DP_MAX_PLOTS = 10_000
@@ -121,22 +120,6 @@ def optimal_unconstrained(imputed: np.ndarray) -> PolicyRegime:
     predicted = float(imputed.max(axis=1).mean())
     return PolicyRegime(regime=regime, predicted_mean=predicted,
                         total_cost=0.0)
-
-
-def optimal_restricted(study: ObservedStudy, n_plots: int) -> PolicyRegime:
-    """Uniform regime at the arm with the largest observed mean outcome."""
-    means = np.array([study.outcome_obs[study.arm == k].mean()
-                      for k in range(study.n_arms)])
-    best = int(means.argmax())  # argmax takes the first max: tie -> control
-    return PolicyRegime(regime=np.full(n_plots, best, dtype=np.intp),
-                        predicted_mean=float(means[best]), total_cost=0.0)
-
-
-def realized_value(pop: Population, regime) -> float:
-    """Oracle evaluation of a regime against the true potential outcomes."""
-    if isinstance(regime, PolicyRegime):
-        regime = regime.regime
-    return papo(pop, regime)
 
 
 def _check_budget_inputs(imputed: np.ndarray, costs: CostModel):
@@ -315,12 +298,15 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
                  lam: float) -> Optional[PolicyRegime]:
     """Exact multiple-choice knapsack: a DP table on an LP-reduced core.
 
-    Returns None if some cost is more than 1e-9 from an integer, or if
-    the next core table would hold more than DP_MAX_PLOTS plots or
-    DP_MAX_CELLS cells.  With lam >= 0 (`optimal_budgeted` passes the
-    LP's dual price of the budget) and r = value - lam * cost, every
-    regime within budget B is worth at most U = sum_i max_a r_ia +
-    lam * B (Dembo & Hammer 1980).  So a plot whose best arm by r beats
+    Returns None if some cost is more than 1e-9 from an integer, if the
+    next core table would hold more than DP_MAX_PLOTS plots or
+    DP_MAX_CELLS cells, or where rounding the costs decides feasibility:
+    if the rounded cheapest regime overspends the floored budget, or the
+    regime found overspends at the true costs.  With lam >= 0
+    (`optimal_budgeted` passes the LP's dual price of the budget) and
+    r = value - lam * cost, every regime within budget B is worth at
+    most U = sum_i max_a r_ia + lam * B (Dembo & Hammer 1980).  So a
+    plot whose best arm by r beats
     its second best by more than U - L, L the value of any regime within
     budget, keeps its best arm in every optimum.  The table runs on the
     core of plots with the smallest such slack, the rest fixed at their
@@ -340,6 +326,8 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
     # the largest integral spend `_check_cheapest` admits, kept finite
     # for `floor` where the cap of a huge budget overflows
     budget = math.floor(min(_spend_cap(costs.budget), sys.float_info.max))
+    if cost_int.T.copy().min(axis=0).sum() > budget:
+        return None
     rows = np.arange(n)
     reduced = imputed - lam * cost_int
     top = reduced.argmax(axis=1)
@@ -384,10 +372,12 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
         if need <= size:
             break
         size = need
+    total = costs.total_cost(regime)
+    if total > _spend_cap(costs.budget):
+        return None
     predicted = float(imputed[rows, regime].mean())
     return PolicyRegime(regime=regime, predicted_mean=predicted,
-                        total_cost=costs.total_cost(regime),
-                        optimality_gap=0.0)
+                        total_cost=total, optimality_gap=0.0)
 
 
 def optimal_budgeted(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:

@@ -4,7 +4,8 @@ The acceptance tests record one verdict per release criterion in
 `ACCEPTANCE_VERDICTS`, which `conftest.py` prints after the run.
 `csv_row` gives the line `soilrct estimate` prints for one estimate.
 `textbook_dp_table` is the plain multiple-choice knapsack table that
-`policy._dp_table` must agree with, regime for regime.
+`policy._dp_table` must agree with, regime for regime, and
+`optimal_restricted` the uniform regime that kernel column 11 scores.
 
 The test modules import these from here, not from `conftest`: pytest
 keeps only the last conftest it loads as the module `conftest`, and
@@ -17,6 +18,8 @@ from typing import Optional
 import numpy as np
 
 from soilrct import estimators, tables
+from soilrct.design import ObservedStudy
+from soilrct.policy import PolicyRegime
 
 ACCEPTANCE_VERDICTS = []
 
@@ -68,3 +71,12 @@ def textbook_dp_table(values: np.ndarray, cost_int: np.ndarray,
         regime[i] = arm
         remaining += int(cost_int[i, arm])
     return regime
+
+
+def optimal_restricted(study: ObservedStudy, n_plots: int) -> PolicyRegime:
+    """Uniform regime at the arm with the largest observed mean outcome."""
+    means = np.array([study.outcome_obs[study.arm == k].mean()
+                      for k in range(study.n_arms)])
+    best = int(means.argmax())  # argmax takes the first max: tie -> control
+    return PolicyRegime(regime=np.full(n_plots, best, dtype=np.intp),
+                        predicted_mean=float(means[best]), total_cost=0.0)

@@ -271,6 +271,49 @@ def test_simulate_failed_write_leaves_no_run_dir(runner, tmp_path,
     assert list(out.iterdir()) == []
 
 
+def test_simulate_out_flag_overrides_config_out(runner, tmp_path,
+                                                monkeypatch):
+    # `--out .` names the working directory, as any other --out would
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.yaml").write_text(TINY_CONFIG + "out: elsewhere\n")
+    result = runner.invoke(cli.main, ["simulate", "--config", "run.yaml",
+                                      "--out", "."])
+    assert result.exit_code == 0, result.output
+    assert Path(result.output.strip()).parent == Path(".")
+    assert not (tmp_path / "elsewhere").exists()
+    result = runner.invoke(cli.main, ["simulate", "--config", "run.yaml"])
+    assert Path(result.output.strip()).parent == Path("elsewhere")
+
+
+#: Each top-level config key takes each of these YAML values in turn; YAML
+#: reads `1e308` as a string, so the float is written `1.0e+308`.
+GUARD_VALUES = ["null", "true", '"x"', "[]", "[1]", "{a: 1}", "1.5", "-1",
+                "0", "7", ".nan", "1.0e+308"]
+
+GUARD_CONFIG = {"grid": "custom", "taus": "[0.0]", "beta_mods": "[-0.5]",
+                "sd_eps1s": "[0.0]", "sample_sizes": "[6]",
+                "samples_per_plot": "[inf]", "n_replicates": "2",
+                "population_size": "12"}
+
+
+@pytest.mark.parametrize("value", GUARD_VALUES)
+@pytest.mark.parametrize("key", cli._TOP_KEYS)
+def test_simulate_answers_or_refuses_any_config_value(runner, tmp_path,
+                                                      monkeypatch, key,
+                                                      value):
+    monkeypatch.chdir(tmp_path)
+    config = dict(GUARD_CONFIG, **{key: value})
+    (tmp_path / "run.yaml").write_text(
+        "".join(f"{k}: {v}\n" for k, v in config.items()))
+    result = runner.invoke(cli.main, ["simulate", "--config", "run.yaml"])
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not list(tmp_path.rglob("*run-*"))
+
+
 def test_simulate_replaces_an_existing_run_dir(runner, tmp_path):
     config = tmp_path / "run.yaml"
     config.write_text(TINY_CONFIG)

@@ -8,7 +8,8 @@ from scipy import stats
 
 from soilrct import design, estimators, harness, kernels, linalg, policy
 from soilrct.design import ObservedStudy
-from soilrct.population import Population, generate_population
+from soilrct.population import Population, generate_population, papo
+from support import optimal_restricted
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +77,8 @@ def library_policy_values(pop, raw):
     coeffs = policy.fit_per_arm(raw)
     imputed = policy.impute_population(coeffs, pop.covariates)
     plug_in = policy.optimal_unconstrained(imputed)
-    restricted = policy.optimal_restricted(raw, pop.n_plots)
-    return [policy.realized_value(pop, plug_in),
-            policy.realized_value(pop, restricted)]
+    restricted = optimal_restricted(raw, pop.n_plots)
+    return [papo(pop, plug_in.regime), papo(pop, restricted.regime)]
 
 
 def test_population_tables_prefix_sums():

@@ -13,10 +13,9 @@ from soilrct import policy
 from soilrct.policy import (CostModel, PolicyRegime, _budgeted_dp,
                             _budgeted_lp, _dp_table, fit_per_arm,
                             impute_population, optimal_budgeted,
-                            optimal_restricted, optimal_unconstrained,
-                            realized_value)
-from soilrct.population import PopulationParams, generate_population
-from support import textbook_dp_table
+                            optimal_unconstrained)
+from soilrct.population import PopulationParams, generate_population, papo
+from support import optimal_restricted, textbook_dp_table
 
 
 def study_from(b, y, z):
@@ -150,8 +149,8 @@ def test_realized_value_uses_true_outcomes():
     pop = generate_population(params, 6)
     oracle = np.maximum(pop.po[:, 0], pop.po[:, 1]).mean()
     best = (pop.po[:, 1] > pop.po[:, 0]).astype(int)
-    assert realized_value(pop, best) == pytest.approx(oracle)
-    assert realized_value(pop, np.zeros(100, int)) == pytest.approx(
+    assert papo(pop, best) == pytest.approx(oracle)
+    assert papo(pop, np.zeros(100, int)) == pytest.approx(
         pop.po[:, 0].mean())
 
 
@@ -449,6 +448,32 @@ def test_near_integral_large_costs_go_to_lp_within_budget():
     got = optimal_budgeted(imputed, costs)
     assert got.total_cost <= costs.budget
     assert got.total_cost == 100000.4
+    assert got.optimality_gap > 0.0
+
+
+def test_rounding_up_the_cheapest_regime_does_not_refuse_its_budget():
+    # rounded, the ten cheapest arms cost 10 against a floored budget of
+    # 9, yet at their true costs they spend exactly the budget
+    imputed = np.tile([0.0, 1.0], (10, 1))
+    cost = np.tile([0.9999999995, 2.0], (10, 1))
+    costs = CostModel(cost=cost, budget=float(cost[:, 0].sum()))
+    assert _budgeted_dp(imputed, costs, hull(imputed, costs)[3]) is None
+    got = optimal_budgeted(imputed, costs)
+    assert np.all(got.regime == 0)
+    assert got.total_cost == costs.budget
+    assert got.optimality_gap == 0.0
+
+
+def test_rounding_down_the_costs_does_not_overspend_the_budget():
+    # rounded, ten treated plots cost 10 and fit; at 1.0000000009 each
+    # they overspend the budget by more than its slack
+    imputed = np.tile([0.0, 1.0], (10, 1))
+    cost = np.tile([0.0, 1.0000000009], (10, 1))
+    costs = CostModel(cost=cost, budget=10.0)
+    assert _budgeted_dp(imputed, costs, hull(imputed, costs)[3]) is None
+    got = optimal_budgeted(imputed, costs)
+    assert got.total_cost <= policy._spend_cap(costs.budget)
+    assert np.count_nonzero(got.regime) == 9
     assert got.optimality_gap > 0.0
 
 
