@@ -47,16 +47,18 @@ def kernel_args(n, replicates, n_pop):
     bundle = harness.build_bundle(pop)
     perm, noise = design.draw_replicates(
         harness.scenario_rng(SEED, scenario), replicates, n, n_pop)
+    sd = grid.sigma_delta(scenario.m)
     return (pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
             np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
             bundle.cum1, bundle.mean_y0, bundle.mean_y1, perm, noise,
-            grid.sigma_delta(scenario.m), n // 2)
+            sd, n // 2,
+            kernels.sd_fpc(bundle.baseline_moments, sd, n, n_pop))
 
 
 def library_row(args, r):
     """Kernel columns 0-9 of replicate r from the library estimators."""
     b, y0, y1 = args[:3]
-    perm, noise, sd, n0 = args[8:]
+    perm, noise, sd, n0 = args[8:12]
     idx = perm[r]
     n = idx.shape[0]
     z = np.repeat([0, 1], [n0, n - n0])

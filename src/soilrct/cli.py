@@ -194,28 +194,42 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
 
     # the run directory appears complete or not at all: it is written as a
     # temporary sibling, made before the grid runs so that an unusable
-    # --out fails at once, and renamed once every file is in it
+    # --out fails at once, and renamed once every file is in it; a run
+    # that exits 2 or 3 also removes the directories that making it made
     digest = grid_hash(grid, seed)
     run_dir = out_dir / f"run-{seed}-{digest[:12]}"
     tmp_dir = out_dir / f".{run_dir.name}.{os.getpid()}.tmp"
     shutil.rmtree(tmp_dir, ignore_errors=True)
+    made = [tmp_dir.parent]
+    while not made[-1].exists():
+        made.append(made[-1].parent)
+    made.pop()
     try:
         tmp_dir.mkdir(parents=True)
     except OSError as exc:
         _fail(EXIT_CONFIG, f"cannot write to --out {out_dir}: {exc}")
+    failure = None
     try:
         try:
             run = harness.run_grid(grid, seed, threads=threads)
+            _write_run(tmp_dir, run, grid_name, threads, digest)
         except ScenarioAbortError as exc:
-            _fail(EXIT_ABORT, str(exc))
-        except ParamError as exc:  # a population the parameters cannot give
-            _fail(EXIT_CONFIG, str(exc))
-        _write_run(tmp_dir, run, grid_name, threads, digest)
-        if run_dir.exists():
-            shutil.rmtree(run_dir)
-        tmp_dir.rename(run_dir)
+            failure = EXIT_ABORT, str(exc)
+        except ParamError as exc:  # values the parameters cannot give
+            failure = EXIT_CONFIG, str(exc)
+        else:
+            if run_dir.exists():
+                shutil.rmtree(run_dir)
+            tmp_dir.rename(run_dir)
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
+    if failure is not None:
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:  # no longer empty: keep it and its parents
+                break
+        _fail(*failure)
     click.echo(str(run_dir))
     sys.exit(EXIT_OK)
 
@@ -294,8 +308,9 @@ def estimate(study_csv, name, alpha):
 
 
 def _read_target(path):
-    """Target covariates for imputation: a population CSV (which also
-    enables oracle evaluation) or a bare `plot_id,baseline` table.
+    """Target plot ids and covariates for imputation, from a population
+    CSV (which also enables oracle evaluation, and is returned) or a bare
+    `plot_id,baseline` table.  A repeated plot id is refused.
 
     The kind is decided by the header row alone, as the strict `csv`
     reader sees it; a header row it cannot read makes the target a
@@ -308,18 +323,34 @@ def _read_target(path):
         header = None
     if header != ["plot_id", "baseline"]:
         pop = Population.from_csv(path)
-        return pop.covariates, pop
-    _, baseline = tables.read(path, {"plot_id": str, "baseline": float})
-    b = np.array(baseline)
-    return np.column_stack([np.ones_like(b), b]), None
+        ids, covariates = pop.plot_id, pop.covariates
+    else:
+        pop = None
+        ids, baseline = tables.read(path, {"plot_id": str, "baseline": float})
+        b = np.array(baseline)
+        covariates = np.column_stack([np.ones_like(b), b])
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for line, plot in enumerate(ids, 2):
+            if plot in seen:
+                raise SchemaError(f"{path}:{line}: duplicate plot_id "
+                                  f"{plot!r}")
+            seen.add(plot)
+    return ids, covariates, pop
 
 
-def _read_costs(path, n_plots, n_arms, budget) -> policy.CostModel:
-    _, *cost = tables.read(path, dict(
+def _read_costs(path, ids, n_arms, budget) -> policy.CostModel:
+    """The cost table at `path`, whose rows must name the target's plots
+    `ids` in the target's order."""
+    cost_ids, *cost = tables.read(path, dict(
         [("plot_id", str)] + [(f"cost{k}", float) for k in range(n_arms)]))
-    if len(cost[0]) != n_plots:
+    if len(cost_ids) != len(ids):
         raise SchemaError(
-            f"{path}: {len(cost[0])} cost rows for {n_plots} target plots")
+            f"{path}: {len(cost_ids)} cost rows for {len(ids)} target plots")
+    if cost_ids != ids:
+        row = next(i for i, (a, b) in enumerate(zip(cost_ids, ids)) if a != b)
+        raise SchemaError(f"{path}:{row + 2}: plot_id {cost_ids[row]!r} "
+                          f"where the target has {ids[row]!r}")
     # arm-major: numpy reduces the first axis of a (K, n) array far faster
     # than the second of an (n, K) one
     cost = np.array(cost)
@@ -352,10 +383,10 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
         if budget is not None and cost_csv is None:
             raise SchemaError("--budget requires --costs")
         study = design.ObservedStudy.from_csv(study_csv)
-        target_cov, target_pop = _read_target(target_csv)
-        shape = (target_cov.shape[0], study.n_arms)
-        costs = (policy.CostModel(np.zeros(shape)) if cost_csv is None
-                 else _read_costs(cost_csv, *shape,
+        target_ids, target_cov, target_pop = _read_target(target_csv)
+        costs = (policy.CostModel(np.zeros((len(target_ids), study.n_arms)))
+                 if cost_csv is None
+                 else _read_costs(cost_csv, target_ids, study.n_arms,
                                   math.inf if budget is None else budget))
     except SoilRctError as exc:
         _fail(EXIT_CONFIG, str(exc))
@@ -376,9 +407,8 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
                          realized_mean=papo(target_pop, regime.regime))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    arms = regime.regime.tolist()
     tables.write(out_dir / "regime.csv", ["plot_id", "arm"],
-                 [range(len(arms)), arms])
+                 [target_ids, regime.regime.tolist()])
     summary = regime.summary()
     summary["budget"] = "inf" if costs.budget == math.inf else costs.budget
     (out_dir / "policy.json").write_text(

@@ -200,6 +200,7 @@ class PopulationBundle:
     sort_b: np.ndarray
     cum0: np.ndarray
     cum1: np.ndarray
+    baseline_moments: tuple
 
 
 def build_bundle(pop: Population) -> PopulationBundle:
@@ -210,7 +211,8 @@ def build_bundle(pop: Population) -> PopulationBundle:
         population=pop, pate=pate(pop, 1),
         mean_y0=float(y0.mean()), mean_y1=float(y1.mean()),
         oracle_value=float(np.maximum(y0, y1).mean()),
-        sort_b=sort_b, cum0=cum0, cum1=cum1)
+        sort_b=sort_b, cum0=cum0, cum1=cum1,
+        baseline_moments=kernels.baseline_moments(pop.baseline))
 
 
 @dataclass(frozen=True)
@@ -241,40 +243,48 @@ class ScenarioResult:
         sample SD that scales its baseline.  Estimates and variances are
         stacked as C-contiguous (5, k) rows, which numpy sums in the same
         pairwise order as each lone column, so no digit depends on the
-        stacking.
+        stacking.  A sum that overflows raises ParamError.
         """
         ok = self.valid()
         k = ok.shape[0]
         est = np.ascontiguousarray(ok[:, 0:10:2].T)
         var = np.ascontiguousarray(ok[:, 1:10:2].T)
-        var[3] += ok[:, _MOD_SCALE_VAR]
         value = np.ascontiguousarray(ok[:, 10:12].T)
         target = np.array([self.pate] * 3 + [self.scenario.beta_mod] * 2)
-        err = est - target[:, np.newaxis]
-        half = _Z975 * np.sqrt(var)
-        gap = value[0] - value[1]
-        with np.errstate(invalid="ignore"):  # k = 0 gives 0 / 0 = nan
-            means = {
-                "bias": err.sum(axis=1) / k,
-                "rmse": np.sqrt((err * err).sum(axis=1) / k),
-                "coverage": (np.abs(err) <= half).sum(axis=1) / k,
-                "ci_width": (2.0 * half).sum(axis=1) / k,
-                "power": (est - half > 0.0).sum(axis=1) / k,
-                "bias_se": est.std(axis=1, ddof=1) / math.sqrt(k) if k > 1
-                else np.full(5, math.nan),
-                # the mean realized policy values, estimated and restricted
-                "value": value.sum(axis=1) / k,
-                "gap_mean": gap.sum() / k,
-            }
+        try:
+            # k = 0 gives 0 / 0 = nan
+            with np.errstate(invalid="ignore", over="raise"):
+                var[3] += ok[:, _MOD_SCALE_VAR]
+                err = est - target[:, np.newaxis]
+                half = _Z975 * np.sqrt(var)
+                gap = value[0] - value[1]
+                means = {
+                    "bias": err.sum(axis=1) / k,
+                    "rmse": np.sqrt((err * err).sum(axis=1) / k),
+                    "coverage": (np.abs(err) <= half).sum(axis=1) / k,
+                    "ci_width": (2.0 * half).sum(axis=1) / k,
+                    "power": (est - half > 0.0).sum(axis=1) / k,
+                    "bias_se": est.std(axis=1, ddof=1) / math.sqrt(k)
+                    if k > 1 else np.full(5, math.nan),
+                    # the mean realized policy values, estimated and
+                    # restricted
+                    "value": value.sum(axis=1) / k,
+                    "gap_mean": gap.sum() / k,
+                }
+                gap_var = float(gap.var(ddof=1) / k) if k > 1 else 0.0
+        except FloatingPointError as exc:
+            raise ParamError(f"scenario {self.scenario}: the metrics "
+                             f"overflow: {exc}") from exc
         out = {key: val.tolist() for key, val in means.items()}
-        out["gap_var"] = float(gap.var(ddof=1) / k) if k > 1 else 0.0
+        out["gap_var"] = gap_var
         out["n_valid"] = k
         return out
 
 
 def run_scenario(grid: ScenarioGrid, scenario: Scenario,
                  bundle: PopulationBundle, master_seed: int) -> ScenarioResult:
-    """Execute every replicate of one scenario through the kernel."""
+    """Execute every replicate of one scenario through the kernel; raise
+    ParamError if a measurement or an estimate overflows."""
     reps = grid.n_replicates
     n = scenario.n
     pop = bundle.population
@@ -283,12 +293,18 @@ def run_scenario(grid: ScenarioGrid, scenario: Scenario,
     perm, noise = design.draw_replicates(
         scenario_rng(master_seed, scenario), reps, n, pop.n_plots,
         with_noise=sigma_delta != 0.0)
-    raw = kernels.scenario_kernel(
-        pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
-        np.ascontiguousarray(pop.po[:, 1]),
-        bundle.sort_b, bundle.cum0, bundle.cum1,
-        bundle.mean_y0, bundle.mean_y1,
-        perm, noise, sigma_delta, n // 2)
+    fpc = kernels.sd_fpc(bundle.baseline_moments, sigma_delta, n,
+                         pop.n_plots)
+    try:
+        raw = kernels.scenario_kernel(
+            pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
+            np.ascontiguousarray(pop.po[:, 1]),
+            bundle.sort_b, bundle.cum0, bundle.cum1,
+            bundle.mean_y0, bundle.mean_y1,
+            perm, noise, sigma_delta, n // 2, fpc)
+    except FloatingPointError as exc:
+        raise ParamError(f"scenario {scenario}: the measurements overflow: "
+                         f"{exc}") from exc
     n_fail = int((raw[:, 12] != 0.0).sum())
     if n_fail > MAX_FAILURE_RATE * reps:
         raise ScenarioAbortError(

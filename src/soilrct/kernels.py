@@ -13,6 +13,13 @@ Two rules keep the output bitwise reproducible:
   matrix products or linear solves, so no threaded BLAS or LAPACK call
   can enter and the BLAS thread count cannot change a digit.
 
+Each row sum is taken once.  The per-arm line fits also give the
+difference in means, its variance and the per-arm failure tests; the
+centred pooled baseline gives both its variance and the standardized
+baseline of the naive slope.  What depends on the population alone
+(`population_tables`, `baseline_moments`) is computed once per
+population by the caller, not per scenario.
+
 Replicates are processed in row blocks of at most `BLOCK_ELEMENTS`
 replicate-plot cells, which bounds the kernel's working memory; since
 each row is computed independently, the output is the same for any block
@@ -46,14 +53,52 @@ _MIN_DENOM = 1e-12
 
 def population_tables(b, y0, y1):
     """Sorted baselines and potential-outcome prefix sums for fast policy
-    evaluation.  `cum0[j]` is the sum of y0 over the j smallest baselines."""
-    order = np.argsort(b, kind="stable")
-    sort_b = np.ascontiguousarray(b[order])
+    evaluation.  `cum0[j]` is the sum of y0 over the j smallest baselines.
+
+    The plots are taken in stable-sort order.  Any sort gives that order
+    when no two baselines are equal (0.0 and -0.0 are equal), so the
+    faster default sort is kept unless the sorted baselines hold a tie.
+    """
+    order = np.argsort(b)
+    sort_b = b[order]
+    if (sort_b[1:] == sort_b[:-1]).any():
+        order = np.argsort(b, kind="stable")
+        sort_b = b[order]
     cum0 = np.zeros(b.shape[0] + 1)
     cum1 = np.zeros(b.shape[0] + 1)
     np.cumsum(y0[order], out=cum0[1:])
     np.cumsum(y1[order], out=cum1[1:])
     return sort_b, cum0, cum1
+
+
+def baseline_moments(b):
+    """Variance and mu4 - sigma^4 of the baselines `b`, central moments
+    over the whole population, as `sd_fpc` takes them."""
+    d = b - b.mean()
+    d2 = d * d
+    var_b = d2.mean()
+    return float(var_b), float((d2 * d2).mean() - var_b * var_b)
+
+
+def sd_fpc(moments, sigma_delta, n, n_pop):
+    """Finite-population factor on the sampling variance of the observed
+    baseline's sample variance, when `n` of `n_pop` plots whose baselines
+    have `baseline_moments` are enrolled without replacement and observed
+    with normal noise of SD `sigma_delta`.
+
+    To first order that variance is ((1 - n/N) P + E) / n, where
+    P = mu4 - sigma^4 comes from the plots (central moments of the
+    baselines) and E = 4 sigma^2 sigma_delta^2 + 2 sigma_delta^4 from the
+    fresh noise, which no finite population bounds.  The sample kurtosis
+    estimates (P + E) / sigma_obs^4, so the factor is
+    1 - (n/N) P / (P + E): 1 - n/N with no noise, and nearer 1 the
+    noisier the measurement.
+    """
+    var_b, plots = moments
+    s2 = sigma_delta * sigma_delta
+    total = plots + 4.0 * var_b * s2 + 2.0 * s2 * s2
+    share = plots / total if total > 0.0 else 1.0
+    return 1.0 - n / n_pop * share
 
 
 def _mean(x):
@@ -70,57 +115,35 @@ def _var1(x, mean):
 def _arm_fit(x, y):
     """Row-wise least-squares line of y on x within one arm.
 
-    Returns the arm means of x and y, x centred on its mean (dx), the sum
-    of squares S = sum dx^2, the slope, and the HC2 residual weights
-    omega = e^2 / (1 - h) with leverage h = 1/n + dx^2 / S.
+    Returns the arm means of x and y, the sample variance of y (n - 1
+    denominator), x centred on its mean (dx) and its square, the sum of
+    squares S = sum dx^2, the slope, the HC2 residual weights
+    omega = e^2 / (1 - h) with leverage h = 1/n + dx^2 / S, and the rows
+    whose x varies: not all equal, and with S / (n - 1) > 0.  The first
+    test catches a constant row whose mean rounds away from its value,
+    which leaves a sum of squares of pure round-off.
     """
+    n = x.shape[1]
     mx = _mean(x)
     my = _mean(y)
     dx = x - mx[:, None]
     dy = y - my[:, None]
-    ss = (dx * dx).sum(axis=1)
+    var_y = (dy * dy).sum(axis=1) / (n - 1)
+    dx2 = dx * dx
+    ss = dx2.sum(axis=1)
     slope = (dx * dy).sum(axis=1) / ss
     resid = dy - slope[:, None] * dx
-    lev = 1.0 / x.shape[1] + dx * dx / ss[:, None]
+    lev = 1.0 / n + dx2 / ss[:, None]
     omega = resid * resid / np.maximum(1.0 - lev, _MIN_DENOM)
-    return mx, my, dx, ss, slope, omega
-
-
-def _varies(x):
-    """Rows whose values are not all equal and have positive sample
-    variance.  The first test catches a constant row whose mean rounds
-    away from its value, which leaves a variance of pure round-off."""
-    return (x.max(axis=1) > x.min(axis=1)) & (_var1(x, _mean(x)) > 0.0)
-
-
-def _sd_fpc(b, sigma_delta, n):
-    """Finite-population factor on the sampling variance of the observed
-    baseline's sample variance, when `n` of the plots with baselines `b`
-    are enrolled without replacement and observed with normal noise of SD
-    `sigma_delta`.
-
-    To first order that variance is ((1 - n/N) P + E) / n, where
-    P = mu4 - sigma^4 comes from the plots (central moments of `b`) and
-    E = 4 sigma^2 sigma_delta^2 + 2 sigma_delta^4 from the fresh noise,
-    which no finite population bounds.  The sample kurtosis estimates
-    (P + E) / sigma_obs^4, so the factor is 1 - (n/N) P / (P + E): 1 - n/N
-    with no noise, and nearer 1 the noisier the measurement.
-    """
-    d = b - b.mean()
-    d2 = d * d
-    var_b = d2.mean()
-    plots = (d2 * d2).mean() - var_b * var_b
-    s2 = sigma_delta * sigma_delta
-    total = plots + 4.0 * var_b * s2 + 2.0 * s2 * s2
-    share = plots / total if total > 0.0 else 1.0
-    return 1.0 - n / b.shape[0] * share
+    varies = (x.max(axis=1) > x.min(axis=1)) & (ss / (n - 1) > 0.0)
+    return mx, my, var_y, dx, dx2, ss, slope, omega, varies
 
 
 def _regressions(bobs, diffs, fits, fpc, out):
     """Interacted OLS with HC2 variance (columns 4-7), the naive
     change-on-baseline slope (columns 8-9) and the moderator's sample-SD
     variance term (column 13), for rows whose baseline varies overall and
-    within each arm.
+    within each arm.  Returns the pooled baseline's row sample variances.
 
     The paper's OLS regresses the outcome on treatment, baseline in
     sample SD units and their interaction.  That design spans the same
@@ -132,8 +155,11 @@ def _regressions(bobs, diffs, fits, fpc, out):
     """
     n = bobs.shape[1]
     mean_b = _mean(bobs)
-    sd_b = np.sqrt(_var1(bobs, mean_b))
-    (mx0, my0, dx0, ss0, s0, om0), (mx1, my1, dx1, ss1, s1, om1) = fits
+    db = bobs - mean_b[:, None]
+    var_b = (db * db).sum(axis=1) / (n - 1)
+    sd_b = np.sqrt(var_b)
+    ((mx0, my0, _, dx0, dx02, ss0, s0, om0, _),
+     (mx1, my1, _, dx1, dx12, ss1, s1, om1, _)) = fits
     # the line at c weighs a plot by 1/n_a + (c - mean x_a) dx / S_a
     at0 = (mean_b - mx0) / ss0
     at1 = (mean_b - mx1) / ss1
@@ -143,12 +169,12 @@ def _regressions(bobs, diffs, fits, fpc, out):
     out[:, 5] = (l0 * l0 * om0).sum(axis=1) + (l1 * l1 * om1).sum(axis=1)
     # a slope weighs a plot by dx / S_a, and by sd_b dx / S_a per SD
     out[:, 6] = (s1 - s0) * sd_b
-    out[:, 7] = sd_b * sd_b * ((dx0 * dx0 * om0).sum(axis=1) / (ss0 * ss0)
-                               + (dx1 * dx1 * om1).sum(axis=1) / (ss1 * ss1))
+    out[:, 7] = sd_b * sd_b * ((dx02 * om0).sum(axis=1) / (ss0 * ss0)
+                               + (dx12 * om1).sum(axis=1) / (ss1 * ss1))
 
     # naive change-on-baseline slope on baseline in sample SD units, arms
     # pooled, HC2 variance
-    bs = (bobs - mean_b[:, None]) / sd_b[:, None]
+    bs = db / sd_b[:, None]
     mean_d = _mean(diffs)
     dbs = bs * (diffs - mean_d[:, None])
     bs2 = bs * bs
@@ -166,17 +192,18 @@ def _regressions(bobs, diffs, fits, fpc, out):
     # an estimate of the population SD: by the delta method, rescaling by
     # it adds est^2 (m4 / m2^2 - 1) fpc / (4 n) to the variance, where m2
     # and m4 are the second and fourth moments of the standardized
-    # baseline and `fpc` (see `_sd_fpc`) corrects for sampling the plots
+    # baseline and `fpc` (see `sd_fpc`) corrects for sampling the plots
     # without replacement
     kurtosis = n * (bs2 * bs2).sum(axis=1) / (ss * ss)
     out[:, 13] = out[:, 6] * out[:, 6] * (kurtosis - 1.0) * fpc / (4 * n)
+    return var_b
 
 
 def _policy(fits, sort_b, cum0, cum1, out):
     """Realized value of the plug-in regime from the per-arm line fits,
     scored on the population (column 10)."""
     n_pop = sort_b.shape[0]
-    (mx0, my0, _, _, s0, _), (mx1, my1, _, _, s1, _) = fits
+    (mx0, my0, *_, s0, _, _), (mx1, my1, *_, s1, _, _) = fits
     dint = (my1 - s1 * mx1) - (my0 - s0 * mx0)
     dslope = s1 - s0
     # treat where the fitted effect dint + dslope * b is positive; a plot
@@ -203,11 +230,14 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
         yobs += sigma_delta * noise[:, :, 1]
     diffs = yobs - bobs
 
-    mean_t = _mean(yobs[:, n0:])
-    mean_c = _mean(yobs[:, :n0])
+    # the regressions and the per-arm line fits need an observed baseline
+    # that varies overall and within each arm; every row is computed, and
+    # a row without one is failed, so its 0 / 0 and x / 0 are never read
+    fits = (_arm_fit(bobs[:, :n0], yobs[:, :n0]),
+            _arm_fit(bobs[:, n0:], yobs[:, n0:]))
+    (_, mean_c, var_c, *_, varies0), (_, mean_t, var_t, *_, varies1) = fits
     out[:, 0] = mean_t - mean_c
-    out[:, 1] = (_var1(yobs[:, :n0], mean_c) / n0
-                 + _var1(yobs[:, n0:], mean_t) / n1)
+    out[:, 1] = var_c / n0 + var_t / n1
     mean_dt = _mean(diffs[:, n0:])
     mean_dc = _mean(diffs[:, :n0])
     out[:, 2] = mean_dt - mean_dc
@@ -216,16 +246,11 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     # the restricted regime treats everyone iff the treated mean is higher
     out[:, 11] = np.where(mean_t > mean_c, mean_y1, mean_y0)
     out[:, 12] = 0.0
-
-    # the regressions and the per-arm line fits need an observed baseline
-    # that varies overall and within each arm; every row is computed, and
-    # a row without one is failed, so its 0 / 0 and x / 0 are never read
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fits = (_arm_fit(bobs[:, :n0], yobs[:, :n0]),
-                _arm_fit(bobs[:, n0:], yobs[:, n0:]))
-        _regressions(bobs, diffs, fits, fpc, out)
-        _policy(fits, sort_b, cum0, cum1, out)
-    ok = _varies(bobs) & _varies(bobs[:, :n0]) & _varies(bobs[:, n0:])
+    var_b = _regressions(bobs, diffs, fits, fpc, out)
+    _policy(fits, sort_b, cum0, cum1, out)
+    # the pooled baseline varies wherever an arm's does, since max and min
+    # are exact; its positive sample variance is a test of its own
+    ok = (var_b > 0.0) & varies0 & varies1
     if not ok.all():
         out[~ok, 4:12] = np.nan
         out[~ok, 12] = 1.0
@@ -233,7 +258,7 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
 
 
 def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
-                    perm, noise, sigma_delta, n0):
+                    perm, noise, sigma_delta, n0, fpc=None):
     """Estimates, variances and realized policy values for every replicate.
 
     `b`, `y0`, `y1` are the population's baselines and potential outcomes,
@@ -241,7 +266,8 @@ def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     enrolls plots `perm[r]`, the first `n0` to control, and observes them
     with `sigma_delta * noise[r]` added to baseline (`[..., 0]`) and
     outcome (`[..., 1]`); `noise` may be None when `sigma_delta` is 0,
-    which gives the same output as any finite noise block.  Returns a
+    which gives the same output as any finite noise block.  `fpc` is the
+    scenario's `sd_fpc`, computed from `b` when None.  Returns a
     (replicates, 14) array laid out as `KERNEL_COLUMNS`.
 
     Column 7 is the HC2 variance of the moderator with the sample SD of
@@ -250,16 +276,19 @@ def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
 
     A replicate whose observed baseline is constant overall or within an
     arm gets NaN in columns 4-11 and 13, and `fail` = 1.  No other replicate
-    fails: the per-arm line fits need nothing more.
+    fails: the per-arm line fits need nothing more.  A value that
+    overflows raises FloatingPointError.
     """
     reps, n = perm.shape
     out = np.empty((reps, N_KERNEL_COLUMNS))
-    fpc = _sd_fpc(b, sigma_delta, n)
+    if fpc is None:
+        fpc = sd_fpc(baseline_moments(b), sigma_delta, n, b.shape[0])
     step = max(1, BLOCK_ELEMENTS // n)
-    for start in range(0, reps, step):
-        stop = min(start + step, reps)
-        _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
-                      perm[start:stop],
-                      None if noise is None else noise[start:stop],
-                      sigma_delta, n0, fpc, out[start:stop])
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+        for start in range(0, reps, step):
+            stop = min(start + step, reps)
+            _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
+                          perm[start:stop],
+                          None if noise is None else noise[start:stop],
+                          sigma_delta, n0, fpc, out[start:stop])
     return out

@@ -8,6 +8,7 @@ design.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -57,12 +58,14 @@ class Population:
     """Potential-outcome table for `n_plots` plots under `n_arms` arms.
 
     `po[i, k]` is the %SOC outcome plot i would show under arm k (arm 0
-    is control).  `covariates` has an all-ones first column.
+    is control).  `covariates` has an all-ones first column.  `plot_id`
+    holds the plots' ids as read from a table, or None for 0..n-1.
     """
 
     baseline: np.ndarray
     po: np.ndarray
     covariates: np.ndarray
+    plot_id: Optional[list] = None
 
     def __post_init__(self):
         baseline = np.ascontiguousarray(self.baseline, dtype=np.float64)
@@ -84,6 +87,9 @@ class Population:
                 f"covariates must be {n} x p with p >= 1, got {cov.shape}")
         if not np.all(cov[:, 0] == 1.0):
             raise ParamError("first covariate column must be identically 1")
+        if self.plot_id is not None and len(self.plot_id) != n:
+            raise DimensionError(f"{len(self.plot_id)} plot ids for {n} "
+                                 f"plots")
 
     @property
     def n_plots(self) -> int:
@@ -96,19 +102,21 @@ class Population:
     def to_csv(self, path) -> None:
         """Write `plot_id,baseline,y0,y1[,...]` at full double precision."""
         header = ["plot_id", "baseline"] + [f"y{k}" for k in range(self.n_arms)]
-        tables.write(path, header, [range(self.n_plots),
+        ids = range(self.n_plots) if self.plot_id is None else self.plot_id
+        tables.write(path, header, [ids,
                                     self.baseline.tolist(),
                                     *self.po.T.tolist()])
 
     @classmethod
     def from_csv(cls, path) -> "Population":
-        _, baseline, *po = tables.read(path, _population_columns)
+        ids, baseline, *po = tables.read(path, _population_columns)
         if len(baseline) < 2:
             raise SchemaError(f"{path}: a population needs at least 2 "
                               f"data rows, got {len(baseline)}")
         b = np.array(baseline)
         covariates = np.column_stack([np.ones_like(b), b])
-        return cls(baseline=b, po=np.column_stack(po), covariates=covariates)
+        return cls(baseline=b, po=np.column_stack(po), covariates=covariates,
+                   plot_id=ids)
 
 
 def _population_columns(header) -> list:

@@ -314,6 +314,56 @@ def test_simulate_answers_or_refuses_any_config_value(runner, tmp_path,
         assert not list(tmp_path.rglob("*run-*"))
 
 
+#: The guard's grid with noisy measurements, so that the noise scale
+#: reaches the kernel.
+NOISY_GUARD_CONFIG = dict(GUARD_CONFIG, samples_per_plot="[1]")
+
+
+@pytest.mark.parametrize("value", GUARD_VALUES + ["1.0e+150", "1.0e+300"])
+def test_simulate_answers_or_refuses_any_noise_scale(runner, tmp_path,
+                                                     monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    config = dict(NOISY_GUARD_CONFIG, sd_within_plot=value)
+    (tmp_path / "run.yaml").write_text(
+        "".join(f"{k}: {v}\n" for k, v in config.items()))
+    result = runner.invoke(cli.main, ["simulate", "--config", "run.yaml"])
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    if result.exit_code == 2:
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not list(tmp_path.rglob("*run-*"))
+        return
+    rows = harness.metrics_from_csv(
+        Path(result.output.strip()) / "metrics.csv")
+    assert all(math.isfinite(v) for r in rows
+               for v in (r.bias, r.rmse, r.coverage, r.ci_width)), rows
+
+
+@pytest.mark.parametrize("code", [2, 3])
+@pytest.mark.parametrize("existing", [False, True])
+def test_simulate_failure_removes_only_the_out_it_made(runner, tmp_path,
+                                                       monkeypatch, code,
+                                                       existing):
+    config = tmp_path / "run.yaml"
+    config.write_text(TINY_CONFIG + ("mu_b: 1.0e+308\n" if code == 2
+                                     else ""))
+    if code == 3:
+        def abort(*args, **kwargs):
+            raise ScenarioAbortError("too many degenerate replicates")
+
+        monkeypatch.setattr(cli.harness, "run_grid", abort)
+    out = tmp_path / "fo" / "od" / "sub"
+    if existing:
+        out.mkdir(parents=True)
+    result = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                      "--out", str(out)])
+    assert result.exit_code == code, result.output
+    if existing:
+        assert out.is_dir() and list(out.iterdir()) == []
+    else:
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
 def test_simulate_replaces_an_existing_run_dir(runner, tmp_path):
     config = tmp_path / "run.yaml"
     config.write_text(TINY_CONFIG)
@@ -619,6 +669,60 @@ def test_policy_budget_without_costs_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("kind", ["population", "bare"])
+def test_policy_regime_names_the_target_plots(runner, tmp_path, kind):
+    study_path, _, _ = make_policy_files(tmp_path)
+    target = tmp_path / "target.csv"
+    target.write_text(_population_text(3, ["P-7", "A", "1e3"])
+                      if kind == "population" else
+                      "plot_id,baseline\nP-7,2.0\nA,2.5\n1e3,3.1\n")
+    costs = tmp_path / "costs.csv"
+    costs.write_text("plot_id,cost0,cost1\nP-7,0,1\nA,0,1\n1e3,0,1\n")
+    result = runner.invoke(cli.main, ["policy", str(study_path),
+                                      str(target), "--costs", str(costs),
+                                      "--out", str(tmp_path / "pol")])
+    assert result.exit_code == 0, result.output
+    with (tmp_path / "pol" / "regime.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert [plot for plot, _ in rows[1:]] == ["P-7", "A", "1e3"]
+
+
+#: name: (target ids or a bare table's, cost ids or None, the file and
+#: line the error names, and what it says there)
+MISPAIRED_IDS = {
+    "other-plots": ("ABC", "CZQ", "costs", 2, "plot_id 'C' where the "
+                                              "target has 'A'"),
+    "reordered": ("ABC", "ACB", "costs", 3, "plot_id 'C' where the target "
+                                            "has 'B'"),
+    "duplicate-cost": ("ABC", "AAC", "costs", 3, "plot_id 'A' where the "
+                                                 "target has 'B'"),
+    "duplicate-target": ("ABA", None, "target", 4, "duplicate plot_id 'A'"),
+    "duplicate-bare": ("ABB", None, "bare", 4, "duplicate plot_id 'B'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISPAIRED_IDS))
+def test_policy_refuses_plot_ids_that_do_not_pair(runner, tmp_path, case):
+    target_ids, cost_ids, where, line, message = MISPAIRED_IDS[case]
+    study_path, _, _ = make_policy_files(tmp_path)
+    files = {"target": tmp_path / "target.csv", "bare": tmp_path / "bare.csv",
+             "costs": tmp_path / "costs.csv"}
+    files["target"].write_text(_population_text(3, target_ids))
+    files["bare"].write_text("plot_id,baseline\n" + "".join(
+        f"{plot},2.{i}\n" for i, plot in enumerate(target_ids)))
+    argv = ["policy", study_path,
+            files["bare" if where == "bare" else "target"],
+            "--out", tmp_path / "pol"]
+    if cost_ids is not None:
+        files["costs"].write_text("plot_id,cost0,cost1\n" + "".join(
+            f"{plot},0,1\n" for plot in cost_ids))
+        argv += ["--costs", files["costs"]]
+    result = runner.invoke(cli.main, list(map(str, argv)))
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {files[where]}:{line}: {message}\n"
+    assert not (tmp_path / "pol").exists()
+
+
 def test_policy_bare_baseline_target(runner, tmp_path):
     study_path, _, _ = make_policy_files(tmp_path)
     target = tmp_path / "bare.csv"
@@ -814,6 +918,7 @@ _GUARD_CELLS = st.floats(0.5, 4.0).map("{:.3g}".format)
 _GUARD_BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e300",
                                     "-1e300", "1e400", '"1"', "0"])
 _GUARD_COSTS = st.integers(0, 4).map(str)
+_GUARD_IDS = st.sampled_from(["0", "1", "2", "A", "B", "C"])
 _GUARD_BAD_COSTS = st.sampled_from(["0.5", "2.25", "-1", "nan", "x", "1e18",
                                     str(2 ** 63), "3002399751580330",
                                     "1e300"])
@@ -825,6 +930,8 @@ def _policy_inputs(draw):
     text (costs may be None) and the budget (None or an option value).
     Half the tables hold only plausible cells."""
     n = draw(st.integers(1, 5))
+    ids = st.lists(_GUARD_IDS, min_size=n, max_size=n)
+    target_ids = draw(st.one_of(st.just([str(i) for i in range(n)]), ids))
     header = draw(st.sampled_from(
         ["plot_id,baseline,y0,y1"] * 3 + ["plot_id,baseline"] * 3
         + ["plot_id,baseline,y0", "plot_id,b", '"plot_id","baseline"']))
@@ -832,16 +939,19 @@ def _policy_inputs(draw):
     cells = (st.one_of(_GUARD_CELLS, _GUARD_BAD_CELLS) if draw(st.booleans())
              else _GUARD_CELLS)
     target = header + "\n" + "".join(
-        ",".join([str(i)] + draw(st.lists(cells, min_size=width - 1,
-                                          max_size=width - 1))) + "\n"
-        for i in range(n))
+        ",".join([plot] + draw(st.lists(cells, min_size=width - 1,
+                                        max_size=width - 1))) + "\n"
+        for plot in target_ids)
     costs = None
     if draw(st.booleans()):
         rows = draw(st.sampled_from([n, n, n, n + 1, max(n - 1, 1)]))
         cost = (st.one_of(_GUARD_COSTS, _GUARD_BAD_COSTS)
                 if draw(st.booleans()) else _GUARD_COSTS)
+        cost_ids = (target_ids if rows == n and draw(st.booleans())
+                    else draw(st.lists(_GUARD_IDS, min_size=rows,
+                                       max_size=rows)))
         costs = "plot_id,cost0,cost1\n" + "".join(
-            f"{i},{draw(cost)},{draw(cost)}\n" for i in range(rows))
+            f"{plot},{draw(cost)},{draw(cost)}\n" for plot in cost_ids)
     budget = draw(st.one_of(st.none(), st.sampled_from(
         ["0", "1", "3", "2.5", "8", "9007199254740992", "1e300", "-1", "nan",
          "inf"])))
@@ -849,9 +959,15 @@ def _policy_inputs(draw):
             "target": target, "costs": costs, "budget": budget}
 
 
-def _population_text(n):
+def _population_text(n, ids=None):
     return "plot_id,baseline,y0,y1\n" + "".join(
-        f"{i},{2 + i / 4},{2 + i / 3},{2.5 + i / 5}\n" for i in range(n))
+        f"{i if ids is None else ids[i]},{2 + i / 4},{2 + i / 3},"
+        f"{2.5 + i / 5}\n" for i in range(n))
+
+
+def _plot_ids(text):
+    """The first cell of each data row of a generated table."""
+    return [line.split(",")[0] for line in text.splitlines()[1:]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -868,6 +984,10 @@ def _population_text(n):
                "budget": "10"})
 @example(case={"study": "huge", "target": _population_text(3),
                "costs": None, "budget": None})
+# costs that name other plots than the target's
+@example(case={"study": "plain", "target": _population_text(3, "ABC"),
+               "costs": "plot_id,cost0,cost1\nC,0,1\nZ,0,1\nQ,0,1\n",
+               "budget": None})
 def test_policy_answers_or_refuses_any_input(case):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -893,6 +1013,10 @@ def test_policy_answers_or_refuses_any_input(case):
                                                       SystemExit), \
             result.exception
         assert result.exit_code in (0, 2, 4, 5)
+        ids = _plot_ids(case["target"])
+        if (len(set(ids)) < len(ids) or case["costs"] is not None
+                and _plot_ids(case["costs"]) != ids):
+            assert result.exit_code == 2, result.output
         if result.exit_code != 0:
             lines = result.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), \
@@ -902,6 +1026,7 @@ def test_policy_answers_or_refuses_any_input(case):
         with (out / "regime.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["plot_id", "arm"]
+        assert [plot for plot, _ in rows[1:]] == ids
         assert all(arm in ("0", "1") for _, arm in rows[1:])
         summary = json.loads((out / "policy.json").read_text())
         numbers = [v for k, v in summary.items()

@@ -255,7 +255,9 @@ def test_noise_free_scenario_skips_the_noise_draw():
         pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
         np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
         bundle.cum1, bundle.mean_y0, bundle.mean_y1, perm, noise, 0.0,
-        scenario.n // 2)
+        scenario.n // 2,
+        kernels.sd_fpc(bundle.baseline_moments, 0.0, scenario.n,
+                       pop.n_plots))
     result = harness.run_scenario(grid, scenario, bundle, 4)
     assert result.raw.tobytes() == drawn.tobytes()
 
@@ -454,3 +456,18 @@ def test_scenario_abort_on_mass_failure():
     scenario = harness.Scenario(0.0, -0.5, 0.0, 10, math.inf)
     with pytest.raises(ScenarioAbortError):
         harness.run_scenario(grid, scenario, bundle, 1)
+
+
+@pytest.mark.parametrize("column, value", [(0, 1e200), (7, 1e308)])
+def test_a_reduction_that_overflows_raises_param_error(column, value):
+    # estimates far from their target square past float64 in the RMSE,
+    # and two finite `mod` variance terms can sum past it
+    raw = np.zeros((4, kernels.N_KERNEL_COLUMNS))
+    raw[:, 1:10:2] = 1.0
+    raw[:, column] = value
+    raw[:, kernels.KERNEL_COLUMNS.index("mod_scale_var")] = value
+    result = harness.ScenarioResult(
+        scenario=harness.Scenario(0.0, -0.5, 0.0, 10, math.inf), raw=raw,
+        n_fail=0, pate=0.0, oracle_value=0.0)
+    with pytest.raises(ParamError, match="the metrics overflow"):
+        result.reduction

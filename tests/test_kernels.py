@@ -9,7 +9,7 @@ from scipy import stats
 from soilrct import design, estimators, harness, kernels, linalg, policy
 from soilrct.design import ObservedStudy
 from soilrct.population import Population, generate_population, papo
-from support import optimal_restricted
+from support import optimal_restricted, ref_sd_fpc, reference_kernel
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +29,19 @@ def kernel_inputs(grid, scenario, pop, bundle, seed=99):
     perm, noise = design.draw_replicates(
         harness.scenario_rng(seed, scenario), grid.n_replicates, scenario.n,
         pop.n_plots)
+    sd = grid.sigma_delta(scenario.m)
     return (pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
             np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
             bundle.cum1, bundle.mean_y0, bundle.mean_y1, perm, noise,
-            grid.sigma_delta(scenario.m), scenario.n // 2)
+            sd, scenario.n // 2,
+            kernels.sd_fpc(bundle.baseline_moments, sd, scenario.n,
+                           pop.n_plots))
+
+
+def fpc_of(b, sd, n):
+    """The kernel's `fpc` argument for `n` of the plots with baselines
+    `b`, observed with noise of SD `sd`."""
+    return kernels.sd_fpc(kernels.baseline_moments(b), sd, n, b.shape[0])
 
 
 def observed(pop, idx, noise_r, sd, n0):
@@ -95,11 +104,103 @@ def test_population_tables_prefix_sums():
         assert cum1[j] == pytest.approx(y1[order][:j].sum())
 
 
+@pytest.mark.parametrize("kind", ["distinct", "ties", "signed-zeros",
+                                  "one", "two-equal"])
+def test_population_tables_take_the_stable_order(kind):
+    # y0 and y1 are distinct integers, so the steps of cum0 and cum1 name
+    # the order the plots were taken in, exactly
+    rng = np.random.default_rng(8)
+    n_pop = {"one": 1, "two-equal": 2}.get(kind, 300)
+    b = {"distinct": rng.normal(2.0, 0.5, n_pop),
+         "ties": rng.integers(0, 9, n_pop) / 2.0,
+         "signed-zeros": rng.choice([-0.0, 0.0, 1.0, -1.5], n_pop),
+         "one": np.array([2.0]),
+         "two-equal": np.array([0.0, -0.0])}[kind]
+    y0 = rng.permutation(n_pop).astype(float)
+    y1 = y0 + n_pop
+    stable = np.argsort(b, kind="stable")
+    sort_b, cum0, cum1 = kernels.population_tables(b, y0, y1)
+    assert np.array_equal(np.diff(cum0), y0[stable])
+    assert sort_b.tobytes() == b[stable].tobytes()
+    assert cum0.tobytes() == np.concatenate(([0.0], np.cumsum(
+        y0[stable]))).tobytes()
+    assert cum1.tobytes() == np.concatenate(([0.0], np.cumsum(
+        y1[stable]))).tobytes()
+
+
+@pytest.mark.parametrize("sd", [0.0, 1e-3, 0.3, 1.02, 1e150])
+def test_bundle_factor_is_the_old_sd_fpc_bit_for_bit(sd):
+    rng = np.random.default_rng(12)
+    for n_pop in (6, 40, 5000):
+        bundle = harness.build_bundle(generate_population(
+            harness.ScenarioGrid.paper_defaults(
+                population_size=n_pop, sample_sizes=(6,)).population_params(
+                0.1, -0.5, 0.3), rng))
+        b = bundle.population.baseline
+        for n in (6, n_pop // 2 * 2):
+            got = kernels.sd_fpc(bundle.baseline_moments, sd, n, n_pop)
+            assert np.float64(got).tobytes() == np.float64(
+                ref_sd_fpc(b, sd, n)).tobytes()
+
+
+def _sweep_case(seed):
+    """Seeded kernel inputs: n from 6 to 200, 1 to 80 replicates, and
+    baselines plain, rounded to 0.5, scaled by 1e-160, both, or drawn
+    from {0.1, 0.7, 2.3}, observed with or without noise.  Rounded and
+    drawn baselines come with n <= 14, so that many rows fail; a row of
+    0.1s or 0.7s has a mean that rounds away from its value."""
+    rng = np.random.default_rng(seed)
+    kind = ("plain", "rounded", "tiny", "tiny-rounded", "decimal")[seed % 5]
+    few = kind in ("rounded", "tiny-rounded", "decimal")
+    n = 6 if seed % 7 == 0 else 2 * int(rng.integers(3, 8 if few else 101))
+    reps = int(rng.integers(1, 81))
+    n_pop = n + int(rng.integers(0, 3 * n + 1))
+    b, y0, y1 = _property_population(rng, n_pop, "varied")
+    scale = 1e-160 if "tiny" in kind else 1.0
+    if "rounded" in kind:
+        b = np.round(b * 2.0) / 2.0
+    if kind == "decimal":
+        b = rng.choice([0.1, 0.7, 2.3], n_pop)
+    b = b * scale
+    sd = (float(rng.choice([1e-3, 0.3, 1.02])) * scale if seed % 3
+          else 0.0)
+    perm, noise = design.draw_replicates(rng, reps, n, n_pop,
+                                         with_noise=sd != 0.0 or seed % 2)
+    return (b, y0, y1, *kernels.population_tables(b, y0, y1),
+            float(y0.mean()), float(y1.mean()), perm, noise, sd, n // 2)
+
+
+def test_kernel_gives_the_reference_bytes():
+    failed = 0
+    for seed in range(300):
+        args = _sweep_case(seed)
+        want = reference_kernel(*args)
+        failed += int(want[:, 12].sum())
+        b, sd, n = args[0], args[10], args[8].shape[1]
+        assert kernels.scenario_kernel(*args).tobytes() == want.tobytes()
+        assert kernels.scenario_kernel(
+            *args, fpc_of(b, sd, n)).tobytes() == want.tobytes()
+    # the sweep reaches the failure mask
+    assert failed > 150
+
+
+def test_kernel_gives_the_reference_bytes_across_row_blocks():
+    rng = np.random.default_rng(21)
+    n, reps = 1000, 70
+    b, y0, y1 = _property_population(rng, 1500, "varied")
+    perm, noise = design.draw_replicates(rng, reps, n, b.shape[0])
+    assert reps * n > kernels.BLOCK_ELEMENTS
+    args = (b, y0, y1, *kernels.population_tables(b, y0, y1),
+            float(y0.mean()), float(y1.mean()), perm, noise, 0.3, n // 2)
+    assert (kernels.scenario_kernel(*args).tobytes()
+            == reference_kernel(*args).tobytes())
+
+
 def test_kernel_matches_library_estimators(setup):
     grid, scenario, pop, bundle = setup
     args = kernel_inputs(grid, scenario, pop, bundle)
     out = kernels.scenario_kernel(*args)
-    perm, noise, sd, n0 = args[8:]
+    perm, noise, sd, n0 = args[8:12]
     for r in range(grid.n_replicates):
         raw, std = observed(pop, perm[r], noise[r], sd, n0)
         assert out[r, :10] == pytest.approx(library_estimates(raw, std),
@@ -111,7 +212,7 @@ def test_kernel_policy_columns_match_library(setup):
     grid, scenario, pop, bundle = setup
     args = kernel_inputs(grid, scenario, pop, bundle)
     out = kernels.scenario_kernel(*args)
-    perm, noise, sd, n0 = args[8:]
+    perm, noise, sd, n0 = args[8:12]
     for r in range(0, grid.n_replicates, 7):
         raw, _ = observed(pop, perm[r], noise[r], sd, n0)
         assert out[r, 10:12] == pytest.approx(
@@ -137,7 +238,8 @@ def test_kernel_flags_degenerate_baseline():
     perm, noise = design.draw_replicates(rng, 5, n, n_pop)
     out = kernels.scenario_kernel(b, y0, y1, sort_b, cum0, cum1,
                                   float(y0.mean()), float(y1.mean()),
-                                  perm, noise, 0.0, n // 2)
+                                  perm, noise, 0.0, n // 2,
+                                  fpc_of(b, 0.0, n))
     assert np.all(out[:, 12] == 1.0)
     assert np.all(np.isnan(out[:, 4:12])) and np.all(np.isnan(out[:, 13]))
     # the two-sample columns are still well defined
@@ -159,7 +261,7 @@ def test_mod_scale_var_tracks_the_sample_sd(sd):
     out = kernels.scenario_kernel(b, y0, y1,
                                   *kernels.population_tables(b, y0, y1),
                                   float(y0.mean()), float(y1.mean()),
-                                  perm, noise, sd, n // 2)
+                                  perm, noise, sd, n // 2, fpc_of(b, sd, n))
     s = (b[perm] + sd * noise[:, :, 0]).std(axis=1, ddof=1)
     empirical = s.var(ddof=1) / (s * s).mean()
     predicted = (out[:, 13] / (out[:, 6] * out[:, 6])).mean()
@@ -177,7 +279,8 @@ def test_restricted_value_tie_goes_to_control():
     sort_b, cum0, cum1 = kernels.population_tables(b, y0, y1)
     perm, noise = design.draw_replicates(rng, 3, n, n_pop)
     out = kernels.scenario_kernel(b, y0, y1, sort_b, cum0, cum1, 1.0, 2.0,
-                                  perm, noise, 0.0, n // 2)
+                                  perm, noise, 0.0, n // 2,
+                                  fpc_of(b, 0.0, n))
     # tied observed means resolve to the control-arm population value
     assert np.all(out[:, 11] == 1.0)
 
@@ -253,7 +356,8 @@ def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
                              if plots + noise_part > 0 else 1.0)
     out = kernels.scenario_kernel(
         b, y0, y1, *kernels.population_tables(b, y0, y1),
-        float(y0.mean()), float(y1.mean()), perm, noise, sd, half)
+        float(y0.mean()), float(y1.mean()), perm, noise, sd, half,
+        fpc_of(b, sd, n))
 
     assert out.shape == (reps, kernels.N_KERNEL_COLUMNS)
     assert np.all(np.isfinite(out[:, :4]))

@@ -122,6 +122,20 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert header == "plot_id,baseline,y0,y1"
 
 
+def test_csv_keeps_the_plot_ids(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("plot_id,baseline,y0,y1\nB-2,1,1,2\n07,2,1,3\n")
+    pop = Population.from_csv(path)
+    assert pop.plot_id == ["B-2", "07"]
+    again = tmp_path / "again.csv"
+    pop.to_csv(again)
+    assert again.read_bytes() == path.read_bytes()
+    assert generate_population(params(n_plots=3), 1).plot_id is None
+    with pytest.raises(DimensionError):
+        Population(baseline=pop.baseline, po=pop.po,
+                   covariates=pop.covariates, plot_id=["B-2"])
+
+
 def test_csv_rejects_bad_schema(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("plot,baseline,y0,y1\n0,1,1,1\n")
