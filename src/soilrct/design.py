@@ -9,6 +9,13 @@ error with SD `sd_within_plot / sqrt(samples_per_plot)` is added
 independently to the baseline and follow-up observations.  A library
 study from `enroll_and_assign` is replicate 0 of the same draw that the
 Monte Carlo harness makes for every replicate.
+
+Every subset is the one `Generator.choice` draws.  Small subsets, the
+paper's n = 10 and 14 among them, are not drawn by a `choice` call per
+replicate, whose own argument handling costs far more than its 2n - 1
+bounded draws: one `integers` call makes the bounded draws of every
+replicate, and numpy replays Floyd's sampler and the shuffle on them.
+`choice` draws each bound the same way, so both give the same bytes.
 """
 
 import math
@@ -22,8 +29,9 @@ from .population import Population
 
 #: Version of the stream of random draws behind every replicate and every
 #: study.  Stream 2 draws each replicate's plots with `Generator.choice`,
-#: which for populations of up to 10000 plots runs Floyd's subset sampler
-#: and then shuffles the chosen plots; stream 1 took the head of a full
+#: which for populations of up to 10000 plots, and for subsets of at most
+#: a fiftieth of larger ones, runs Floyd's subset sampler and then
+#: shuffles the chosen plots; stream 1 took the head of a full
 #: permutation of the population.  The same seed gives different
 #: replicates on the two streams, so the version enters the run hash.
 RNG_STREAM = 2
@@ -164,14 +172,64 @@ def draw_replicates(rng, reps: int, n: int, n_pop: int,
     noise.  `choice` picks the subset in O(n) draws and shuffles it, so
     each row is uniform over ordered subsets, as a permutation's head is.
 
+    Up to `_REPLAY_MAX_N` plots, the subsets come from `_replay_choice`
+    instead, which gives the same bytes and leaves the generator in the
+    same state; above it, `choice` runs once per replicate.
+
     The noise is the stream's last draw, so `with_noise=False` returns
     the same `perm` and None for `noise`.
     """
-    perm = np.empty((reps, n), dtype=np.int64)
-    for r in range(reps):
-        perm[r] = rng.choice(n_pop, n, replace=False)
+    if n <= _REPLAY_MAX_N:
+        perm = _replay_choice(rng, reps, n, n_pop)
+    else:
+        perm = np.empty((reps, n), dtype=np.int64)
+        for r in range(reps):
+            perm[r] = rng.choice(n_pop, n, replace=False)
     noise = rng.standard_normal((reps, n, 2)) if with_noise else None
     return perm, noise
+
+
+#: Largest subset `draw_replicates` replays in one `integers` call.  The
+#: replay makes n - 1 passes over the replicates for the shuffle and
+#: reruns Floyd's rule in Python on each row with a repeat (about
+#: n^2 / 2N of the rows), so its lead over the `choice` loop shrinks as n
+#: grows.  On 5000 plots with 50 and 500 replicates it took 0.40 to 0.58
+#: of the loop's time at n = 32, 0.82 to 1.09 at n = 48 and 1.04 to 1.61
+#: at n = 64.
+_REPLAY_MAX_N = 32
+
+
+def _replay_choice(rng, reps, n, n_pop):
+    """`reps` rows of `rng.choice(n_pop, n, replace=False)`, bit for bit.
+
+    For `n_pop` up to 10000, and above it for n up to `n_pop` // 50 (at
+    least 200), `choice` runs Floyd's sampler: for j = n_pop - n, ...,
+    n_pop - 1 it draws v in [0, j] and takes v, or j if v is taken
+    already.  It then shuffles the n plots (Fisher-Yates): for
+    i = n - 1, ..., 1 it draws k in [0, i] and swaps positions i and k.
+    Each bounded draw is the one `integers` makes for the same bound, so
+    one `integers` call over the rows' bounds consumes the generator
+    exactly as the loop does.  A row whose n Floyd draws are distinct
+    took each draw as it came; the rare row with a repeat reruns Floyd's
+    rule.
+    """
+    highs = np.concatenate((np.arange(n_pop - n + 1, n_pop + 1),
+                            np.arange(n, 1, -1)))
+    draws = rng.integers(0, np.tile(highs, reps)).reshape(reps, 2 * n - 1)
+    perm = draws[:, :n].copy()
+    ordered = np.sort(perm, axis=1)
+    for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
+        taken = set()
+        for k, v in enumerate(draws[r, :n].tolist()):
+            v = n_pop - n + k if v in taken else v
+            taken.add(v)
+            perm[r, k] = v
+    rows = np.arange(reps)
+    for i, k in zip(range(n - 1, 0, -1), draws[:, n:].T):
+        at_k = perm[rows, k]
+        perm[rows, k] = perm[:, i]
+        perm[:, i] = at_k
+    return perm
 
 
 def enroll_and_assign(pop: Population, spec: DesignSpec, seed) -> ObservedStudy:

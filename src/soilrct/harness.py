@@ -190,9 +190,12 @@ def scenario_rng(master_seed: int, scenario: Scenario):
 @dataclass(frozen=True)
 class PopulationBundle:
     """A generated population plus the precomputed quantities the kernel
-    and the policy summary need."""
+    and the policy summary need, among them its potential outcomes `y0`
+    and `y1` as C-contiguous arrays."""
 
     population: Population
+    y0: np.ndarray
+    y1: np.ndarray
     pate: float
     mean_y0: float
     mean_y1: float
@@ -204,11 +207,11 @@ class PopulationBundle:
 
 
 def build_bundle(pop: Population) -> PopulationBundle:
-    y0 = pop.po[:, 0]
-    y1 = pop.po[:, 1]
+    y0 = np.ascontiguousarray(pop.po[:, 0])
+    y1 = np.ascontiguousarray(pop.po[:, 1])
     sort_b, cum0, cum1 = kernels.population_tables(pop.baseline, y0, y1)
     return PopulationBundle(
-        population=pop, pate=pate(pop, 1),
+        population=pop, y0=y0, y1=y1, pate=pate(pop, 1),
         mean_y0=float(y0.mean()), mean_y1=float(y1.mean()),
         oracle_value=float(np.maximum(y0, y1).mean()),
         sort_b=sort_b, cum0=cum0, cum1=cum1,
@@ -297,8 +300,7 @@ def run_scenario(grid: ScenarioGrid, scenario: Scenario,
                          pop.n_plots)
     try:
         raw = kernels.scenario_kernel(
-            pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
-            np.ascontiguousarray(pop.po[:, 1]),
+            pop.baseline, bundle.y0, bundle.y1,
             bundle.sort_b, bundle.cum0, bundle.cum1,
             bundle.mean_y0, bundle.mean_y1,
             perm, noise, sigma_delta, n // 2, fpc)

@@ -50,6 +50,10 @@ N_KERNEL_COLUMNS = len(KERNEL_COLUMNS)
 #: Floor on 1 - leverage in the HC2 weights, as in `linalg.hc2_covariance`.
 _MIN_DENOM = 1e-12
 
+#: Smallest normal float64.  A row whose sum of squares has a square
+#: below it fails (see `_arm_fit`).
+_TINY = np.finfo(np.float64).tiny
+
 
 def population_tables(b, y0, y1):
     """Sorted baselines and potential-outcome prefix sums for fast policy
@@ -119,9 +123,13 @@ def _arm_fit(x, y):
     denominator), x centred on its mean (dx) and its square, the sum of
     squares S = sum dx^2, the slope, the HC2 residual weights
     omega = e^2 / (1 - h) with leverage h = 1/n + dx^2 / S, and the rows
-    whose x varies: not all equal, and with S / (n - 1) > 0.  The first
-    test catches a constant row whose mean rounds away from its value,
-    which leaves a sum of squares of pure round-off.
+    whose x varies: not all equal, and with S^2 at least the smallest
+    normal float.  The first test catches a constant row whose mean
+    rounds away from its value, which leaves a sum of squares of pure
+    round-off.  The second holds S and S^2, which the moderator's
+    variance divides by, clear of underflow; it fails a row of baselines
+    that spread by less than about 1e-77, such as a row near 1e-160,
+    whose S is subnormal.
     """
     n = x.shape[1]
     mx = _mean(x)
@@ -135,7 +143,7 @@ def _arm_fit(x, y):
     resid = dy - slope[:, None] * dx
     lev = 1.0 / n + dx2 / ss[:, None]
     omega = resid * resid / np.maximum(1.0 - lev, _MIN_DENOM)
-    varies = (x.max(axis=1) > x.min(axis=1)) & (ss / (n - 1) > 0.0)
+    varies = (x.max(axis=1) > x.min(axis=1)) & (ss * ss >= _TINY)
     return mx, my, var_y, dx, dx2, ss, slope, omega, varies
 
 
@@ -275,8 +283,11 @@ def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     own sampling error adds, so the moderator's variance is their sum.
 
     A replicate whose observed baseline is constant overall or within an
-    arm gets NaN in columns 4-11 and 13, and `fail` = 1.  No other replicate
-    fails: the per-arm line fits need nothing more.  A value that
+    arm, or whose per-arm sum of squares S has a square below the
+    smallest normal float (baselines that spread by less than about
+    1e-77), gets NaN in columns 4-11 and 13, and `fail` = 1.  No other
+    replicate fails: the per-arm line fits need nothing more, and every
+    sum of squares they divide by is then a normal float.  A value that
     overflows raises FloatingPointError.
     """
     reps, n = perm.shape

@@ -237,6 +237,18 @@ def test_simulate_abort_exits_3(runner, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
 
+def test_simulate_baselines_near_1e_160_abort(runner, tmp_path):
+    # each arm's sum of squares is subnormal, so the moderator's variance,
+    # which divides by its square, cannot be computed: every replicate
+    # fails and the run aborts instead of reporting an infinite interval
+    config = tmp_path / "run.yaml"
+    config.write_text(TINY_CONFIG + "mu_b: 2.0e-160\nsd_b_across: 5.0e-161\n")
+    result = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                      "--out", str(tmp_path / "out")])
+    assert result.exit_code == 3, result.output
+    assert "20/20 replicates failed" in result.output
+
+
 @pytest.mark.parametrize("out", ["a-file", "a-file/sub"])
 def test_simulate_unusable_out_exits_2_before_running(runner, tmp_path,
                                                       monkeypatch, out):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from soilrct import design
 from soilrct.design import (DesignSpec, ObservedStudy, arm_labels,
                             draw_replicates, enroll_and_assign)
 from soilrct.errors import DesignError, EnrollmentError, SchemaError
@@ -81,6 +82,43 @@ def test_study_is_replicate_0_of_the_stream(pop, arm_sizes, m):
         pop.baseline[source] + sd * noise[0, :, 0]).tobytes()
     assert study.outcome_obs.tobytes() == (
         pop.po[source, z] + sd * noise[0, :, 1]).tobytes()
+
+
+def test_small_subsets_are_the_choice_loop_bit_for_bit():
+    # below the cutoff `draw_replicates` replays `choice`'s bounded draws
+    # from one `integers` call; a numpy whose `choice` draws differently
+    # fails here, and the replay is a uniform ordered subset either way
+    cutoff = design._REPLAY_MAX_N
+    case_rng = np.random.default_rng(2024)
+    repeats = 0
+    for n in range(2, cutoff + 2):
+        for n_pop in (n, n + 1, 40, 5000, 10000, 10001, 2**31, 2**40):
+            reps = int(case_rng.integers(1, 61))
+            seed = int(case_rng.integers(2**32))
+            with_noise = bool(case_rng.integers(2))
+            got_rng = np.random.default_rng(seed)
+            perm, noise = draw_replicates(got_rng, reps, n, n_pop,
+                                          with_noise=with_noise)
+            rng = np.random.default_rng(seed)
+            expect = np.array([rng.choice(n_pop, n, replace=False)
+                               for _ in range(reps)])
+            assert perm.tobytes() == expect.tobytes()
+            if with_noise:
+                assert noise.tobytes() == rng.standard_normal(
+                    (reps, n, 2)).tobytes()
+            else:
+                assert noise is None
+            # the stream after the call is unchanged
+            assert got_rng.integers(2**62) == rng.integers(2**62)
+            # Floyd's draws are the first n of each row's 2n - 1 bounded
+            # draws; a row with a repeat among them substitutes a plot
+            highs = np.concatenate((np.arange(n_pop - n + 1, n_pop + 1),
+                                    np.arange(n, 1, -1)))
+            floyd = np.random.default_rng(seed).integers(
+                0, np.tile(highs, (reps, 1)))[:, :n]
+            if n <= cutoff:
+                repeats += sum(len(set(row)) < n for row in floyd.tolist())
+    assert repeats > 100
 
 
 def test_enroll_is_deterministic_given_seed(pop):

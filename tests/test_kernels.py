@@ -9,7 +9,8 @@ from scipy import stats
 from soilrct import design, estimators, harness, kernels, linalg, policy
 from soilrct.design import ObservedStudy
 from soilrct.population import Population, generate_population, papo
-from support import optimal_restricted, ref_sd_fpc, reference_kernel
+from support import (optimal_restricted, ref_arm_fit, ref_sd_fpc,
+                     reference_kernel)
 
 
 @pytest.fixture(scope="module")
@@ -170,18 +171,70 @@ def _sweep_case(seed):
             float(y0.mean()), float(y1.mean()), perm, noise, sd, n // 2)
 
 
+def _arm_sums_of_squares(b, perm, noise, sd, n0):
+    """Each replicate's per-arm sums of squares of the observed baseline,
+    as the reference kernel takes them: a (replicates, 2) array."""
+    bobs = b[perm]
+    if noise is not None:
+        bobs += sd * noise[:, :, 0]
+    return np.column_stack([ref_arm_fit(bobs[:, :n0], bobs[:, :n0])[3],
+                            ref_arm_fit(bobs[:, n0:], bobs[:, n0:])[3]])
+
+
 def test_kernel_gives_the_reference_bytes():
-    failed = 0
+    # every row is the reference's, byte for byte, except the rows the
+    # reference marks valid though an arm's sum of squares S is so small
+    # that S^2, which column 7 divides by, underflows: the kernel fails
+    # those, and only those
+    tiny = np.finfo(np.float64).tiny
+    failed = newly_failed = 0
     for seed in range(300):
         args = _sweep_case(seed)
         want = reference_kernel(*args)
+        b, perm, noise, sd, n0 = args[0], *args[8:12]
+        n = perm.shape[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ss = _arm_sums_of_squares(b, perm, noise, sd, n0)
+            underflows = (want[:, 12] == 0.0) & (ss * ss < tiny).any(axis=1)
+        # the sweep's baselines are of order 1 or 1e-160, so these are the
+        # rows with a subnormal S
+        assert np.array_equal(underflows, (want[:, 12] == 0.0)
+                              & (ss < tiny).any(axis=1))
+        want[underflows, 4:12] = np.nan
+        want[underflows, 12] = 1.0
+        want[underflows, 13] = np.nan
         failed += int(want[:, 12].sum())
-        b, sd, n = args[0], args[10], args[8].shape[1]
-        assert kernels.scenario_kernel(*args).tobytes() == want.tobytes()
+        newly_failed += int(underflows.sum())
+        got = kernels.scenario_kernel(*args)
+        assert got.tobytes() == want.tobytes()
         assert kernels.scenario_kernel(
             *args, fpc_of(b, sd, n)).tobytes() == want.tobytes()
-    # the sweep reaches the failure mask
+        assert np.isfinite(got[got[:, 12] == 0.0]).all()
+    # the sweep reaches the failure mask, and the underflow among it
     assert failed > 150
+    assert newly_failed > 100
+
+
+@pytest.mark.parametrize("scale, valid", [(1e-70, True), (1e-100, False)])
+def test_kernel_fails_rows_whose_squared_sum_of_squares_underflows(scale,
+                                                                   valid):
+    # the estimates are scale-free in the baseline, but column 7 divides
+    # by the square of each arm's sum of squares S: S ~ 1e-140 at a scale
+    # of 1e-70 is computed, while S ~ 1e-200 is normal but S^2 underflows
+    # to 0, so the row fails (the sweep above covers a subnormal S)
+    rng = np.random.default_rng(6)
+    n_pop, n = 200, 10
+    b, y0, y1 = _property_population(rng, n_pop, "varied")
+    b = b * scale
+    perm, noise = design.draw_replicates(rng, 30, n, n_pop)
+    out = kernels.scenario_kernel(b, y0, y1,
+                                  *kernels.population_tables(b, y0, y1),
+                                  float(y0.mean()), float(y1.mean()),
+                                  perm, noise, 0.0, n // 2,
+                                  fpc_of(b, 0.0, n))
+    assert np.all(out[:, 12] == (0.0 if valid else 1.0))
+    assert np.all(np.isfinite(out[:, :4]))
+    assert np.all(np.isfinite(out[:, [*range(4, 12), 13]]) == valid)
 
 
 def test_kernel_gives_the_reference_bytes_across_row_blocks():
