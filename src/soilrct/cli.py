@@ -7,7 +7,6 @@ study CSV.  Exit codes are stable: 0 success, 2 config or schema error,
 3 scenario abort, 4 estimator failure, 5 infeasible budget.
 """
 
-import csv
 import hashlib
 import json
 import math
@@ -15,7 +14,7 @@ import os
 import platform
 import shutil
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import click
@@ -26,7 +25,7 @@ from . import (__version__, design, estimators, harness, kernels, policy,
                tables)
 from .errors import (InfeasibleBudgetError, ParamError, ScenarioAbortError,
                      SchemaError, SoilRctError)
-from .population import Population, papo
+from .population import Population, papo, regression_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,10 +39,7 @@ DEFAULT_SEED = 20250801
 _INPUT = click.Path(exists=True, dir_okay=False)
 
 #: Config keys that mirror ScenarioGrid axes and parameters.
-_GRID_KEYS = ("taus", "beta_mods", "sd_eps1s", "sample_sizes",
-              "samples_per_plot", "n_replicates", "population_size",
-              "mu_b", "sd_b_across", "mean_control_change",
-              "sd_control_change", "sd_within_plot")
+_GRID_KEYS = tuple(f.name for f in fields(harness.ScenarioGrid))
 _TOP_KEYS = _GRID_KEYS + ("grid", "seed", "threads", "out")
 
 
@@ -89,28 +85,30 @@ def _as_float(value, key):
 
 
 def _normalize_grid_settings(config: dict) -> dict:
+    """The grid settings in `config`, each coerced as the type of its
+    `ScenarioGrid` field says; a key left out keeps the grid's default."""
     settings = {}
-    for key in ("taus", "beta_mods", "sd_eps1s", "samples_per_plot"):
-        if key in config:
-            if not isinstance(config[key], list):
+    for field in fields(harness.ScenarioGrid):
+        key = field.name
+        if key not in config:
+            continue
+        value = config[key]
+        if field.type == tuple[int, ...]:
+            if (not isinstance(value, list)
+                    or any(isinstance(v, bool) or not isinstance(v, int)
+                           for v in value)):
+                raise ConfigError(f"{key}: expected a list of integers")
+            settings[key] = tuple(value)
+        elif field.type == tuple[float, ...]:
+            if not isinstance(value, list):
                 raise ConfigError(f"{key}: expected a list")
-            settings[key] = tuple(_as_float(v, key) for v in config[key])
-    if "sample_sizes" in config:
-        vals = config["sample_sizes"]
-        if (not isinstance(vals, list)
-                or any(isinstance(v, bool) or not isinstance(v, int)
-                       for v in vals)):
-            raise ConfigError("sample_sizes: expected a list of integers")
-        settings["sample_sizes"] = tuple(vals)
-    for key in ("n_replicates", "population_size"):
-        if key in config:
-            if isinstance(config[key], bool) or not isinstance(config[key], int):
+            settings[key] = tuple(_as_float(v, key) for v in value)
+        elif field.type is int:
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{key}: expected an integer")
-            settings[key] = config[key]
-    for key in ("mu_b", "sd_b_across", "mean_control_change",
-                "sd_control_change", "sd_within_plot"):
-        if key in config:
-            settings[key] = _as_float(config[key], key)
+            settings[key] = value
+        else:
+            settings[key] = _as_float(value, key)
     return settings
 
 
@@ -121,9 +119,9 @@ def build_grid(grid_name: str, config: dict) -> harness.ScenarioGrid:
     if grid_name == "figure3":
         return harness.ScenarioGrid.power_curve_defaults(**settings)
     if grid_name == "custom":
-        missing = [k for k in ("taus", "beta_mods", "sd_eps1s",
-                               "sample_sizes", "samples_per_plot")
-                   if k not in settings]
+        # the axes: the fields with no default
+        missing = [f.name for f in fields(harness.ScenarioGrid)
+                   if f.default is MISSING and f.name not in settings]
         if missing:
             raise ConfigError(
                 f"custom grid requires keys: {', '.join(missing)}")
@@ -133,8 +131,6 @@ def build_grid(grid_name: str, config: dict) -> harness.ScenarioGrid:
 
 def _canonical(obj):
     if isinstance(obj, float):
-        if obj == math.inf:
-            return "inf"
         return format(obj, tables.FLOAT_FMT)
     if isinstance(obj, dict):
         return {k: _canonical(v) for k, v in sorted(obj.items())}
@@ -312,23 +308,17 @@ def _read_target(path):
     CSV (which also enables oracle evaluation, and is returned) or a bare
     `plot_id,baseline` table.  A repeated plot id is refused.
 
-    The kind is decided by the header row alone, as the strict `csv`
-    reader sees it; a header row it cannot read makes the target a
-    population.  The table is then read once, a population by
-    `Population.from_csv`, which reports any fault in it."""
-    try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh, strict=True), None)
-    except (csv.Error, ValueError):
-        header = None
-    if header != ["plot_id", "baseline"]:
+    The kind is decided by the header row alone, as `tables.read_header`
+    sees it; a header row it cannot read makes the target a population.
+    The table is then read once, a population by `Population.from_csv`,
+    which reports any fault in it."""
+    if tables.read_header(path) != ["plot_id", "baseline"]:
         pop = Population.from_csv(path)
         ids, covariates = pop.plot_id, pop.covariates
     else:
         pop = None
         ids, baseline = tables.read(path, {"plot_id": str, "baseline": float})
-        b = np.array(baseline)
-        covariates = np.column_stack([np.ones_like(b), b])
+        covariates = regression_rows(baseline)
     if len(set(ids)) < len(ids):
         seen = set()
         for line, plot in enumerate(ids, 2):

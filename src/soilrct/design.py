@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tables
 from .errors import DesignError, DimensionError, EnrollmentError, SchemaError
-from .population import Population
+from .population import Population, regression_rows
 
 #: Version of the stream of random draws behind every replicate and every
 #: study.  Stream 2 draws each replicate's plots with `Generator.choice`,
@@ -96,7 +96,7 @@ class ObservedStudy:
         s = np.ascontiguousarray(self.source_index, dtype=np.intp)
         cov = self.covariates_obs
         if cov is None:
-            cov = np.column_stack([np.ones_like(b), b])
+            cov = regression_rows(b)
         cov = np.ascontiguousarray(cov, dtype=np.float64)
         n = b.shape[0]
         if not (y.shape == z.shape == s.shape == (n,)):

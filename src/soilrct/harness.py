@@ -16,7 +16,7 @@ import hashlib
 import math
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from itertools import product
 
@@ -51,11 +51,11 @@ MODERATOR_ESTIMATORS = ("mod", "naive")
 class ScenarioGrid:
     """Cross product of population and design settings for one study."""
 
-    taus: tuple
-    beta_mods: tuple
-    sd_eps1s: tuple
-    sample_sizes: tuple
-    samples_per_plot: tuple
+    taus: tuple[float, ...]
+    beta_mods: tuple[float, ...]
+    sd_eps1s: tuple[float, ...]
+    sample_sizes: tuple[int, ...]
+    samples_per_plot: tuple[float, ...]
     n_replicates: int = 500
     population_size: int = 5000
     mu_b: float = BASELINE_MEAN
@@ -65,12 +65,14 @@ class ScenarioGrid:
     sd_within_plot: float = 1.02
 
     def __post_init__(self):
-        for name in ("taus", "beta_mods", "sd_eps1s", "sample_sizes",
-                     "samples_per_plot"):
-            vals = tuple(getattr(self, name))
+        # the axes: the fields with no default
+        for axis in fields(self):
+            if axis.default is not MISSING:
+                continue
+            vals = tuple(getattr(self, axis.name))
             if not vals:
-                raise ParamError(f"{name} must be nonempty")
-            object.__setattr__(self, name, vals)
+                raise ParamError(f"{axis.name} must be nonempty")
+            object.__setattr__(self, axis.name, vals)
         for n in self.sample_sizes:
             if not (isinstance(n, int) and n >= MIN_SAMPLE_SIZE
                     and n % 2 == 0):

@@ -106,30 +106,34 @@ def impute_population(coeffs: np.ndarray,
         raise DimensionError(
             f"coefficient shape {coeffs.shape} incompatible with covariates "
             f"{target.shape}")
-    return target @ coeffs.T
+    # a value past float64's range is inf here, and `_check_finite`
+    # refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return target @ coeffs.T
+
+
+def _check_finite(imputed: np.ndarray):
+    # a sum of magnitudes is finite only if every value is, and it bounds
+    # every sum of values that the solvers take
+    with np.errstate(over="ignore"):
+        magnitude = np.abs(imputed).sum()
+    if not np.isfinite(magnitude):
+        raise ParamError("imputed values and their sum must be finite")
 
 
 def optimal_unconstrained(imputed: np.ndarray) -> PolicyRegime:
-    """Row-wise argmax regime; exact ties go to the lower arm index."""
+    """Row-wise argmax regime; exact ties go to the lower arm index.
+
+    Raises ParamError unless the sum of the values' magnitudes is finite.
+    """
     imputed = np.asarray(imputed, dtype=np.float64)
     if imputed.ndim != 2 or imputed.shape[1] < 2:
         raise DimensionError("imputed must be an N x K matrix with K >= 2")
-    if not np.all(np.isfinite(imputed)):
-        raise ParamError("imputed values must be finite")
+    _check_finite(imputed)
     regime = imputed.argmax(axis=1)
     predicted = float(imputed.max(axis=1).mean())
     return PolicyRegime(regime=regime, predicted_mean=predicted,
                         total_cost=0.0)
-
-
-def _check_budget_inputs(imputed: np.ndarray, costs: CostModel):
-    imputed = np.asarray(imputed, dtype=np.float64)
-    if imputed.shape != costs.cost.shape:
-        raise DimensionError(
-            f"imputed {imputed.shape} and cost {costs.cost.shape} disagree")
-    if not np.all(np.isfinite(imputed)):
-        raise ParamError("imputed values must be finite")
-    return imputed
 
 
 def _hull_greedy(imputed: np.ndarray, cost: np.ndarray, budget: float):
@@ -205,13 +209,6 @@ def _spend_cap(budget: float) -> float:
     return budget * (1 + 1e-12)
 
 
-def _check_cheapest(cheapest: float, budget: float):
-    if cheapest > _spend_cap(budget):
-        raise InfeasibleBudgetError(
-            f"even the cheapest regime costs {cheapest:.17g} > budget "
-            f"{budget:.17g}")
-
-
 def _budgeted_lp(imputed: np.ndarray, costs: CostModel,
                  hull: tuple) -> PolicyRegime:
     """LP relaxation of the multiple-choice knapsack, then rounding.
@@ -222,11 +219,16 @@ def _budgeted_lp(imputed: np.ndarray, costs: CostModel,
     hull vertex, so the regime keeps within budget.
     `optimality_gap` is the LP optimum minus the rounded regime's mean
     value, computed from the same sums, so it is nonnegative and bounds
-    the value lost to rounding up to round-off.
+    the value lost to rounding up to round-off.  The answer of last
+    resort, it raises InfeasibleBudgetError where even the cheapest
+    regime overruns the spend cap.
     """
     n = imputed.shape[0]
     start_cost, regime, fractional, _ = hull
-    _check_cheapest(start_cost, costs.budget)
+    if start_cost > _spend_cap(costs.budget):
+        raise InfeasibleBudgetError(
+            f"even the cheapest regime costs {start_cost:.17g} > budget "
+            f"{costs.budget:.17g}")
     value = imputed[np.arange(n), regime].sum()
     predicted = float(value / n)
     return PolicyRegime(regime=regime, predicted_mean=predicted,
@@ -300,9 +302,10 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
 
     Returns None if some cost is more than 1e-9 from an integer, if the
     next core table would hold more than DP_MAX_PLOTS plots or
-    DP_MAX_CELLS cells, or where rounding the costs decides feasibility:
-    if the rounded cheapest regime overspends the floored budget, or the
-    regime found overspends at the true costs.  With lam >= 0
+    DP_MAX_CELLS cells, if the rounded cheapest regime overspends the
+    floored budget, or if the regime found overspends the spend cap at
+    the true costs; so it never answers an infeasible instance, which
+    `_budgeted_lp` refuses.  With lam >= 0
     (`optimal_budgeted` passes the LP's dual price of the budget) and
     r = value - lam * cost, every regime within budget B is worth at
     most U = sum_i max_a r_ia + lam * B (Dembo & Hammer 1980).  So a
@@ -323,9 +326,11 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
     cost_int = np.rint(costs.cost)
     if np.abs(costs.cost - cost_int).max(initial=0.0) > 1e-9:
         return None
-    # the largest integral spend `_check_cheapest` admits, kept finite
-    # for `floor` where the cap of a huge budget overflows
-    budget = math.floor(min(_spend_cap(costs.budget), sys.float_info.max))
+    # the largest integral spend the spend cap admits, kept finite for
+    # `floor` where the cap of a huge budget overflows; a negative budget
+    # admits no spend, and -1 stands for it
+    budget = math.floor(min(max(_spend_cap(costs.budget), -1.0),
+                            sys.float_info.max))
     if cost_int.T.copy().min(axis=0).sum() > budget:
         return None
     rows = np.arange(n)
@@ -388,14 +393,19 @@ def optimal_budgeted(imputed: np.ndarray, costs: CostModel) -> PolicyRegime:
     otherwise; `optimality_gap` is 0 for an exact answer and the LP
     optimum minus the rounded value otherwise.  With an infinite budget
     this reduces to the unconstrained argmax, which is exact and costs
-    what its arms cost.
+    what its arms cost.  Raises ParamError unless the imputed values and
+    the sum of their magnitudes are finite, and InfeasibleBudgetError if
+    even the cheapest regime overruns the budget.
     """
-    imputed = _check_budget_inputs(imputed, costs)
+    imputed = np.asarray(imputed, dtype=np.float64)
+    if imputed.shape != costs.cost.shape:
+        raise DimensionError(
+            f"imputed {imputed.shape} and cost {costs.cost.shape} disagree")
     if costs.budget == math.inf:
         best = optimal_unconstrained(imputed)
         return replace(best, total_cost=costs.total_cost(best.regime),
                        optimality_gap=0.0)
+    _check_finite(imputed)
     hull = _hull_greedy(imputed, costs.cost, costs.budget)
-    _check_cheapest(hull[0], costs.budget)
     exact = _budgeted_dp(imputed, costs, hull[3])
     return exact if exact is not None else _budgeted_lp(imputed, costs, hull)

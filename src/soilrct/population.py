@@ -1,13 +1,13 @@
 """Finite populations of potential outcomes.
 
 A population is a fixed table: one row per plot, holding the baseline
-%SOC value, the potential outcome under every arm, and the covariate row
-used for regression decompositions.  Nothing here is random once the
-table is built; all randomness lives in the generator and in the study
-design.
+%SOC value and the potential outcome under every arm.  The covariate row
+of a plot, used for regression decompositions, is [1, baseline], built
+by `regression_rows`.  Nothing here is random once the table is built;
+all randomness lives in the generator and in the study design.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,10 +38,9 @@ class PopulationParams:
     def validate(self) -> None:
         if self.n_plots < 2:
             raise ParamError(f"n_plots must be >= 2, got {self.n_plots}")
-        for name in ("mu_b", "sd_b_across", "mean_control_change",
-                     "sd_control_change", "tau", "beta_mod", "sd_eps1"):
-            if not np.isfinite(getattr(self, name)):
-                raise ParamError(f"{name} must be finite")
+        for field in fields(self):
+            if not np.isfinite(getattr(self, field.name)):
+                raise ParamError(f"{field.name} must be finite")
         if not self.sd_b_across > 0:
             raise ParamError(
                 f"sd_b_across must be positive, got {self.sd_b_across}")
@@ -58,22 +57,20 @@ class Population:
     """Potential-outcome table for `n_plots` plots under `n_arms` arms.
 
     `po[i, k]` is the %SOC outcome plot i would show under arm k (arm 0
-    is control).  `covariates` has an all-ones first column.  `plot_id`
-    holds the plots' ids as read from a table, or None for 0..n-1.
+    is control).  `covariates` is derived from `baseline`: the rows
+    [1, b] that `regression_rows` builds.  `plot_id` holds the plots' ids
+    as read from a table, or None for 0..n-1.
     """
 
     baseline: np.ndarray
     po: np.ndarray
-    covariates: np.ndarray
     plot_id: Optional[list] = None
 
     def __post_init__(self):
         baseline = np.ascontiguousarray(self.baseline, dtype=np.float64)
         po = np.ascontiguousarray(self.po, dtype=np.float64)
-        cov = np.ascontiguousarray(self.covariates, dtype=np.float64)
         object.__setattr__(self, "baseline", baseline)
         object.__setattr__(self, "po", po)
-        object.__setattr__(self, "covariates", cov)
         n = baseline.shape[0]
         if baseline.ndim != 1 or n < 2:
             raise DimensionError("baseline must be a vector of length >= 2")
@@ -82,14 +79,13 @@ class Population:
                 f"po must be {n} x K with K >= 2, got shape {po.shape}")
         if not np.all(np.isfinite(po)) or not np.all(np.isfinite(baseline)):
             raise ParamError("potential outcomes and baseline must be finite")
-        if cov.ndim != 2 or cov.shape[0] != n or cov.shape[1] < 1:
-            raise DimensionError(
-                f"covariates must be {n} x p with p >= 1, got {cov.shape}")
-        if not np.all(cov[:, 0] == 1.0):
-            raise ParamError("first covariate column must be identically 1")
         if self.plot_id is not None and len(self.plot_id) != n:
             raise DimensionError(f"{len(self.plot_id)} plot ids for {n} "
                                  f"plots")
+
+    @property
+    def covariates(self) -> np.ndarray:
+        return regression_rows(self.baseline)
 
     @property
     def n_plots(self) -> int:
@@ -113,9 +109,7 @@ class Population:
         if len(baseline) < 2:
             raise SchemaError(f"{path}: a population needs at least 2 "
                               f"data rows, got {len(baseline)}")
-        b = np.array(baseline)
-        covariates = np.column_stack([np.ones_like(b), b])
-        return cls(baseline=b, po=np.column_stack(po), covariates=covariates,
+        return cls(baseline=np.array(baseline), po=np.column_stack(po),
                    plot_id=ids)
 
 
@@ -124,6 +118,12 @@ def _population_columns(header) -> list:
     if header != ["plot_id", "baseline"] + [f"y{k}" for k in range(arms)]:
         raise SchemaError("expected header plot_id,baseline,y0,y1[,...]")
     return [str] + [float] * (arms + 1)
+
+
+def regression_rows(baseline) -> np.ndarray:
+    """The covariate rows [1, b] of plots whose baselines are `baseline`."""
+    b = np.asarray(baseline, dtype=np.float64)
+    return np.column_stack([np.ones_like(b), b])
 
 
 def generate_population(params: PopulationParams, seed) -> Population:
@@ -147,9 +147,7 @@ def generate_population(params: PopulationParams, seed) -> Population:
         raise ParamError("degenerate baseline draw: zero spread")
     b_tilde = (b - b.mean()) / sd_b
     y1 = y0 + params.tau + params.beta_mod * b_tilde + eps1
-    covariates = np.column_stack([np.ones(n), b])
-    return Population(baseline=b, po=np.column_stack([y0, y1]),
-                      covariates=covariates)
+    return Population(baseline=b, po=np.column_stack([y0, y1]))
 
 
 def papo(pop: Population, regime: np.ndarray) -> float:

@@ -16,6 +16,10 @@ goes through the `csv` module: a table with a quote, a `\\r`, a blank
 line, a ragged row or no final `\\n` is read by the strict reader, which
 raises every `SchemaError`, and a cell that needs quoting is written by
 `csv.writer`.
+
+This is the one module that reads a CSV header: `read` checks it, and
+`read_header` returns it alone, for a caller that picks the kind of a
+table by its header.
 """
 
 import csv
@@ -89,6 +93,17 @@ def read(path, header_check) -> list:
     except ValueError:  # SchemaError and UnicodeDecodeError among them
         columns = None
     return _read_strict(path, header_check) if columns is None else columns
+
+
+def read_header(path):
+    """The header row of the table at `path` as the strict `csv` reader
+    sees it, or None if the file is empty or that reader cannot read its
+    first row."""
+    try:
+        with open(path, newline="") as fh:
+            return next(csv.reader(fh, strict=True), None)
+    except (csv.Error, ValueError):  # UnicodeDecodeError among them
+        return None
 
 
 def _parsers(header, header_check) -> list:

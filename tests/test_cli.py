@@ -133,6 +133,12 @@ def test_simulate_tables_match_their_golden_digests(runner, tmp_path):
     run_dir = Path(result.output.strip())
     assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
             for name in GOLDEN_DIGESTS} == GOLDEN_DIGESTS
+    # the config hash, which names the run directory, writes the grid's
+    # `inf` samples per plot as "inf"
+    assert run_dir.name == "run-5-7d77c7731cef"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["config_sha256"] == (
+        "7d77c7731cefa740f91e430c6637d2d60cdea323f380b347de6a23f8d1f71ff6")
 
 
 def test_simulate_is_byte_identical_under_blas_threads(tmp_path):
@@ -186,6 +192,21 @@ def test_simulate_unknown_grid_exits_2(tmp_path):
     config.write_text("grid: nope\n")
     done = run_cli("simulate", "--config", config, "--out", tmp_path / "out")
     assert_one_error_line(done, 2, "unknown grid 'nope'")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ("- grid: paper\n", "config must be a mapping"),
+    (None, "Is a directory"),
+], ids=["list", "directory"])
+def test_simulate_unreadable_config_exits_2(tmp_path, config, message):
+    path = tmp_path / "run.yaml"
+    if config is None:
+        path.mkdir()
+    else:
+        path.write_text(config)
+    done = run_cli("simulate", "--config", path, "--out", tmp_path / "out")
+    assert_one_error_line(done, 2, message)
     assert not (tmp_path / "out").exists()
 
 
@@ -431,6 +452,16 @@ def test_estimate_degenerate_study_exits_4(runner, tmp_path):
     assert result.exit_code == 4
 
 
+def test_estimate_naive_mod_constant_baseline_exits_4(tmp_path):
+    path = tmp_path / "study.csv"
+    study = write_study(path)
+    ObservedStudy(baseline_obs=np.full(study.n, 2.0),
+                  outcome_obs=study.outcome_obs, arm=study.arm,
+                  source_index=study.source_index).to_csv(path)
+    done = run_cli("estimate", path, "--estimator", "naive-mod")
+    assert_one_error_line(done, 4, "baseline has zero variance")
+
+
 @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
 def test_estimate_bad_alpha_exits_2(runner, tmp_path, alpha):
     path = tmp_path / "study.csv"
@@ -556,6 +587,21 @@ def test_policy_infeasible_budget_exits_5(runner, tmp_path):
     assert result.exit_code == 5
 
 
+@pytest.mark.parametrize("budget", ["-inf", "-1.7976931348623157e308",
+                                    "-1e-300"])
+def test_policy_negative_budget_exits_5(runner, tmp_path, budget):
+    # integral costs, so the exact solver sees the budget first
+    study_path, target_path, _ = make_policy_files(tmp_path)
+    cost_path = tmp_path / "costs.csv"
+    cost_path.write_text("plot_id,cost0,cost1\n0,0,2\n1,0,2\n2,0,2\n")
+    result = runner.invoke(cli.main, ["policy", str(study_path),
+                                      str(target_path), "--costs",
+                                      str(cost_path), f"--budget={budget}",
+                                      "--out", str(tmp_path / "pol")])
+    assert result.exit_code == 5, result.output
+    assert "even the cheapest regime costs 0 > budget" in result.output
+
+
 def test_policy_budget_equal_to_decimal_cheapest_sum_is_feasible(runner,
                                                                   tmp_path):
     # the two-decimal cheapest costs sum to 25005.26, which the float sum
@@ -602,14 +648,16 @@ def test_policy_budget_slack_is_one_rule_for_both_solvers(runner, tmp_path,
 
 def run_cli(*argv):
     """`soilrct *argv` in a subprocess, so that its real stderr is seen
-    and a command that loops fails the test instead of hanging it."""
+    and a command that loops fails the test instead of hanging it; a
+    RuntimeWarning is an error there, as in the suite."""
     src = str(Path(soilrct.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+        [src, os.environ.get("PYTHONPATH", "")]),
+        PYTHONWARNINGS="error::RuntimeWarning")
     return subprocess.run(
-        [sys.executable, "-c", "from soilrct.cli import main; main()",
-         *map(str, argv)], env=env, capture_output=True, text=True,
-        timeout=30)
+        [sys.executable, "-c",
+         "from soilrct.cli import main; main()", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=30)
 
 
 def assert_one_error_line(done, code, match):
@@ -673,6 +721,22 @@ def test_estimate_overflow_exits_4(tmp_path, estimator):
     assert_one_error_line(done, 4, OVERFLOW_ERRORS[estimator])
 
 
+@pytest.mark.parametrize("baseline", ["1e308", "1.7e308"],
+                         ids=["sum-overflows", "values-overflow"])
+def test_policy_imputed_overflow_exits_4(tmp_path, baseline):
+    # the study's slopes are about 1.19 and 1.07: at 1e308 every imputed
+    # value is finite but their sum is not, and at 1.7e308 the imputation
+    # itself overflows; neither may print a warning
+    study_path, _, _ = make_policy_files(tmp_path)
+    target = tmp_path / "bare.csv"
+    target.write_text("plot_id,baseline\n" + "".join(
+        f"{i},{baseline}\n" for i in range(3)))
+    done = run_cli("policy", study_path, target, "--out", tmp_path / "pol")
+    assert_one_error_line(done, 4, "imputed values and their sum must be "
+                                   "finite")
+    assert not (tmp_path / "pol").exists()
+
+
 def test_policy_budget_without_costs_exits_2(runner, tmp_path):
     study_path, target_path, _ = make_policy_files(tmp_path)
     result = runner.invoke(cli.main, ["policy", str(study_path),
@@ -700,7 +764,8 @@ def test_policy_regime_names_the_target_plots(runner, tmp_path, kind):
 
 
 #: name: (target ids or a bare table's, cost ids or None, the file and
-#: line the error names, and what it says there)
+#: line the error names, and what it says there); a line of None names
+#: the file alone
 MISPAIRED_IDS = {
     "other-plots": ("ABC", "CZQ", "costs", 2, "plot_id 'C' where the "
                                               "target has 'A'"),
@@ -710,6 +775,8 @@ MISPAIRED_IDS = {
                                                  "target has 'B'"),
     "duplicate-target": ("ABA", None, "target", 4, "duplicate plot_id 'A'"),
     "duplicate-bare": ("ABB", None, "bare", 4, "duplicate plot_id 'B'"),
+    "fewer-cost-rows": ("ABC", "AB", "costs", None, "2 cost rows for 3 "
+                                                    "target plots"),
 }
 
 
@@ -731,7 +798,8 @@ def test_policy_refuses_plot_ids_that_do_not_pair(runner, tmp_path, case):
         argv += ["--costs", files["costs"]]
     result = runner.invoke(cli.main, list(map(str, argv)))
     assert result.exit_code == 2, result.output
-    assert result.output == f"error: {files[where]}:{line}: {message}\n"
+    named = files[where] if line is None else f"{files[where]}:{line}"
+    assert result.output == f"error: {named}: {message}\n"
     assert not (tmp_path / "pol").exists()
 
 
@@ -783,8 +851,9 @@ def test_policy_reads_a_population_target_once(runner, tmp_path,
                                       str(target_path), "--out",
                                       str(tmp_path / "pol")])
     assert result.exit_code == 0, result.output
-    # the header row is read on its own, the table by one `tables.read`
-    assert opened == {"cli": 1, "tables": 1}
+    # the header row is read on its own by `tables.read_header`, the table
+    # by one `tables.read`
+    assert opened == {"cli": 0, "tables": 2}
 
 
 def _past_8kb(data: bytes) -> bytes:

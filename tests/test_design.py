@@ -66,8 +66,7 @@ def test_study_is_replicate_0_of_the_stream(pop, arm_sizes, m):
     if len(arm_sizes) == 3:
         # a third arm worth 0.1 more than arm 1
         pop = Population(baseline=pop.baseline,
-                         po=np.column_stack([pop.po, pop.po[:, 1] + 0.1]),
-                         covariates=pop.covariates)
+                         po=np.column_stack([pop.po, pop.po[:, 1] + 0.1]))
     spec = DesignSpec(n_enrolled=sum(arm_sizes), arm_sizes=arm_sizes,
                       samples_per_plot=m, sd_within_plot=1.02)
     study = enroll_and_assign(pop, spec, 21)

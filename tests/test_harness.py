@@ -148,9 +148,7 @@ def tied_baselines(params, rng):
     # baselines on a 0.5 grid: at m = inf an arm often sees one value
     pop = generate_population(params, rng)
     baseline = np.round(pop.baseline * 2.0) / 2.0
-    covariates = pop.covariates.copy()
-    covariates[:, 1] = baseline
-    return Population(baseline=baseline, po=pop.po, covariates=covariates)
+    return Population(baseline=baseline, po=pop.po)
 
 
 def all_rows_failed(result):
@@ -449,8 +447,7 @@ def test_scenario_abort_on_mass_failure():
     n_pop = 100
     baseline = np.full(n_pop, 2.0)
     po = np.column_stack([np.ones(n_pop), np.ones(n_pop) * 1.5])
-    pop = Population(baseline=baseline, po=po,
-                     covariates=np.column_stack([np.ones(n_pop), baseline]))
+    pop = Population(baseline=baseline, po=po)
     bundle = harness.build_bundle(pop)
     grid = small_grid(population_size=n_pop)
     scenario = harness.Scenario(0.0, -0.5, 0.0, 10, math.inf)

@@ -400,8 +400,7 @@ def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
         # a few replicates enroll control plots that share one baseline
         for r in range(0, reps, 3):
             b[perm[r, :half]] = 2.0
-    pop = Population(baseline=b, po=np.column_stack([y0, y1]),
-                     covariates=np.column_stack([np.ones(n_pop), b]))
+    pop = Population(baseline=b, po=np.column_stack([y0, y1]))
     sd = 0.0 if m == math.inf else 1.02 / math.sqrt(m)
     plots = np.mean((b - b.mean()) ** 4) - np.var(b) ** 2
     noise_part = 4 * np.var(b) * sd**2 + 2 * sd**4

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -405,10 +406,17 @@ def test_budgeted_infeasible_raises():
     costs = CostModel(cost=cost, budget=1.0)
     with pytest.raises(InfeasibleBudgetError):
         _budgeted_lp(imputed, costs, hull(imputed, costs))
+    # the spend cap of these budgets is -inf, which the DP cannot floor;
+    # free regimes do not fit them either
+    for budget in (-math.inf, -sys.float_info.max, -1e-300):
+        for scale in (0.0, 1.0):
+            with pytest.raises(InfeasibleBudgetError):
+                optimal_budgeted(imputed, CostModel(cost=scale * cost,
+                                                    budget=budget))
 
 
 def test_integral_budgets_keep_their_value_in_the_dp():
-    # the DP's integer budget is the largest spend `_check_cheapest`
+    # the DP's integer budget is the largest spend the spend cap
     # admits, which for an integral budget is the budget itself
     assert all(math.floor(policy._spend_cap(float(b))) == b
                for b in range(0, 200_000, 7))
@@ -544,6 +552,22 @@ def test_spends_that_overflow_float64_give_no_warning():
     # with no budget every plot is treated, at a cost past float64's range
     assert free.regime.tolist() == [1, 1, 1]
     assert free.total_cost == math.inf
+
+
+@pytest.mark.parametrize("arm1, budget", [(0.0, math.inf), (1.0, 1.0),
+                                          (0.5, 1.0)],
+                         ids=["argmax", "dp", "lp"])
+def test_imputed_values_whose_sum_overflows_are_refused(arm1, budget):
+    # every value is finite, but their sum is past float64's range: the
+    # argmax's mean would be inf, the DP would find no finite regime, and
+    # the LP's value would be inf and its gap nan
+    imputed = np.full((3, 2), 1.0e308)
+    imputed[:, 1] += 1e307
+    cost = np.column_stack([np.zeros(3), np.full(3, arm1)])
+    with pytest.raises(ParamError, match="their sum must be finite"):
+        optimal_budgeted(imputed, CostModel(cost=cost, budget=budget))
+    with pytest.raises(ParamError, match="their sum must be finite"):
+        optimal_unconstrained(imputed)
 
 
 def test_dp_refuses_when_no_core_of_every_plot_fits(monkeypatch):

@@ -89,15 +89,10 @@ def test_papo_rejects_bad_regimes():
 
 def test_population_validation():
     with pytest.raises(DimensionError):
-        Population(baseline=np.array([1.0]), po=np.ones((1, 2)),
-                   covariates=np.ones((1, 1)))
+        Population(baseline=np.array([1.0]), po=np.ones((1, 2)))
     with pytest.raises(ParamError):
         Population(baseline=np.array([1.0, 2.0]),
-                   po=np.array([[1.0, np.inf], [1.0, 1.0]]),
-                   covariates=np.ones((2, 1)))
-    with pytest.raises(ParamError):
-        Population(baseline=np.array([1.0, 2.0]), po=np.ones((2, 2)),
-                   covariates=np.array([[2.0], [2.0]]))
+                   po=np.array([[1.0, np.inf], [1.0, 1.0]]))
 
 
 def test_params_validation():
@@ -111,6 +106,15 @@ def test_params_validation():
         params(tau=math.nan).validate()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [
+    "mu_b", "sd_b_across", "mean_control_change", "sd_control_change",
+    "tau", "beta_mod", "sd_eps1"])
+def test_params_refuse_every_nonfinite_float(name, value):
+    with pytest.raises(ParamError, match=f"^{name} must be finite$"):
+        params(**{name: value}).validate()
+
+
 def test_csv_roundtrip_is_exact(tmp_path):
     pop = generate_population(params(n_plots=50), 13)
     path = tmp_path / "pop.csv"
@@ -118,6 +122,8 @@ def test_csv_roundtrip_is_exact(tmp_path):
     back = Population.from_csv(path)
     assert np.array_equal(back.baseline, pop.baseline)
     assert np.array_equal(back.po, pop.po)
+    assert np.array_equal(back.covariates,
+                          np.column_stack([np.ones(50), pop.baseline]))
     header = path.read_text().splitlines()[0]
     assert header == "plot_id,baseline,y0,y1"
 
@@ -132,8 +138,7 @@ def test_csv_keeps_the_plot_ids(tmp_path):
     assert again.read_bytes() == path.read_bytes()
     assert generate_population(params(n_plots=3), 1).plot_id is None
     with pytest.raises(DimensionError):
-        Population(baseline=pop.baseline, po=pop.po,
-                   covariates=pop.covariates, plot_id=["B-2"])
+        Population(baseline=pop.baseline, po=pop.po, plot_id=["B-2"])
 
 
 def test_csv_rejects_bad_schema(tmp_path):
