@@ -3,10 +3,11 @@
 
 For each sample size, times `design.draw_replicates` (the one draw
 behind every harness replicate and every library study) for the
-replicates of one scenario, times `kernels.scenario_kernel` on them
-(best and mean of several calls each), and re-derives every replicate
-with the QR-based library estimators.  Exits 1 if any replicate
-disagrees by more than 1e-8 in columns 0-9, or is flagged as failed.
+replicates of one scenario, times `kernels.scenario_kernel` on the
+harness's inputs for it, from `harness.kernel_inputs` (best and mean of
+several calls each), and re-derives every replicate with the QR-based
+library estimators.  Exits 1 if any replicate disagrees by more than
+1e-8 in columns 0-9, or is flagged as failed.
 
 Usage: python benchmarks/bench_kernels.py [--replicates R] [--repeat K]
                                           [--population N]
@@ -44,15 +45,8 @@ def kernel_args(n, replicates, n_pop):
                                 m=5.0)
     pop = generate_population(grid.population_params(*scenario.pop_key),
                               harness.population_rng(SEED, *scenario.pop_key))
-    bundle = harness.build_bundle(pop)
-    perm, noise = design.draw_replicates(
-        harness.scenario_rng(SEED, scenario), replicates, n, n_pop)
-    sd = grid.sigma_delta(scenario.m)
-    return (pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
-            np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
-            bundle.cum1, bundle.mean_y0, bundle.mean_y1, perm, noise,
-            sd, n // 2,
-            kernels.sd_fpc(bundle.baseline_moments, sd, n, n_pop))
+    return harness.kernel_inputs(grid, scenario, harness.build_bundle(pop),
+                                 SEED)
 
 
 def library_row(args, r):

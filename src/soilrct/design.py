@@ -236,8 +236,7 @@ def enroll_and_assign(pop: Population, spec: DesignSpec, seed) -> ObservedStudy:
     """Enroll by SRS, assign by complete randomization, add measurement noise.
 
     The study is replicate 0 of `draw_replicates`, measured.  `seed` may
-    be anything `numpy.random.default_rng` accepts, or an existing
-    Generator.
+    be anything `numpy.random.default_rng` accepts, a Generator among them.
     """
     if spec.n_enrolled > pop.n_plots:
         raise EnrollmentError(
@@ -246,10 +245,9 @@ def enroll_and_assign(pop: Population, spec: DesignSpec, seed) -> ObservedStudy:
     if spec.n_arms != pop.n_arms:
         raise DesignError(
             f"design has {spec.n_arms} arms but population has {pop.n_arms}")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
     sd = spec.sigma_delta
-    perm, noise = draw_replicates(rng, 1, spec.n_enrolled, pop.n_plots,
+    perm, noise = draw_replicates(np.random.default_rng(seed), 1,
+                                  spec.n_enrolled, pop.n_plots,
                                   with_noise=sd != 0.0)
     source = perm[0]
     z = arm_labels(spec)

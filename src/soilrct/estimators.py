@@ -154,10 +154,9 @@ def ols_interaction(study: ObservedStudy, alpha: float = DEFAULT_ALPHA
         raise InsufficientDataError(
             f"interacted OLS needs n > {q} observations, got {n}")
     _require_finite_squares(design=design, response=study.outcome_obs)
-    coeffs = linalg.least_squares(design, study.outcome_obs)
+    coeffs, residuals, cov = linalg.hc2_least_squares(design,
+                                                      study.outcome_obs)
     fitted = design @ coeffs
-    residuals = study.outcome_obs - fitted
-    cov = linalg.hc2_covariance(design, residuals)
     fit = InteractionFit(coeffs=coeffs, sandwich_cov=cov, residuals=residuals,
                          fitted=fitted, design_rows=design)
     tau = EstimateWithCI.from_point(coeffs[1], cov[1, 1], alpha)
@@ -191,7 +190,5 @@ def naive_moderator(study: ObservedStudy,
         raise SingularMatrixError("baseline has zero variance", column=1)
     bs = (b - b.mean()) / sd
     design = np.column_stack([np.ones(study.n), bs])
-    coeffs = linalg.least_squares(design, study.diffs)
-    residuals = study.diffs - design @ coeffs
-    cov = linalg.hc2_covariance(design, residuals)
+    coeffs, _, cov = linalg.hc2_least_squares(design, study.diffs)
     return EstimateWithCI.from_point(coeffs[1], cov[1, 1], alpha)

@@ -213,7 +213,7 @@ def build_bundle(pop: Population) -> PopulationBundle:
     y1 = np.ascontiguousarray(pop.po[:, 1])
     sort_b, cum0, cum1 = kernels.population_tables(pop.baseline, y0, y1)
     return PopulationBundle(
-        population=pop, y0=y0, y1=y1, pate=pate(pop, 1),
+        population=pop, y0=y0, y1=y1, pate=pate(pop),
         mean_y0=float(y0.mean()), mean_y1=float(y1.mean()),
         oracle_value=float(np.maximum(y0, y1).mean()),
         sort_b=sort_b, cum0=cum0, cum1=cum1,
@@ -286,26 +286,31 @@ class ScenarioResult:
         return out
 
 
+def kernel_inputs(grid: ScenarioGrid, scenario: Scenario,
+                  bundle: PopulationBundle, master_seed: int) -> tuple:
+    """The positional arguments of `kernels.scenario_kernel` for every
+    replicate of `scenario`, arm 0 in the first n // 2 enrolled plots."""
+    n, n_pop = scenario.n, bundle.population.n_plots
+    sigma_delta = grid.sigma_delta(scenario.m)
+    # a noise-free measurement (m = inf) needs no noise draw
+    perm, noise = design.draw_replicates(
+        scenario_rng(master_seed, scenario), grid.n_replicates, n, n_pop,
+        with_noise=sigma_delta != 0.0)
+    return (bundle.population.baseline, bundle.y0, bundle.y1,
+            bundle.sort_b, bundle.cum0, bundle.cum1,
+            bundle.mean_y0, bundle.mean_y1,
+            perm, noise, sigma_delta, n // 2,
+            kernels.sd_fpc(bundle.baseline_moments, sigma_delta, n, n_pop))
+
+
 def run_scenario(grid: ScenarioGrid, scenario: Scenario,
                  bundle: PopulationBundle, master_seed: int) -> ScenarioResult:
     """Execute every replicate of one scenario through the kernel; raise
     ParamError if a measurement or an estimate overflows."""
     reps = grid.n_replicates
-    n = scenario.n
-    pop = bundle.population
-    sigma_delta = grid.sigma_delta(scenario.m)
-    # a noise-free measurement (m = inf) needs no noise draw
-    perm, noise = design.draw_replicates(
-        scenario_rng(master_seed, scenario), reps, n, pop.n_plots,
-        with_noise=sigma_delta != 0.0)
-    fpc = kernels.sd_fpc(bundle.baseline_moments, sigma_delta, n,
-                         pop.n_plots)
     try:
         raw = kernels.scenario_kernel(
-            pop.baseline, bundle.y0, bundle.y1,
-            bundle.sort_b, bundle.cum0, bundle.cum1,
-            bundle.mean_y0, bundle.mean_y1,
-            perm, noise, sigma_delta, n // 2, fpc)
+            *kernel_inputs(grid, scenario, bundle, master_seed))
     except FloatingPointError as exc:
         raise ParamError(f"scenario {scenario}: the measurements overflow: "
                          f"{exc}") from exc

@@ -26,7 +26,7 @@ each row is computed independently, the output is the same for any block
 split.
 
 Replicates are laid out with arm 0 in the first `n0` columns and arm 1 in
-the remainder; the caller is responsible for that block ordering.
+the remainder; the caller, `harness.kernel_inputs`, lays out those blocks.
 """
 
 import numpy as np
@@ -47,7 +47,7 @@ KERNEL_COLUMNS = (
 )
 N_KERNEL_COLUMNS = len(KERNEL_COLUMNS)
 
-#: Floor on 1 - leverage in the HC2 weights, as in `linalg.hc2_covariance`.
+#: Floor on 1 - leverage in HC2 weights, as in `linalg.hc2_least_squares`.
 _MIN_DENOM = 1e-12
 
 #: Smallest normal float64.  A row whose sum of squares has a square

@@ -1,9 +1,9 @@
 """Dense least-squares core.
 
-All regression estimators in the package route through `least_squares`,
-which solves the problem by Householder QR rather than normal equations:
-the QR route is backward stable and its triangular factor exposes rank
-deficiency directly on the diagonal.
+All regression estimators in the package route through `least_squares`
+or `hc2_least_squares`, which solve the problem by Householder QR rather
+than normal equations: the QR route is backward stable and its triangular
+factor exposes rank deficiency directly on the diagonal.
 """
 
 import numpy as np
@@ -56,35 +56,41 @@ def _back_substitute(rmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of `response` on the columns of `design`.
-
-    Solved through the QR factorization of the design matrix; see
-    `qr_factor` for the rank-deficiency diagnostics.
-    """
+def _solve(design: np.ndarray, response: np.ndarray) -> tuple:
+    """Q, R, the float64 response and the coefficients of a QR solve."""
     response = np.asarray(response, dtype=np.float64)
     if response.ndim != 1 or response.shape[0] != np.shape(design)[0]:
         raise DimensionError(
             f"response shape {response.shape} does not match design "
             f"{np.shape(design)}")
     qmat, rmat = qr_factor(design)
-    return _back_substitute(rmat, qmat.T @ response)
+    return qmat, rmat, response, _back_substitute(rmat, qmat.T @ response)
 
 
-def hc2_covariance(design: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """Leverage-adjusted (HC2) sandwich covariance of OLS coefficients.
+def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of `response` on the columns of `design`.
+
+    Solved through the QR factorization of the design matrix; see
+    `qr_factor` for the rank-deficiency diagnostics.
+    """
+    return _solve(design, response)[3]
+
+
+def hc2_least_squares(design: np.ndarray, response: np.ndarray) -> tuple:
+    """Least-squares coefficients, residuals and leverage-adjusted (HC2)
+    sandwich covariance of the coefficients, from one QR factorization.
 
     Each squared residual is inflated by 1/(1 - h_i) where h_i is the
     hat-matrix diagonal, which removes the downward bias of the plain
     sandwich in small samples.  Leverages fall directly out of the QR
     factorization as squared row norms of Q.
     """
-    residuals = np.asarray(residuals, dtype=np.float64)
-    qmat, rmat = qr_factor(design)
+    qmat, rmat, response, coeffs = _solve(design, response)
+    residuals = response - design @ coeffs
     leverage = np.einsum("ij,ij->i", qmat, qmat)
     # h_i = 1 exactly means the point is fit perfectly; its residual is 0
     denom = np.clip(1.0 - leverage, 1e-12, None)
     a = _back_substitute(rmat, qmat.T)
     scaled = a * (residuals / np.sqrt(denom))[np.newaxis, :]
     cov = scaled @ scaled.T
-    return 0.5 * (cov + cov.T)
+    return coeffs, residuals, 0.5 * (cov + cov.T)

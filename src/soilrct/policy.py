@@ -331,8 +331,15 @@ def _budgeted_dp(imputed: np.ndarray, costs: CostModel,
     # admits no spend, and -1 stands for it
     budget = math.floor(min(max(_spend_cap(costs.budget), -1.0),
                             sys.float_info.max))
-    if cost_int.T.copy().min(axis=0).sum() > budget:
+    by_cost = cost_int.T.copy()
+    if by_cost.min(axis=0).sum() > budget:
         return None
+    # any lam >= 0 gives a bound: lam = 0 where lam times the largest spend
+    # and the budget could take the sums below past float64's range
+    with np.errstate(over="ignore"):
+        room = (sys.float_info.max - np.abs(imputed).sum()) / 2
+        if lam > room / max(by_cost.max(axis=0).sum() + budget, 1.0):
+            lam = 0.0
     rows = np.arange(n)
     reduced = imputed - lam * cost_int
     top = reduced.argmax(axis=1)

@@ -162,11 +162,7 @@ def papo(pop: Population, regime: np.ndarray) -> float:
     return float(pop.po[np.arange(pop.n_plots), regime.astype(np.intp)].mean())
 
 
-def pate(pop: Population, arm: int) -> float:
-    """Average effect of treating every plot with `arm` versus control."""
-    if not 0 <= arm < pop.n_arms:
-        raise ParamError(f"arm must be in [0, {pop.n_arms}), got {arm}")
-    if arm == 0:
-        return 0.0
-    return float((pop.po[:, arm] - pop.po[:, 0]).mean())
+def pate(pop: Population) -> float:
+    """Average effect of treating every plot with arm 1 versus control."""
+    return float((pop.po[:, 1] - pop.po[:, 0]).mean())
 

@@ -1,6 +1,6 @@
-"""Smoke test of `benchmarks/bench_kernels.py`, which calls the kernel
-positionally and checks it against the QR estimators; nothing else runs
-it, so a change to the kernel's arguments would otherwise go unseen."""
+"""Smoke test of `benchmarks/bench_kernels.py`: it takes the kernel's
+arguments by position from the shared builder `harness.kernel_inputs`,
+and nothing else runs it, so a change to their order would go unseen."""
 
 import os
 import subprocess

@@ -219,11 +219,23 @@ def test_simulate_bad_yaml_reports_location(runner, tmp_path):
 
 
 def test_simulate_custom_grid_needs_all_axes(runner, tmp_path):
+    # an empty config file is an empty mapping, which names no axis
     config = tmp_path / "run.yaml"
-    config.write_text("grid: custom\ntaus: [0.0]\n")
-    result = runner.invoke(cli.main, ["simulate", "--config", str(config)])
-    assert result.exit_code == 2
-    assert "custom grid requires" in result.output
+    for text, missing in [("grid: custom\ntaus: [0.0]\n", "beta_mods"),
+                          ("", "taus, beta_mods")]:
+        config.write_text(text)
+        result = runner.invoke(cli.main, ["simulate", "--config",
+                                          str(config), "--grid", "custom"])
+        assert result.exit_code == 2
+        assert (f"custom grid requires keys: {missing}, sd_eps1s, "
+                f"sample_sizes, samples_per_plot") in result.output
+
+
+def test_paper_grid_takes_the_config_settings():
+    config = {"n_replicates": 3, "samples_per_plot": [5, "inf"]}
+    assert cli.build_grid("paper", config) == (
+        harness.ScenarioGrid.paper_defaults(
+            n_replicates=3, samples_per_plot=(5.0, math.inf)))
 
 
 def test_simulate_invalid_threads_exits_2(runner, tmp_path):

@@ -242,20 +242,13 @@ def test_noise_free_scenario_skips_the_noise_draw():
         grid.population_params(*scenario.pop_key),
         harness.population_rng(4, *scenario.pop_key))
     bundle = harness.build_bundle(pop)
-    draws = [design.draw_replicates(harness.scenario_rng(4, scenario),
-                                    grid.n_replicates, scenario.n,
-                                    pop.n_plots, with_noise=with_noise)
-             for with_noise in (True, False)]
-    (perm, noise), (bare_perm, bare_noise) = draws
-    assert bare_noise is None and np.any(noise != 0.0)
-    assert np.array_equal(perm, bare_perm)
-    drawn = kernels.scenario_kernel(
-        pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
-        np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
-        bundle.cum1, bundle.mean_y0, bundle.mean_y1, perm, noise, 0.0,
-        scenario.n // 2,
-        kernels.sd_fpc(bundle.baseline_moments, 0.0, scenario.n,
-                       pop.n_plots))
+    args = harness.kernel_inputs(grid, scenario, bundle, 4)
+    perm, noise = design.draw_replicates(harness.scenario_rng(4, scenario),
+                                         grid.n_replicates, scenario.n,
+                                         pop.n_plots)
+    assert args[9] is None and np.any(noise != 0.0)
+    assert np.array_equal(perm, args[8])
+    drawn = kernels.scenario_kernel(*args[:9], noise, *args[10:])
     result = harness.run_scenario(grid, scenario, bundle, 4)
     assert result.raw.tobytes() == drawn.tobytes()
 

@@ -22,27 +22,16 @@ def setup():
                                 n=30, m=5.0)
     rng = harness.population_rng(99, *scenario.pop_key)
     pop = generate_population(grid.population_params(*scenario.pop_key), rng)
-    bundle = harness.build_bundle(pop)
-    return grid, scenario, pop, bundle
+    return pop, harness.kernel_inputs(grid, scenario,
+                                      harness.build_bundle(pop), 99)
 
 
-def kernel_inputs(grid, scenario, pop, bundle, seed=99):
-    perm, noise = design.draw_replicates(
-        harness.scenario_rng(seed, scenario), grid.n_replicates, scenario.n,
-        pop.n_plots)
-    sd = grid.sigma_delta(scenario.m)
-    return (pop.baseline, np.ascontiguousarray(pop.po[:, 0]),
-            np.ascontiguousarray(pop.po[:, 1]), bundle.sort_b, bundle.cum0,
-            bundle.cum1, bundle.mean_y0, bundle.mean_y1, perm, noise,
-            sd, scenario.n // 2,
-            kernels.sd_fpc(bundle.baseline_moments, sd, scenario.n,
-                           pop.n_plots))
-
-
-def fpc_of(b, sd, n):
-    """The kernel's `fpc` argument for `n` of the plots with baselines
-    `b`, observed with noise of SD `sd`."""
-    return kernels.sd_fpc(kernels.baseline_moments(b), sd, n, b.shape[0])
+def kernel_on(b, y0, y1, perm, noise, sd):
+    """The kernel on the plots with baselines `b` and potential outcomes
+    `y0` and `y1`, with arm 0 in the first half of each replicate."""
+    return kernels.scenario_kernel(
+        b, y0, y1, *kernels.population_tables(b, y0, y1), float(y0.mean()),
+        float(y1.mean()), perm, noise, sd, perm.shape[1] // 2)
 
 
 def observed(pop, idx, noise_r, sd, n0):
@@ -207,8 +196,8 @@ def test_kernel_gives_the_reference_bytes():
         newly_failed += int(underflows.sum())
         got = kernels.scenario_kernel(*args)
         assert got.tobytes() == want.tobytes()
-        assert kernels.scenario_kernel(
-            *args, fpc_of(b, sd, n)).tobytes() == want.tobytes()
+        fpc = kernels.sd_fpc(kernels.baseline_moments(b), sd, n, b.shape[0])
+        assert kernels.scenario_kernel(*args, fpc).tobytes() == want.tobytes()
         assert np.isfinite(got[got[:, 12] == 0.0]).all()
     # the sweep reaches the failure mask, and the underflow among it
     assert failed > 150
@@ -227,11 +216,7 @@ def test_kernel_fails_rows_whose_squared_sum_of_squares_underflows(scale,
     b, y0, y1 = _property_population(rng, n_pop, "varied")
     b = b * scale
     perm, noise = design.draw_replicates(rng, 30, n, n_pop)
-    out = kernels.scenario_kernel(b, y0, y1,
-                                  *kernels.population_tables(b, y0, y1),
-                                  float(y0.mean()), float(y1.mean()),
-                                  perm, noise, 0.0, n // 2,
-                                  fpc_of(b, 0.0, n))
+    out = kernel_on(b, y0, y1, perm, noise, 0.0)
     assert np.all(out[:, 12] == (0.0 if valid else 1.0))
     assert np.all(np.isfinite(out[:, :4]))
     assert np.all(np.isfinite(out[:, [*range(4, 12), 13]]) == valid)
@@ -250,11 +235,10 @@ def test_kernel_gives_the_reference_bytes_across_row_blocks():
 
 
 def test_kernel_matches_library_estimators(setup):
-    grid, scenario, pop, bundle = setup
-    args = kernel_inputs(grid, scenario, pop, bundle)
+    pop, args = setup
     out = kernels.scenario_kernel(*args)
     perm, noise, sd, n0 = args[8:12]
-    for r in range(grid.n_replicates):
+    for r in range(perm.shape[0]):
         raw, std = observed(pop, perm[r], noise[r], sd, n0)
         assert out[r, :10] == pytest.approx(library_estimates(raw, std),
                                             abs=1e-8)
@@ -262,19 +246,17 @@ def test_kernel_matches_library_estimators(setup):
 
 
 def test_kernel_policy_columns_match_library(setup):
-    grid, scenario, pop, bundle = setup
-    args = kernel_inputs(grid, scenario, pop, bundle)
+    pop, args = setup
     out = kernels.scenario_kernel(*args)
     perm, noise, sd, n0 = args[8:12]
-    for r in range(0, grid.n_replicates, 7):
+    for r in range(0, perm.shape[0], 7):
         raw, _ = observed(pop, perm[r], noise[r], sd, n0)
         assert out[r, 10:12] == pytest.approx(
             library_policy_values(pop, raw), abs=1e-8)
 
 
 def test_kernel_is_deterministic(setup):
-    grid, scenario, pop, bundle = setup
-    args = kernel_inputs(grid, scenario, pop, bundle)
+    _, args = setup
     a = kernels.scenario_kernel(*args)
     b = kernels.scenario_kernel(*args)
     assert np.array_equal(a, b)
@@ -287,12 +269,8 @@ def test_kernel_flags_degenerate_baseline():
     rng = np.random.default_rng(4)
     y0 = rng.normal(0, 1, n_pop)
     y1 = y0 + 0.5
-    sort_b, cum0, cum1 = kernels.population_tables(b, y0, y1)
     perm, noise = design.draw_replicates(rng, 5, n, n_pop)
-    out = kernels.scenario_kernel(b, y0, y1, sort_b, cum0, cum1,
-                                  float(y0.mean()), float(y1.mean()),
-                                  perm, noise, 0.0, n // 2,
-                                  fpc_of(b, 0.0, n))
+    out = kernel_on(b, y0, y1, perm, noise, 0.0)
     assert np.all(out[:, 12] == 1.0)
     assert np.all(np.isnan(out[:, 4:12])) and np.all(np.isnan(out[:, 13]))
     # the two-sample columns are still well defined
@@ -311,10 +289,7 @@ def test_mod_scale_var_tracks_the_sample_sd(sd):
     n_pop, n, reps = 500, 100, 10000
     b, y0, y1 = _property_population(rng, n_pop, "varied")
     perm, noise = design.draw_replicates(rng, reps, n, n_pop)
-    out = kernels.scenario_kernel(b, y0, y1,
-                                  *kernels.population_tables(b, y0, y1),
-                                  float(y0.mean()), float(y1.mean()),
-                                  perm, noise, sd, n // 2, fpc_of(b, sd, n))
+    out = kernel_on(b, y0, y1, perm, noise, sd)
     s = (b[perm] + sd * noise[:, :, 0]).std(axis=1, ddof=1)
     empirical = s.var(ddof=1) / (s * s).mean()
     predicted = (out[:, 13] / (out[:, 6] * out[:, 6])).mean()
@@ -332,24 +307,22 @@ def test_restricted_value_tie_goes_to_control():
     sort_b, cum0, cum1 = kernels.population_tables(b, y0, y1)
     perm, noise = design.draw_replicates(rng, 3, n, n_pop)
     out = kernels.scenario_kernel(b, y0, y1, sort_b, cum0, cum1, 1.0, 2.0,
-                                  perm, noise, 0.0, n // 2,
-                                  fpc_of(b, 0.0, n))
+                                  perm, noise, 0.0, n // 2)
     # tied observed means resolve to the control-arm population value
     assert np.all(out[:, 11] == 1.0)
 
 
 def test_kernel_output_is_independent_of_the_block_split(setup,
                                                          monkeypatch):
-    grid, scenario, pop, bundle = setup
-    args = list(kernel_inputs(grid, scenario, pop, bundle))
-    perm, noise = args[8], args[9]
+    args = list(setup[1])
+    perm, noise, n0 = args[8], args[9], args[11]
     # one replicate with a constant control baseline, so that one block
     # also takes the masked path
     b = args[0].copy()
-    b[perm[20, :scenario.n // 2]] = 2.0
+    b[perm[20, :n0]] = 2.0
     args[0], args[10] = b, 0.0
-    reps = grid.n_replicates
-    assert reps * scenario.n <= kernels.BLOCK_ELEMENTS
+    reps, n = perm.shape
+    assert reps * n <= kernels.BLOCK_ELEMENTS
     whole = kernels.scenario_kernel(*args)
     assert whole[20, 12] == 1.0 and whole[:, 12].sum() < reps
 
@@ -361,7 +334,7 @@ def test_kernel_output_is_independent_of_the_block_split(setup,
         return np.concatenate(parts)
 
     # internal blocks of 7 rows, and calls that straddle those blocks
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 7 * scenario.n + 3)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 7 * n + 3)
     assert np.array_equal(split([0, reps]), whole, equal_nan=True)
     assert np.array_equal(split([0, 1, 5, 19, 21, 40, reps]), whole,
                           equal_nan=True)
@@ -406,10 +379,7 @@ def test_kernel_pinned_to_qr_oracle(half, m, reps, baseline, seed):
     noise_part = 4 * np.var(b) * sd**2 + 2 * sd**4
     fpc = 1.0 - n / n_pop * (plots / (plots + noise_part)
                              if plots + noise_part > 0 else 1.0)
-    out = kernels.scenario_kernel(
-        b, y0, y1, *kernels.population_tables(b, y0, y1),
-        float(y0.mean()), float(y1.mean()), perm, noise, sd, half,
-        fpc_of(b, sd, n))
+    out = kernel_on(b, y0, y1, perm, noise, sd)
 
     assert out.shape == (reps, kernels.N_KERNEL_COLUMNS)
     assert np.all(np.isfinite(out[:, :4]))

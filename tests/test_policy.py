@@ -554,6 +554,22 @@ def test_spends_that_overflow_float64_give_no_warning():
     assert free.total_cost == math.inf
 
 
+@pytest.mark.parametrize("n_dear, dear", [(1, 1e15), (200, 1e6)])
+def test_a_large_dual_price_gives_no_warning(n_dear, dear):
+    # the LP's dual price of the budget is 1e300: times a cost of 1e15 it
+    # passes float64's range, and times 200 costs of 1e6 so does its sum;
+    # the DP drops the price
+    imputed = np.zeros((2 + n_dear, 2))
+    imputed[:, 1] = [1e300, 1e300] + [1.0] * n_dear
+    cost = np.zeros((2 + n_dear, 2))
+    cost[:, 1] = [1.0, 1.0] + [dear] * n_dear
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = optimal_budgeted(imputed, CostModel(cost=cost, budget=1.0))
+    assert got.regime.tolist() == [1] + [0] * (1 + n_dear)
+    assert got.optimality_gap == 0.0
+
+
 @pytest.mark.parametrize("arm1, budget", [(0.0, math.inf), (1.0, 1.0),
                                           (0.5, 1.0)],
                          ids=["argmax", "dp", "lp"])

@@ -32,14 +32,14 @@ def test_different_seeds_differ():
 def test_null_population_has_equal_arms():
     pop = generate_population(params(tau=0.0, beta_mod=0.0, sd_eps1=0.0), 3)
     assert np.array_equal(pop.po[:, 0], pop.po[:, 1])
-    assert pate(pop, 1) == 0.0
+    assert pate(pop) == 0.0
 
 
 def test_constant_effect_shifts_pate_exactly():
     # with beta_mod = 0 and sd_eps1 = 0 every plot gains exactly tau
     pop = generate_population(params(tau=0.25, beta_mod=0.0, sd_eps1=0.0), 3)
     assert np.allclose(pop.po[:, 1] - pop.po[:, 0], 0.25)
-    assert pate(pop, 1) == pytest.approx(0.25, abs=1e-12)
+    assert pate(pop) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_moderator_term_is_standardized_in_population():
@@ -62,7 +62,7 @@ def test_moment_calibration_large_population():
     change = pop.po[:, 0] - pop.baseline
     assert change.mean() == pytest.approx(0.16, abs=0.01)
     assert change.std() == pytest.approx(math.sqrt(0.14), abs=0.01)
-    assert pate(pop, 1) == pytest.approx(0.2, abs=0.01)
+    assert pate(pop) == pytest.approx(0.2, abs=0.01)
 
 
 def test_papo_interpolates_between_arms():
@@ -72,7 +72,7 @@ def test_papo_interpolates_between_arms():
     all_treat = papo(pop, np.ones(n, dtype=int))
     assert all_control == pytest.approx(pop.po[:, 0].mean())
     assert all_treat == pytest.approx(pop.po[:, 1].mean())
-    assert all_treat - all_control == pytest.approx(pate(pop, 1), abs=1e-12)
+    assert all_treat - all_control == pytest.approx(pate(pop), abs=1e-12)
     mixed = np.zeros(n, dtype=int)
     mixed[: n // 2] = 1
     lo, hi = sorted([all_control, all_treat])
