@@ -5,9 +5,17 @@ tables plus a manifest; `estimate` applies one estimator to a study CSV;
 `policy` computes a treatment regime for a target population from a
 study CSV.  Exit codes are stable: 0 success, 2 config or schema error,
 3 scenario abort, 4 estimator failure, 5 infeasible budget.
+
+Every command runs in a fresh process, so what it imports is part of its
+time.  When it loads, this module imports only click, numpy, `tables`,
+`errors` and the standard library, less hashlib, which only `simulate`
+runs.  Each command imports yaml only to read a config, and
+the soilrct modules it runs as modules (`from . import harness`), which
+it calls into by attribute at call time; so a wrapper or a test that
+replaces `harness.run_grid` is the one called.
 """
 
-import hashlib
+import functools
 import json
 import math
 import os
@@ -19,13 +27,10 @@ from pathlib import Path
 
 import click
 import numpy as np
-import yaml
 
-from . import (__version__, design, estimators, harness, kernels, policy,
-               tables)
+from . import __version__, tables
 from .errors import (InfeasibleBudgetError, ParamError, ScenarioAbortError,
                      SchemaError, SoilRctError)
-from .population import Population, papo, regression_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,9 +43,15 @@ DEFAULT_SEED = 20250801
 #: An input table: a file that must exist.
 _INPUT = click.Path(exists=True, dir_okay=False)
 
-#: Config keys that mirror ScenarioGrid axes and parameters.
-_GRID_KEYS = tuple(f.name for f in fields(harness.ScenarioGrid))
-_TOP_KEYS = _GRID_KEYS + ("grid", "seed", "threads", "out")
+
+@functools.cache
+def _top_keys() -> tuple:
+    """The config keys: `ScenarioGrid`'s fields, which mirror its axes and
+    parameters, then the run's own settings."""
+    from . import harness
+
+    return tuple(f.name for f in fields(harness.ScenarioGrid)) + (
+        "grid", "seed", "threads", "out")
 
 
 class ConfigError(SoilRctError):
@@ -52,11 +63,36 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _missing_dirs(path: Path) -> list:
+    """`path` and each of its ancestors that does not exist, deepest
+    first: the directories that making `path` would make."""
+    missing = []
+    while not path.exists():
+        missing.append(path)
+        path = path.parent
+    return missing
+
+
+def _remove_empty(dirs) -> None:
+    """Remove the directories `dirs`, deepest first, up to the first that
+    is no longer empty."""
+    for path in dirs:
+        try:
+            path.rmdir()
+        except OSError:  # no longer empty: keep it and its parents
+            break
+
+
 def _load_config(path) -> dict:
+    import yaml
+
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8: {exc.reason} at "
+                          f"byte {exc.start}") from exc
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -69,7 +105,7 @@ def _load_config(path) -> dict:
         return {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    unknown = sorted(set(doc) - set(_TOP_KEYS))
+    unknown = sorted(set(doc) - set(_top_keys()))
     if unknown:
         raise ConfigError(
             f"{path}: unknown config keys: {', '.join(unknown)}")
@@ -87,6 +123,8 @@ def _as_float(value, key):
 def _normalize_grid_settings(config: dict) -> dict:
     """The grid settings in `config`, each coerced as the type of its
     `ScenarioGrid` field says; a key left out keeps the grid's default."""
+    from . import harness
+
     settings = {}
     for field in fields(harness.ScenarioGrid):
         key = field.name
@@ -112,7 +150,9 @@ def _normalize_grid_settings(config: dict) -> dict:
     return settings
 
 
-def build_grid(grid_name: str, config: dict) -> harness.ScenarioGrid:
+def build_grid(grid_name: str, config: dict) -> "harness.ScenarioGrid":
+    from . import harness
+
     settings = _normalize_grid_settings(config)
     if grid_name == "paper":
         return harness.ScenarioGrid.paper_defaults(**settings)
@@ -139,12 +179,16 @@ def _canonical(obj):
     return obj
 
 
-def _grid_echo(grid: harness.ScenarioGrid) -> dict:
-    return {key: getattr(grid, key) for key in _GRID_KEYS}
+def _grid_echo(grid: "harness.ScenarioGrid") -> dict:
+    return {f.name: getattr(grid, f.name) for f in fields(grid)}
 
 
-def grid_hash(grid: harness.ScenarioGrid, seed: int) -> str:
+def grid_hash(grid: "harness.ScenarioGrid", seed: int) -> str:
     """Content hash of a run: its grid, seed and RNG stream version."""
+    import hashlib
+
+    from . import design
+
     doc = _canonical({"grid": _grid_echo(grid), "seed": seed,
                       "rng_stream": design.RNG_STREAM})
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -170,6 +214,8 @@ def main():
               default=None, help="Scenario grid preset.")
 def simulate(config_path, seed, out_dir, threads, grid_name):
     """Run a Monte Carlo scenario grid and write metric tables."""
+    from . import harness
+
     try:
         config = _load_config(config_path) if config_path else {}
         grid_name = grid_name or config.get("grid", "paper")
@@ -196,10 +242,7 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     run_dir = out_dir / f"run-{seed}-{digest[:12]}"
     tmp_dir = out_dir / f".{run_dir.name}.{os.getpid()}.tmp"
     shutil.rmtree(tmp_dir, ignore_errors=True)
-    made = [tmp_dir.parent]
-    while not made[-1].exists():
-        made.append(made[-1].parent)
-    made.pop()
+    made = _missing_dirs(tmp_dir.parent)
     try:
         tmp_dir.mkdir(parents=True)
     except OSError as exc:
@@ -220,11 +263,7 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
     if failure is not None:
-        for path in made:
-            try:
-                path.rmdir()
-            except OSError:  # no longer empty: keep it and its parents
-                break
+        _remove_empty(made)
         _fail(*failure)
     click.echo(str(run_dir))
     sys.exit(EXIT_OK)
@@ -232,6 +271,8 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
 
 def _write_run(run_dir, run, grid_name, threads, digest) -> None:
     """Write the tables and the manifest of `run` into `run_dir`."""
+    from . import design, harness, kernels
+
     grid, seed = run.grid, run.master_seed
     rows = harness.metrics_rows(run)
     harness.metrics_to_csv(rows, run_dir / "metrics.csv")
@@ -277,10 +318,14 @@ def _write_dicts(path, header, table) -> None:
                    "moderator `mod{j}` per raw baseline unit; `naive-mod` "
                    "reports its slope per sample SD of the observed "
                    "baseline.")
-@click.option("--alpha", type=float, default=estimators.DEFAULT_ALPHA,
+@click.option("--alpha", type=float, default=None,
               help="Nominal two-sided error rate for the Wald interval.")
 def estimate(study_csv, name, alpha):
     """Apply one treatment-effect estimator to an observed-study CSV."""
+    from . import design, estimators
+
+    if alpha is None:
+        alpha = estimators.DEFAULT_ALPHA
     if not 0.0 < alpha < 1.0:
         _fail(EXIT_CONFIG, f"alpha must lie in (0, 1), got {alpha}")
     try:
@@ -312,13 +357,15 @@ def _read_target(path):
     sees it; a header row it cannot read makes the target a population.
     The table is then read once, a population by `Population.from_csv`,
     which reports any fault in it."""
+    from . import population
+
     if tables.read_header(path) != ["plot_id", "baseline"]:
-        pop = Population.from_csv(path)
+        pop = population.Population.from_csv(path)
         ids, covariates = pop.plot_id, pop.covariates
     else:
         pop = None
         ids, baseline = tables.read(path, {"plot_id": str, "baseline": float})
-        covariates = regression_rows(baseline)
+        covariates = population.regression_rows(baseline)
     if len(set(ids)) < len(ids):
         seen = set()
         for line, plot in enumerate(ids, 2):
@@ -329,9 +376,11 @@ def _read_target(path):
     return ids, covariates, pop
 
 
-def _read_costs(path, ids, n_arms, budget) -> policy.CostModel:
+def _read_costs(path, ids, n_arms, budget) -> "policy.CostModel":
     """The cost table at `path`, whose rows must name the target's plots
     `ids` in the target's order."""
+    from . import policy
+
     cost_ids, *cost = tables.read(path, dict(
         [("plot_id", str)] + [(f"cost{k}", float) for k in range(n_arms)]))
     if len(cost_ids) != len(ids):
@@ -369,34 +418,47 @@ def _read_costs(path, ids, n_arms, budget) -> policy.CostModel:
               help="Directory for regime.csv and policy.json.")
 def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
     """Estimate the best treatment regime for a target population."""
+    from . import design, policy, population
+
+    # --out is made before any input is read, so that an unusable one
+    # fails at once; a request refused later removes what making it made
+    out_dir = Path(out_dir)
+    made = _missing_dirs(out_dir)
     try:
-        if budget is not None and cost_csv is None:
-            raise SchemaError("--budget requires --costs")
-        study = design.ObservedStudy.from_csv(study_csv)
-        target_ids, target_cov, target_pop = _read_target(target_csv)
-        costs = (policy.CostModel(np.zeros((len(target_ids), study.n_arms)))
-                 if cost_csv is None
-                 else _read_costs(cost_csv, target_ids, study.n_arms,
-                                  math.inf if budget is None else budget))
-    except SoilRctError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(EXIT_CONFIG, f"cannot write to --out {out_dir}: {exc}")
     try:
-        coeffs = policy.fit_per_arm(study)
-        imputed = policy.impute_population(coeffs, target_cov)
-    except SoilRctError as exc:
-        _fail(EXIT_ESTIMATOR, str(exc))
-    try:
-        regime = policy.optimal_budgeted(imputed, costs)
-    except InfeasibleBudgetError as exc:
-        _fail(EXIT_BUDGET, str(exc))
-    except SoilRctError as exc:
-        _fail(EXIT_ESTIMATOR, str(exc))
+        try:
+            if budget is not None and cost_csv is None:
+                raise SchemaError("--budget requires --costs")
+            study = design.ObservedStudy.from_csv(study_csv)
+            target_ids, target_cov, target_pop = _read_target(target_csv)
+            costs = (
+                policy.CostModel(np.zeros((len(target_ids), study.n_arms)))
+                if cost_csv is None
+                else _read_costs(cost_csv, target_ids, study.n_arms,
+                                 math.inf if budget is None else budget))
+        except SoilRctError as exc:
+            _fail(EXIT_CONFIG, str(exc))
+        try:
+            coeffs = policy.fit_per_arm(study)
+            imputed = policy.impute_population(coeffs, target_cov)
+        except SoilRctError as exc:
+            _fail(EXIT_ESTIMATOR, str(exc))
+        try:
+            regime = policy.optimal_budgeted(imputed, costs)
+        except InfeasibleBudgetError as exc:
+            _fail(EXIT_BUDGET, str(exc))
+        except SoilRctError as exc:
+            _fail(EXIT_ESTIMATOR, str(exc))
+    except SystemExit:
+        _remove_empty(made)
+        raise
 
     if target_pop is not None:
-        regime = replace(regime,
-                         realized_mean=papo(target_pop, regime.regime))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        regime = replace(regime, realized_mean=population.papo(
+            target_pop, regime.regime))
     tables.write(out_dir / "regime.csv", ["plot_id", "arm"],
                  [target_ids, regime.regime.tolist()])
     summary = regime.summary()

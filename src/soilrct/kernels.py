@@ -150,8 +150,18 @@ def _arm_fit(x, y):
 def _regressions(bobs, diffs, fits, fpc, out):
     """Interacted OLS with HC2 variance (columns 4-7), the naive
     change-on-baseline slope (columns 8-9) and the moderator's sample-SD
-    variance term (column 13), for rows whose baseline varies overall and
-    within each arm.  Returns the pooled baseline's row sample variances.
+    variance term (column 13), for rows whose baseline varies within each
+    arm, as `_arm_fit` tests it.
+
+    Such a row's pooled baseline has a positive sample variance, which the
+    naive slope divides by.  An arm whose S^2 is at least the smallest
+    normal float has S >= 1.5e-154, so one of its n_a plots lies at least
+    sqrt(S / n_a) >= 1.2e-77 / sqrt(n_a) from the arm's mean, and the
+    arm's largest and smallest baselines differ by at least that much.
+    The pooled mean lies at least half that from one of the two, whose
+    pooled deviation squares to at least 3.7e-155 / n_a, a positive normal
+    float; so the pooled sum of squares over n - 1 is a positive normal
+    float for any n below 1e76.
 
     The paper's OLS regresses the outcome on treatment, baseline in
     sample SD units and their interaction.  That design spans the same
@@ -204,7 +214,6 @@ def _regressions(bobs, diffs, fits, fpc, out):
     # without replacement
     kurtosis = n * (bs2 * bs2).sum(axis=1) / (ss * ss)
     out[:, 13] = out[:, 6] * out[:, 6] * (kurtosis - 1.0) * fpc / (4 * n)
-    return var_b
 
 
 def _policy(fits, sort_b, cum0, cum1, out):
@@ -239,8 +248,8 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     diffs = yobs - bobs
 
     # the regressions and the per-arm line fits need an observed baseline
-    # that varies overall and within each arm; every row is computed, and
-    # a row without one is failed, so its 0 / 0 and x / 0 are never read
+    # that varies within each arm; every row is computed, and a row
+    # without one is failed, so its 0 / 0 and x / 0 are never read
     fits = (_arm_fit(bobs[:, :n0], yobs[:, :n0]),
             _arm_fit(bobs[:, n0:], yobs[:, n0:]))
     (_, mean_c, var_c, *_, varies0), (_, mean_t, var_t, *_, varies1) = fits
@@ -254,11 +263,10 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     # the restricted regime treats everyone iff the treated mean is higher
     out[:, 11] = np.where(mean_t > mean_c, mean_y1, mean_y0)
     out[:, 12] = 0.0
-    var_b = _regressions(bobs, diffs, fits, fpc, out)
+    _regressions(bobs, diffs, fits, fpc, out)
     _policy(fits, sort_b, cum0, cum1, out)
-    # the pooled baseline varies wherever an arm's does, since max and min
-    # are exact; its positive sample variance is a test of its own
-    ok = (var_b > 0.0) & varies0 & varies1
+    # the pooled baseline then varies too (see `_regressions`)
+    ok = varies0 & varies1
     if not ok.all():
         out[~ok, 4:12] = np.nan
         out[~ok, 12] = 1.0

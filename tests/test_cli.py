@@ -165,18 +165,49 @@ def test_simulate_is_byte_identical_under_blas_threads(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_import_loads_no_scipy():
-    # no command runs scipy, and importing any of it slows every
-    # command's start
-    src = str(Path(soilrct.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, soilrct, soilrct.cli; "
-         "print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+def modules_loaded_by(code, *argv):
+    """Every module a fresh interpreter has loaded when it exits, having
+    run `code` with `argv` and exited 0."""
+    done = run_python(
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(*sys.modules, file=sys.stderr))\n"
+        + code, *argv)
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split())
+
+
+def test_import_loads_only_the_cli_tables_and_errors():
+    # whatever a module loads, every command's start pays for: no
+    # command runs scipy, and only `simulate` runs yaml and the harness
+    for code in ("import soilrct", "import soilrct.cli"):
+        loaded = modules_loaded_by(code)
+        assert {m for m in loaded
+                if m.partition(".")[0] in ("soilrct", "yaml", "scipy")} <= {
+            "soilrct", "soilrct.cli", "soilrct.tables", "soilrct.errors"}
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("estimate", {"soilrct.harness", "soilrct.kernels", "soilrct.policy"}),
+    ("policy", {"soilrct.harness", "soilrct.kernels",
+                "soilrct.estimators"}),
+])
+def test_a_cold_command_loads_only_what_it_runs(tmp_path, command, unused):
+    study, target, _ = make_policy_files(tmp_path)
+    argv = (["estimate", study, "--estimator", "ols"] if command == "estimate"
+            else ["policy", study, target, "--out", tmp_path / "pol"])
+    loaded = modules_loaded_by(CLI_MAIN, *argv)
+    assert "soilrct.design" in loaded
+    assert not loaded & (unused | {"yaml", "scipy"})
+
+
+def test_package_names_resolve_to_their_home_modules_objects():
+    assert soilrct.__all__[0] == "__version__"
+    for name in soilrct.__all__[1:]:
+        value = getattr(soilrct, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(soilrct)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        soilrct.no_such_name
 
 
 def test_simulate_unknown_key_exits_2(runner, tmp_path):
@@ -196,15 +227,17 @@ def test_simulate_unknown_grid_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("config, message", [
-    ("- grid: paper\n", "config must be a mapping"),
+    (b"- grid: paper\n", "config must be a mapping"),
     (None, "Is a directory"),
-], ids=["list", "directory"])
+    (b"grid: figure3\n\xff\xfe: 1\n",
+     "run.yaml: config is not UTF-8: invalid start byte at byte 14"),
+], ids=["list", "directory", "not-utf8"])
 def test_simulate_unreadable_config_exits_2(tmp_path, config, message):
     path = tmp_path / "run.yaml"
     if config is None:
         path.mkdir()
     else:
-        path.write_text(config)
+        path.write_bytes(config)
     done = run_cli("simulate", "--config", path, "--out", tmp_path / "out")
     assert_one_error_line(done, 2, message)
     assert not (tmp_path / "out").exists()
@@ -260,7 +293,7 @@ def test_simulate_abort_exits_3(runner, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise ScenarioAbortError("too many degenerate replicates")
 
-    monkeypatch.setattr(cli.harness, "run_grid", boom)
+    monkeypatch.setattr(harness, "run_grid", boom)
     config = tmp_path / "run.yaml"
     config.write_text(TINY_CONFIG)
     result = runner.invoke(cli.main, ["simulate", "--config", str(config),
@@ -288,7 +321,7 @@ def test_simulate_unusable_out_exits_2_before_running(runner, tmp_path,
     def boom(*args, **kwargs):
         raise AssertionError("the grid ran before --out was checked")
 
-    monkeypatch.setattr(cli.harness, "run_grid", boom)
+    monkeypatch.setattr(harness, "run_grid", boom)
     config = tmp_path / "run.yaml"
     config.write_text(TINY_CONFIG)
     (tmp_path / "a-file").write_text("not a directory\n")
@@ -301,12 +334,49 @@ def test_simulate_unusable_out_exits_2_before_running(runner, tmp_path,
                                                           "run.yaml"]
 
 
+@pytest.mark.parametrize("out", ["a-file", "a-file/sub"])
+def test_policy_unusable_out_exits_2_before_reading(runner, tmp_path,
+                                                    monkeypatch, out):
+    study_path, target_path, _ = make_policy_files(tmp_path)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the study was read before --out was checked")
+
+    monkeypatch.setattr(design.ObservedStudy, "from_csv", boom)
+    (tmp_path / "a-file").write_text("not a directory\n")
+    result = runner.invoke(cli.main, ["policy", str(study_path),
+                                      str(target_path), "--out",
+                                      str(tmp_path / out)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert f"error: cannot write to --out {tmp_path / out}: " in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a-file", "study.csv", "target.csv"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_policy_refusal_removes_only_the_out_it_made(runner, tmp_path,
+                                                     existing):
+    study_path, target_path, _ = make_policy_files(tmp_path)
+    out = tmp_path / "fo" / "od" / "sub"
+    if existing:
+        out.mkdir(parents=True)
+    result = runner.invoke(cli.main, ["policy", str(study_path),
+                                      str(target_path), "--budget", "2",
+                                      "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    if existing:
+        assert out.is_dir() and list(out.iterdir()) == []
+    else:
+        assert not (tmp_path / "fo").exists()
+
+
 def test_simulate_failed_write_leaves_no_run_dir(runner, tmp_path,
                                                  monkeypatch):
     def boom(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli.harness, "attenuation_table", boom)
+    monkeypatch.setattr(harness, "attenuation_table", boom)
     config = tmp_path / "run.yaml"
     config.write_text(TINY_CONFIG)
     out = tmp_path / "out"
@@ -342,7 +412,7 @@ GUARD_CONFIG = {"grid": "custom", "taus": "[0.0]", "beta_mods": "[-0.5]",
 
 
 @pytest.mark.parametrize("value", GUARD_VALUES)
-@pytest.mark.parametrize("key", cli._TOP_KEYS)
+@pytest.mark.parametrize("key", cli._top_keys())
 def test_simulate_answers_or_refuses_any_config_value(runner, tmp_path,
                                                       monkeypatch, key,
                                                       value):
@@ -396,7 +466,7 @@ def test_simulate_failure_removes_only_the_out_it_made(runner, tmp_path,
         def abort(*args, **kwargs):
             raise ScenarioAbortError("too many degenerate replicates")
 
-        monkeypatch.setattr(cli.harness, "run_grid", abort)
+        monkeypatch.setattr(harness, "run_grid", abort)
     out = tmp_path / "fo" / "od" / "sub"
     if existing:
         out.mkdir(parents=True)
@@ -658,18 +728,26 @@ def test_policy_budget_slack_is_one_rule_for_both_solvers(runner, tmp_path,
     assert summary["total_cost"] == 100000.0
 
 
-def run_cli(*argv):
-    """`soilrct *argv` in a subprocess, so that its real stderr is seen
-    and a command that loops fails the test instead of hanging it; a
-    RuntimeWarning is an error there, as in the suite."""
+#: The `soilrct` command, as `python -c` code.
+CLI_MAIN = "from soilrct.cli import main; main()"
+
+
+def run_python(code, *argv):
+    """`python -c code *argv` in a fresh interpreter that imports this
+    soilrct; a RuntimeWarning is an error there, as in the suite, and a
+    run that loops fails the test instead of hanging it."""
     src = str(Path(soilrct.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]),
         PYTHONWARNINGS="error::RuntimeWarning")
-    return subprocess.run(
-        [sys.executable, "-c",
-         "from soilrct.cli import main; main()", *map(str, argv)],
-        env=env, capture_output=True, text=True, timeout=30)
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=env, capture_output=True, text=True,
+                          timeout=30)
+
+
+def run_cli(*argv):
+    """`soilrct *argv` in a subprocess, so that its real stderr is seen."""
+    return run_python(CLI_MAIN, *argv)
 
 
 def assert_one_error_line(done, code, match):
@@ -1114,6 +1192,7 @@ def test_policy_answers_or_refuses_any_input(case):
             lines = result.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), \
                 result.stderr
+            assert not out.exists()
             return
         assert result.stderr == ""
         with (out / "regime.csv").open() as fh:
