@@ -6,6 +6,10 @@ tables plus a manifest; `estimate` applies one estimator to a study CSV;
 study CSV.  Exit codes are stable: 0 success, 2 config or schema error,
 3 scenario abort, 4 estimator failure, 5 infeasible budget.
 
+Of a `simulate` config, this module checks only the run settings
+(`grid`, `seed`, `threads`, `out`) and reads YAML's `inf` spelling;
+`ScenarioGrid` checks every grid setting itself.
+
 Every command runs in a fresh process, so what it imports is part of its
 time.  When it loads, this module imports only click, numpy, `tables`,
 `errors` and the standard library, less hashlib, which only `simulate`
@@ -95,7 +99,7 @@ def _load_config(path) -> dict:
                           f"byte {exc.start}") from exc
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ints of 4300+ digits
         mark = getattr(exc, "problem_mark", None)
         where = (f" at line {mark.line + 1}, column {mark.column + 1}"
                  if mark is not None else "")
@@ -112,48 +116,20 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _as_float(value, key):
+def _yaml_inf(value):
+    """`value` with `inf` and `infinity`, in any case, as `math.inf`."""
+    if isinstance(value, list):
+        return list(map(_yaml_inf, value))
     if isinstance(value, str) and value.lower() in ("inf", "infinity"):
         return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _normalize_grid_settings(config: dict) -> dict:
-    """The grid settings in `config`, each coerced as the type of its
-    `ScenarioGrid` field says; a key left out keeps the grid's default."""
-    from . import harness
-
-    settings = {}
-    for field in fields(harness.ScenarioGrid):
-        key = field.name
-        if key not in config:
-            continue
-        value = config[key]
-        if field.type == tuple[int, ...]:
-            if (not isinstance(value, list)
-                    or any(isinstance(v, bool) or not isinstance(v, int)
-                           for v in value)):
-                raise ConfigError(f"{key}: expected a list of integers")
-            settings[key] = tuple(value)
-        elif field.type == tuple[float, ...]:
-            if not isinstance(value, list):
-                raise ConfigError(f"{key}: expected a list")
-            settings[key] = tuple(_as_float(v, key) for v in value)
-        elif field.type is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key}: expected an integer")
-            settings[key] = value
-        else:
-            settings[key] = _as_float(value, key)
-    return settings
+    return value
 
 
 def build_grid(grid_name: str, config: dict) -> "harness.ScenarioGrid":
     from . import harness
 
-    settings = _normalize_grid_settings(config)
+    settings = {f.name: _yaml_inf(config[f.name])
+                for f in fields(harness.ScenarioGrid) if f.name in config}
     if grid_name == "paper":
         return harness.ScenarioGrid.paper_defaults(**settings)
     if grid_name == "figure3":
@@ -220,11 +196,10 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
         config = _load_config(config_path) if config_path else {}
         grid_name = grid_name or config.get("grid", "paper")
         seed = seed if seed is not None else config.get("seed", DEFAULT_SEED)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        if type(seed) is not int or seed < 0:
             raise ConfigError("seed: expected a nonnegative integer")
         threads = threads if threads is not None else config.get("threads", 1)
-        if isinstance(threads, bool) or not isinstance(threads, int) \
-                or threads < 1:
+        if type(threads) is not int or threads < 1:
             raise ConfigError("threads: expected a positive integer")
         out_dir = out_dir if out_dir is not None else config.get("out", ".")
         if not isinstance(out_dir, str):
@@ -366,13 +341,10 @@ def _read_target(path):
         pop = None
         ids, baseline = tables.read(path, {"plot_id": str, "baseline": float})
         covariates = population.regression_rows(baseline)
-    if len(set(ids)) < len(ids):
-        seen = set()
-        for line, plot in enumerate(ids, 2):
-            if plot in seen:
-                raise SchemaError(f"{path}:{line}: duplicate plot_id "
-                                  f"{plot!r}")
-            seen.add(plot)
+    repeat = tables.first_repeat(ids)
+    if repeat is not None:
+        raise SchemaError(f"{path}:{repeat + 2}: duplicate plot_id "
+                          f"{ids[repeat]!r}")
     return ids, covariates, pop
 
 

@@ -60,8 +60,8 @@ class DesignSpec:
             raise DesignError(
                 f"arm sizes {self.arm_sizes} do not sum to n_enrolled "
                 f"{self.n_enrolled}")
-        if self.sd_within_plot < 0:
-            raise DesignError("sd_within_plot must be nonnegative")
+        if not 0.0 <= self.sd_within_plot < math.inf:
+            raise DesignError("sd_within_plot must be finite and nonnegative")
         m = self.samples_per_plot
         if not (m == math.inf or (float(m).is_integer() and m >= 1)):
             raise DesignError(
@@ -107,7 +107,7 @@ class ObservedStudy:
                 "column of ones")
         if z.min() < 0:
             raise DesignError("arm labels must be nonnegative")
-        if np.unique(s).size != n:
+        if tables.first_repeat(s.tolist()) is not None:
             raise DesignError("source_index entries must be distinct")
         for name, arr in (("baseline_obs", b), ("outcome_obs", y),
                           ("arm", z), ("source_index", s),
@@ -140,16 +140,15 @@ class ObservedStudy:
         _, src, arm, b, y = tables.read(path, {
             "plot_id": str, "source_index": int, "arm": int,
             "baseline_obs": float, "outcome_obs": float})
-        if min(arm) < 0 or len(set(src)) < len(src):
-            seen = set()
-            for lineno, (index, label) in enumerate(zip(src, arm), start=2):
-                if label < 0:
-                    raise SchemaError(f"{path}:{lineno}: arm labels must be "
-                                      f"nonnegative, got {label}")
-                if index in seen:
-                    raise SchemaError(
-                        f"{path}:{lineno}: duplicate source_index {index}")
-                seen.add(index)
+        repeat = tables.first_repeat(src)
+        if min(arm) < 0:
+            row = next(i for i, label in enumerate(arm) if label < 0)
+            if repeat is None or row <= repeat:  # the first fault by line
+                raise SchemaError(f"{path}:{row + 2}: arm labels must be "
+                                  f"nonnegative, got {arm[row]}")
+        if repeat is not None:
+            raise SchemaError(f"{path}:{repeat + 2}: duplicate source_index "
+                              f"{src[repeat]}")
         return cls(baseline_obs=np.array(b), outcome_obs=np.array(y),
                    arm=np.array(arm), source_index=np.array(src))
 

@@ -65,26 +65,21 @@ class ScenarioGrid:
     sd_within_plot: float = 1.02
 
     def __post_init__(self):
-        # the axes: the fields with no default
-        for axis in fields(self):
-            if axis.default is not MISSING:
-                continue
-            vals = tuple(getattr(self, axis.name))
-            if not vals:
-                raise ParamError(f"{axis.name} must be nonempty")
-            object.__setattr__(self, axis.name, vals)
+        for field in fields(self):
+            value = _typed(field.name, field.type, getattr(self, field.name))
+            if field.default is MISSING and not value:  # an axis
+                raise ParamError(f"{field.name} must be nonempty")
+            object.__setattr__(self, field.name, value)
         for n in self.sample_sizes:
-            if not (isinstance(n, int) and n >= MIN_SAMPLE_SIZE
-                    and n % 2 == 0):
-                raise ParamError(
-                    f"sample sizes must be even integers >= "
-                    f"{MIN_SAMPLE_SIZE}, got {n}")
+            if n < MIN_SAMPLE_SIZE or n % 2:
+                raise ParamError(f"sample sizes must be even integers >= "
+                                 f"{MIN_SAMPLE_SIZE}, got {n}")
             if n > self.population_size:
                 raise ParamError(
                     f"cannot enroll {n} from population of "
                     f"{self.population_size}")
         for m in self.samples_per_plot:
-            if not (m == math.inf or (float(m).is_integer() and m >= 1)):
+            if not (m == math.inf or (m.is_integer() and m >= 1)):
                 raise ParamError(
                     f"samples_per_plot must be positive integers or inf, "
                     f"got {m}")
@@ -94,7 +89,7 @@ class ScenarioGrid:
             raise ParamError(f"sd_within_plot must be finite and "
                              f"nonnegative, got {self.sd_within_plot}")
         for pop_key in product(self.taus, self.beta_mods, self.sd_eps1s):
-            self.population_params(*pop_key).validate()
+            self.population_params(*pop_key)  # which checks its values
 
     @classmethod
     def paper_defaults(cls, **overrides) -> "ScenarioGrid":
@@ -139,6 +134,26 @@ class ScenarioGrid:
         return self.sd_within_plot / math.sqrt(m)
 
 
+def _typed(name, kind, value):
+    """`value` as the grid field `name` of type `kind` takes it: an int, a
+    float, or a tuple of either from a list or a tuple, where a bool is
+    neither and an int for a float becomes one; else ParamError."""
+    if kind is int:
+        if type(value) is not int:
+            raise ParamError(f"{name}: expected an integer")
+        return value
+    if kind is float:
+        try:
+            if type(value) is int or isinstance(value, float):
+                return float(value)
+        except OverflowError:  # an int of about 2**1024 or more
+            pass
+        raise ParamError(f"{name}: expected a number, got {value!r}")
+    if not isinstance(value, (list, tuple)):
+        raise ParamError(f"{name}: expected a list")
+    return tuple(_typed(name, kind.__args__[0], v) for v in value)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One cell of the grid: a population setting plus a design setting."""
@@ -156,7 +171,7 @@ class Scenario:
 
 def grid_scenarios(grid: ScenarioGrid) -> list:
     """All scenarios in a fixed, documented order."""
-    return [Scenario(tau=t, beta_mod=b, sd_eps1=e, n=n, m=float(m))
+    return [Scenario(tau=t, beta_mod=b, sd_eps1=e, n=n, m=m)
             for t, b, e, n, m in product(grid.taus, grid.beta_mods,
                                          grid.sd_eps1s, grid.sample_sizes,
                                          grid.samples_per_plot)]

@@ -35,7 +35,7 @@ class PopulationParams:
     sd_eps1: float
     n_plots: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_plots < 2:
             raise ParamError(f"n_plots must be >= 2, got {self.n_plots}")
         for field in fields(self):
@@ -134,7 +134,6 @@ def generate_population(params: PopulationParams, seed) -> Population:
     baseline standardized over the realized population (mean 0, unit SD),
     and idiosyncratic normal noise.  Deterministic for a fixed seed.
     """
-    params.validate()
     rng = np.random.default_rng(seed)
     n = params.n_plots
     b = rng.normal(params.mu_b, params.sd_b_across, size=n)

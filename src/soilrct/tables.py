@@ -95,6 +95,18 @@ def read(path, header_check) -> list:
     return _read_strict(path, header_check) if columns is None else columns
 
 
+def first_repeat(ids):
+    """The position of the first of `ids` that repeats an earlier one, or
+    None if they are distinct."""
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for i, value in enumerate(ids):
+            if value in seen:
+                return i
+            seen.add(value)
+    return None
+
+
 def read_header(path):
     """The header row of the table at `path` as the strict `csv` reader
     sees it, or None if the file is empty or that reader cannot read its

@@ -187,9 +187,10 @@ def test_import_loads_only_the_cli_tables_and_errors():
 
 
 @pytest.mark.parametrize("command, unused", [
-    ("estimate", {"soilrct.harness", "soilrct.kernels", "soilrct.policy"}),
+    ("estimate", {"soilrct.harness", "soilrct.kernels", "soilrct.policy",
+                  "numpy.ma"}),
     ("policy", {"soilrct.harness", "soilrct.kernels",
-                "soilrct.estimators"}),
+                "soilrct.estimators", "numpy.ma"}),
 ])
 def test_a_cold_command_loads_only_what_it_runs(tmp_path, command, unused):
     study, target, _ = make_policy_files(tmp_path)
@@ -231,7 +232,10 @@ def test_simulate_unknown_grid_exits_2(tmp_path):
     (None, "Is a directory"),
     (b"grid: figure3\n\xff\xfe: 1\n",
      "run.yaml: config is not UTF-8: invalid start byte at byte 14"),
-], ids=["list", "directory", "not-utf8"])
+    # yaml's int() refuses more than 4300 digits with a ValueError
+    (b"grid: figure3\nmu_b: " + b"1" * 5000 + b"\n",
+     "run.yaml: cannot parse config: Exceeds the limit (4300 digits)"),
+], ids=["list", "directory", "not-utf8", "int-of-5000-digits"])
 def test_simulate_unreadable_config_exits_2(tmp_path, config, message):
     path = tmp_path / "run.yaml"
     if config is None:

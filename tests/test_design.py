@@ -27,8 +27,10 @@ def test_spec_validation():
         DesignSpec(n_enrolled=10, arm_sizes=(4, 4))
     with pytest.raises(DesignError):
         DesignSpec(n_enrolled=10, arm_sizes=(10, 0))
-    with pytest.raises(DesignError):
-        DesignSpec(n_enrolled=10, arm_sizes=(5, 5), sd_within_plot=-1.0)
+    for sd in (-1.0, math.nan, math.inf):
+        with pytest.raises(DesignError, match="finite and nonnegative"):
+            DesignSpec(n_enrolled=10, arm_sizes=(5, 5), samples_per_plot=5,
+                       sd_within_plot=sd)
     with pytest.raises(DesignError):
         DesignSpec(n_enrolled=10, arm_sizes=(5, 5), samples_per_plot=0)
     with pytest.raises(DesignError):
@@ -176,10 +178,11 @@ def test_arm_count_mismatch_rejected(pop):
 
 
 def test_study_validation():
-    with pytest.raises(DesignError):
-        ObservedStudy(baseline_obs=np.ones(4), outcome_obs=np.ones(4),
-                      arm=np.array([0, 0, 1, 1]),
-                      source_index=np.array([0, 0, 1, 2]))
+    for source in ([0, 0, 1, 2], [3, 1, 2, 1]):
+        with pytest.raises(DesignError, match="must be distinct"):
+            ObservedStudy(baseline_obs=np.ones(4), outcome_obs=np.ones(4),
+                          arm=np.array([0, 0, 1, 1]),
+                          source_index=np.array(source))
     with pytest.raises(DesignError):
         ObservedStudy(baseline_obs=np.ones(2), outcome_obs=np.ones(2),
                       arm=np.array([-1, 0]), source_index=np.array([0, 1]))
@@ -204,6 +207,30 @@ def test_study_csv_roundtrip(tmp_path, pop):
     assert np.array_equal(back.outcome_obs, study.outcome_obs)
     assert np.array_equal(back.arm, study.arm)
     assert np.array_equal(back.source_index, study.source_index)
+
+
+@pytest.mark.parametrize("sources, arms, fault", [
+    ([0, 1, 2, 3], [0, 0, 1, 1], None),
+    ([0, 1, 2, 1], [0, 0, 1, 1], "5: duplicate source_index 1"),
+    ([0, 1, 2, 1], [0, -1, 1, 1], "3: arm labels must be nonnegative, "
+                                  "got -1"),
+    ([0, 1, 2, 1], [0, 0, 1, -2], "5: arm labels must be nonnegative, "
+                                  "got -2"),
+    ([0, 1, 0, 1], [0, 0, 1, -1], "4: duplicate source_index 0"),
+], ids=["clean", "repeat", "negative-first", "both-on-one-line",
+        "repeat-first"])
+def test_study_csv_reports_the_first_fault_by_line(tmp_path, sources, arms,
+                                                   fault):
+    path = tmp_path / "study.csv"
+    path.write_text("plot_id,source_index,arm,baseline_obs,outcome_obs\n"
+                    + "".join(f"{i},{src},{arm},2.0,2.5\n" for i, (src, arm)
+                              in enumerate(zip(sources, arms))))
+    if fault is None:
+        assert ObservedStudy.from_csv(path).source_index.tolist() == sources
+        return
+    with pytest.raises(SchemaError) as info:
+        ObservedStudy.from_csv(path)
+    assert str(info.value) == f"{path}:{fault}"
 
 
 def test_study_csv_bad_schema(tmp_path):

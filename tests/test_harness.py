@@ -1,11 +1,12 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from soilrct import design, harness, kernels
+from soilrct import cli, design, harness, kernels
 from soilrct.errors import ParamError, ScenarioAbortError
 from soilrct.population import Population, generate_population
 from soilrct.stats import norm_ppf
@@ -30,6 +31,50 @@ def test_grid_validation():
         small_grid(samples_per_plot=(2.5,))
     with pytest.raises(ParamError):
         small_grid(n_replicates=0)
+
+
+#: An int past a float's range, which `float()` refuses with OverflowError.
+HUGE = 2 ** 1024
+
+
+def _wrong_types(kind):
+    """Values of other types than the grid field type `kind`; an empty
+    list is left out for an axis, where it is refused as empty."""
+    common = [None, True, "x", {"a": 1}]
+    if kind is int:
+        return common + [[], 1.5]
+    if kind is float:
+        return common + [[], ["x"], HUGE]
+    return common + [["x"], [True], [1.5] if kind == tuple[int, ...]
+                     else [HUGE]]
+
+
+WRONG_TYPES = [(f.name, value) for f in fields(harness.ScenarioGrid)
+               for value in _wrong_types(f.type)]
+
+
+@pytest.mark.parametrize("name, value", WRONG_TYPES, ids=[
+    f"{name}-{value!r}".replace(repr(HUGE), "2**1024")
+    for name, value in WRONG_TYPES])
+def test_grid_refuses_a_wrong_type_at_construction(name, value):
+    with pytest.raises(ParamError, match=f"^{name}: expected "):
+        small_grid(**{name: value})
+
+
+def test_grid_takes_ints_for_floats_as_floats():
+    # a grid of ints for floats is the grid of floats, down to its hash
+    ints = small_grid(taus=[0, 1], samples_per_plot=[5, math.inf], mu_b=2,
+                      sd_within_plot=1)
+    floats = small_grid(taus=(0.0, 1.0), samples_per_plot=(5.0, math.inf),
+                        mu_b=2.0, sd_within_plot=1.0)
+    for f in fields(ints):
+        value, kind = getattr(ints, f.name), f.type
+        if kind in (int, float):
+            assert type(value) is kind
+        else:
+            assert type(value) is tuple
+            assert all(type(v) is kind.__args__[0] for v in value)
+    assert cli.grid_hash(ints, 1) == cli.grid_hash(floats, 1)
 
 
 def test_grid_rejects_the_saturated_design():

@@ -97,13 +97,13 @@ def test_population_validation():
 
 def test_params_validation():
     with pytest.raises(ParamError):
-        params(n_plots=1).validate()
+        params(n_plots=1)
     with pytest.raises(ParamError):
-        params(sd_b_across=0.0).validate()
+        params(sd_b_across=0.0)
     with pytest.raises(ParamError):
-        params(sd_eps1=-0.1).validate()
+        params(sd_eps1=-0.1)
     with pytest.raises(ParamError):
-        params(tau=math.nan).validate()
+        params(tau=math.nan)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -112,7 +112,7 @@ def test_params_validation():
     "tau", "beta_mod", "sd_eps1"])
 def test_params_refuse_every_nonfinite_float(name, value):
     with pytest.raises(ParamError, match=f"^{name} must be finite$"):
-        params(**{name: value}).validate()
+        params(**{name: value})
 
 
 def test_csv_roundtrip_is_exact(tmp_path):

@@ -57,6 +57,14 @@ def test_read_rejects_with_file_and_line(tmp_path, text, where):
     assert str(err.value).startswith(str(tmp_path / where))
 
 
+@pytest.mark.parametrize("ids, position", [
+    ([], None), ([7], None), ([3, 1, 2], None), ([1, 1], 1),
+    ([3, 1, 2, 1, 3], 3), (["a", "b", "c", "b", "a"], 3), ("ABCA", 3),
+])
+def test_first_repeat(ids, position):
+    assert tables.first_repeat(ids) == position
+
+
 def test_read_header_function_and_lenient_parser(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("m,y0,y1\ninf,1,2\nnan,3,4\n")
