@@ -3,8 +3,9 @@
 Three subcommands: `simulate` runs a scenario grid and writes metric
 tables plus a manifest; `estimate` applies one estimator to a study CSV;
 `policy` computes a treatment regime for a target population from a
-study CSV.  Exit codes are stable: 0 success, 2 config or schema error,
-3 scenario abort, 4 estimator failure, 5 infeasible budget.
+study CSV.  Exit codes are stable: 0 success, 2 config or schema error
+(or a grid too large for memory), 3 scenario abort, 4 estimator
+failure, 5 infeasible budget.
 
 Of a `simulate` config, this module checks only the run settings
 (`grid`, `seed`, `threads`, `out`) and reads YAML's `inf` spelling;
@@ -231,6 +232,8 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
             failure = EXIT_ABORT, str(exc)
         except ParamError as exc:  # values the parameters cannot give
             failure = EXIT_CONFIG, str(exc)
+        except MemoryError as exc:  # a grid too large for this machine
+            failure = EXIT_CONFIG, f"the run does not fit in memory: {exc}"
         else:
             if run_dir.exists():
                 shutil.rmtree(run_dir)

@@ -8,7 +8,9 @@ consecutive blocks of it receive consecutive arm labels.  Measurement
 error with SD `sd_within_plot / sqrt(samples_per_plot)` is added
 independently to the baseline and follow-up observations.  A library
 study from `enroll_and_assign` is replicate 0 of the same draw that the
-Monte Carlo harness makes for every replicate.
+Monte Carlo harness makes for every replicate: each cell of the
+harness's grid is a `DesignSpec`, and on the scenario's stream its
+study is the harness's first replicate, measured alike.
 
 Every subset is the one `Generator.choice` draws.  Small subsets, the
 paper's n = 10 and 14 among them, are not drawn by a `choice` call per
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import tables
 from .errors import DesignError, DimensionError, EnrollmentError, SchemaError
-from .population import Population, regression_rows
+from .population import Population, check_field_types, regression_rows
 
 #: Version of the stream of random draws behind every replicate and every
 #: study.  Stream 2 draws each replicate's plots with `Generator.choice`,
@@ -42,7 +44,9 @@ class DesignSpec:
     """Completely randomized design with plot-level measurement noise.
 
     `samples_per_plot` may be a positive integer or `math.inf`, in which
-    case observations reproduce the plot values exactly.
+    case observations reproduce the plot values exactly.  A field of the
+    wrong type raises ParamError, as in every parameter type; an int for
+    a float field is held as that float.
     """
 
     n_enrolled: int
@@ -51,7 +55,7 @@ class DesignSpec:
     sd_within_plot: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "arm_sizes", tuple(int(k) for k in self.arm_sizes))
+        check_field_types(self)
         if len(self.arm_sizes) < 2:
             raise DesignError("need at least two arms")
         if any(k < 1 for k in self.arm_sizes):
@@ -61,9 +65,10 @@ class DesignSpec:
                 f"arm sizes {self.arm_sizes} do not sum to n_enrolled "
                 f"{self.n_enrolled}")
         if not 0.0 <= self.sd_within_plot < math.inf:
-            raise DesignError("sd_within_plot must be finite and nonnegative")
+            raise DesignError(f"sd_within_plot must be finite and "
+                              f"nonnegative, got {self.sd_within_plot}")
         m = self.samples_per_plot
-        if not (m == math.inf or (float(m).is_integer() and m >= 1)):
+        if not (m == math.inf or (m.is_integer() and m >= 1)):
             raise DesignError(
                 f"samples_per_plot must be a positive integer or inf, got {m}")
 

@@ -13,7 +13,7 @@ class DimensionError(SoilRctError, ValueError):
     """Array shapes are inconsistent with each other."""
 
 
-class DesignError(SoilRctError, ValueError):
+class DesignError(ParamError):
     """A study design specification is internally inconsistent."""
 
 

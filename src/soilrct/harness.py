@@ -2,10 +2,13 @@
 
 A scenario grid crosses population parameters (constant effect, moderator
 slope, idiosyncratic effect SD) with design parameters (enrolled plots,
-soil samples per plot).  One population is generated per parameter
-combination; each scenario then runs many replicates of enroll, assign,
-measure, estimate through the batched kernel and reduces them to metric
-rows and a policy-value summary.
+soil samples per plot).  Each is one of the library's own types: a
+population setting is a `PopulationParams` and an (n, m) cell a
+`design.DesignSpec`, whose checks are the grid's.  One population is
+generated per parameter combination; each scenario then runs many
+replicates of its cell's design (enroll, assign, measure) and its
+estimators through the batched kernel and reduces them to metric rows
+and a policy-value summary.
 
 Randomness is derived from the master seed and a content hash of each
 population or scenario, so results for one scenario never depend on which
@@ -24,8 +27,8 @@ import numpy as np
 
 from . import design, kernels, tables
 from .errors import ParamError, ScenarioAbortError
-from .population import (Population, PopulationParams, generate_population,
-                         pate)
+from .population import (Population, PopulationParams, check_field_types,
+                         generate_population, pate)
 from .stats import norm_ppf
 
 #: Reference baseline mean, used to express effects as relative sizes.
@@ -65,11 +68,10 @@ class ScenarioGrid:
     sd_within_plot: float = 1.02
 
     def __post_init__(self):
-        for field in fields(self):
-            value = _typed(field.name, field.type, getattr(self, field.name))
-            if field.default is MISSING and not value:  # an axis
+        check_field_types(self)
+        for field in fields(self):  # an axis is a field with no default
+            if field.default is MISSING and not getattr(self, field.name):
                 raise ParamError(f"{field.name} must be nonempty")
-            object.__setattr__(self, field.name, value)
         for n in self.sample_sizes:
             if n < MIN_SAMPLE_SIZE or n % 2:
                 raise ParamError(f"sample sizes must be even integers >= "
@@ -78,18 +80,21 @@ class ScenarioGrid:
                 raise ParamError(
                     f"cannot enroll {n} from population of "
                     f"{self.population_size}")
-        for m in self.samples_per_plot:
-            if not (m == math.inf or (m.is_integer() and m >= 1)):
-                raise ParamError(
-                    f"samples_per_plot must be positive integers or inf, "
-                    f"got {m}")
         if self.n_replicates < 1:
             raise ParamError("n_replicates must be >= 1")
-        if not 0.0 <= self.sd_within_plot < math.inf:
-            raise ParamError(f"sd_within_plot must be finite and "
-                             f"nonnegative, got {self.sd_within_plot}")
+        # numpy addresses at most intp.max bytes in one array, and a
+        # scenario's noise block takes 16 bytes a replicate and a plot
+        most = np.iinfo(np.intp).max // (16 * max(self.sample_sizes))
+        if self.n_replicates > most:
+            raise ParamError(
+                f"n_replicates must be at most {most}: numpy cannot address "
+                f"the measurement noise of more at n = "
+                f"{max(self.sample_sizes)}")
+        # each cell and population type checks its own values
+        for n, m in product(self.sample_sizes, self.samples_per_plot):
+            self.design_spec(n, m)
         for pop_key in product(self.taus, self.beta_mods, self.sd_eps1s):
-            self.population_params(*pop_key)  # which checks its values
+            self.population_params(*pop_key)
 
     @classmethod
     def paper_defaults(cls, **overrides) -> "ScenarioGrid":
@@ -128,30 +133,12 @@ class ScenarioGrid:
             tau=tau, beta_mod=beta_mod, sd_eps1=sd_eps1,
             n_plots=self.population_size)
 
-    def sigma_delta(self, m) -> float:
-        if m == math.inf:
-            return 0.0
-        return self.sd_within_plot / math.sqrt(m)
-
-
-def _typed(name, kind, value):
-    """`value` as the grid field `name` of type `kind` takes it: an int, a
-    float, or a tuple of either from a list or a tuple, where a bool is
-    neither and an int for a float becomes one; else ParamError."""
-    if kind is int:
-        if type(value) is not int:
-            raise ParamError(f"{name}: expected an integer")
-        return value
-    if kind is float:
-        try:
-            if type(value) is int or isinstance(value, float):
-                return float(value)
-        except OverflowError:  # an int of about 2**1024 or more
-            pass
-        raise ParamError(f"{name}: expected a number, got {value!r}")
-    if not isinstance(value, (list, tuple)):
-        raise ParamError(f"{name}: expected a list")
-    return tuple(_typed(name, kind.__args__[0], v) for v in value)
+    def design_spec(self, n: int, m: float) -> design.DesignSpec:
+        """The design of the grid's cell (n, m): n plots in two equal
+        arms, each plot measured by m soil samples."""
+        return design.DesignSpec(
+            n_enrolled=n, arm_sizes=(n // 2, n // 2), samples_per_plot=m,
+            sd_within_plot=self.sd_within_plot)
 
 
 @dataclass(frozen=True)
@@ -304,9 +291,10 @@ class ScenarioResult:
 def kernel_inputs(grid: ScenarioGrid, scenario: Scenario,
                   bundle: PopulationBundle, master_seed: int) -> tuple:
     """The positional arguments of `kernels.scenario_kernel` for every
-    replicate of `scenario`, arm 0 in the first n // 2 enrolled plots."""
+    replicate of `scenario`, measured as its cell's `DesignSpec` says."""
     n, n_pop = scenario.n, bundle.population.n_plots
-    sigma_delta = grid.sigma_delta(scenario.m)
+    spec = grid.design_spec(n, scenario.m)
+    sigma_delta = spec.sigma_delta
     # a noise-free measurement (m = inf) needs no noise draw
     perm, noise = design.draw_replicates(
         scenario_rng(master_seed, scenario), grid.n_replicates, n, n_pop,
@@ -314,7 +302,7 @@ def kernel_inputs(grid: ScenarioGrid, scenario: Scenario,
     return (bundle.population.baseline, bundle.y0, bundle.y1,
             bundle.sort_b, bundle.cum0, bundle.cum1,
             bundle.mean_y0, bundle.mean_y1,
-            perm, noise, sigma_delta, n // 2,
+            perm, noise, sigma_delta, spec.arm_sizes[0],
             kernels.sd_fpc(bundle.baseline_moments, sigma_delta, n, n_pop))
 
 

@@ -7,6 +7,7 @@ by `regression_rows`.  Nothing here is random once the table is built;
 all randomness lives in the generator and in the study design.
 """
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -15,6 +16,35 @@ import numpy as np
 from . import tables
 from .errors import DimensionError, ParamError, SchemaError
 from .tables import FLOAT_FMT  # noqa: F401  (imported from here by callers)
+
+
+def check_field_types(obj) -> None:
+    """Hold each field of the frozen dataclass `obj` to its annotated
+    type, as `_typed` takes it; called first by each parameter type's
+    `__post_init__`."""
+    for field in fields(obj):
+        object.__setattr__(obj, field.name, _typed(
+            field.name, field.type, getattr(obj, field.name)))
+
+
+def _typed(name, kind, value):
+    """`value` as the field `name` of type `kind` takes it: an int, a
+    float, or a tuple of either from a list or a tuple, where a bool is
+    neither and an int for a float becomes one; else ParamError."""
+    if kind is int:
+        if type(value) is not int:
+            raise ParamError(f"{name}: expected an integer")
+        return value
+    if kind is float:
+        try:
+            if type(value) is int or isinstance(value, float):
+                return float(value)
+        except OverflowError:  # an int of about 2**1024 or more
+            pass
+        raise ParamError(f"{name}: expected a number, got {value!r}")
+    if not isinstance(value, (list, tuple)):
+        raise ParamError(f"{name}: expected a list")
+    return tuple(_typed(name, kind.__args__[0], v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -36,10 +66,18 @@ class PopulationParams:
     n_plots: int
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_plots < 2:
             raise ParamError(f"n_plots must be >= 2, got {self.n_plots}")
+        # numpy addresses at most intp.max bytes in one array, and the
+        # potential outcomes take 16 bytes a plot
+        most = np.iinfo(np.intp).max // 16
+        if self.n_plots > most:
+            raise ParamError(f"n_plots must be at most {most}: numpy cannot "
+                             f"address the potential outcomes of more plots")
         for field in fields(self):
-            if not np.isfinite(getattr(self, field.name)):
+            if field.type is float and not math.isfinite(
+                    getattr(self, field.name)):
                 raise ParamError(f"{field.name} must be finite")
         if not self.sd_b_across > 0:
             raise ParamError(

@@ -215,8 +215,8 @@ def test_criterion_4_attenuation(paper_run):
     pop = paper_run.bundles[(0.0, -0.5, 0.0)].population
     n = 1000
     for m in ms:
-        limit = naive_moderator_limit(
-            pop, paper_run.grid.sigma_delta(m), (n - n // 2) / n)
+        sd = paper_run.grid.design_spec(n, m).sigma_delta
+        limit = naive_moderator_limit(pop, sd, (n - n // 2) / n)
         expected = limit - naive[m]["beta_mod"]
         if not abs(naive[m]["bias"] - expected) <= 3 * naive[m]["bias_se"]:
             problems.append(

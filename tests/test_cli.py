@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -736,17 +737,18 @@ def test_policy_budget_slack_is_one_rule_for_both_solvers(runner, tmp_path,
 CLI_MAIN = "from soilrct.cli import main; main()"
 
 
-def run_python(code, *argv):
+def run_python(code, *argv, preexec_fn=None):
     """`python -c code *argv` in a fresh interpreter that imports this
     soilrct; a RuntimeWarning is an error there, as in the suite, and a
-    run that loops fails the test instead of hanging it."""
+    run that loops fails the test instead of hanging it.  `preexec_fn`
+    runs in the child before it starts the interpreter."""
     src = str(Path(soilrct.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]),
         PYTHONWARNINGS="error::RuntimeWarning")
     return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                           env=env, capture_output=True, text=True,
-                          timeout=30)
+                          timeout=30, preexec_fn=preexec_fn)
 
 
 def run_cli(*argv):
@@ -1084,6 +1086,40 @@ def test_simulate_invalid_population_exits_2_before_writing(runner, tmp_path,
     result = runner.invoke(cli.main, ["simulate", "--config", str(config),
                                       "--out", str(out)])
     assert result.exit_code == 2, result.output
+    assert not out.exists()
+
+
+#: Grid sizes past what numpy can address, refused when the grid is
+#: built, and sizes it can address but a 2 GB address space cannot hold,
+#: whose run fails to allocate; with the message each exits with.
+OVERSIZED_GRIDS = [
+    ("population_size", 10 ** 12, "does not fit in memory: Unable to "),
+    ("population_size", 2 ** 62, "n_plots must be at most "),
+    ("population_size", 10 ** 20, "n_plots must be at most "),
+    ("population_size", 10 ** 400, "n_plots must be at most "),
+    ("n_replicates", 10 ** 12, "does not fit in memory: Unable to "),
+    ("n_replicates", 10 ** 18, "n_replicates must be at most "),
+    ("n_replicates", 10 ** 20, "n_replicates must be at most "),
+]
+
+
+def _limit_address_space():
+    # called in the child only, so the limit binds that process alone
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("key, value, match", OVERSIZED_GRIDS, ids=[
+    f"{key}-{'10**400' if value == 10 ** 400 else value}"
+    for key, value, _ in OVERSIZED_GRIDS])
+def test_simulate_refuses_an_oversized_grid(tmp_path, key, value, match):
+    config = tmp_path / "run.yaml"
+    config.write_text("".join(
+        line + "\n" for line in TINY_CONFIG.splitlines()
+        if not line.startswith(f"{key}:")) + f"{key}: {value}\n")
+    out = tmp_path / "out"
+    done = run_python(CLI_MAIN, "simulate", "--config", config, "--out", out,
+                      preexec_fn=_limit_address_space)
+    assert_one_error_line(done, 2, match)
     assert not out.exists()
 
 

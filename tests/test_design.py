@@ -6,7 +6,8 @@ import pytest
 from soilrct import design
 from soilrct.design import (DesignSpec, ObservedStudy, arm_labels,
                             draw_replicates, enroll_and_assign)
-from soilrct.errors import DesignError, EnrollmentError, SchemaError
+from soilrct.errors import (DesignError, EnrollmentError, ParamError,
+                            SchemaError)
 from soilrct.population import (Population, PopulationParams,
                                 generate_population)
 
@@ -18,6 +19,11 @@ def pop():
                               sd_control_change=0.37, tau=0.1, beta_mod=-0.2,
                               sd_eps1=0.0, n_plots=300)
     return generate_population(params, 42)
+
+
+def test_a_design_error_is_a_param_error():
+    # so a grid refuses its cells' designs with ParamError, untranslated
+    assert issubclass(DesignError, ParamError)
 
 
 def test_spec_validation():
@@ -41,6 +47,9 @@ def test_sigma_delta_scaling():
     spec = DesignSpec(n_enrolled=10, arm_sizes=(5, 5), samples_per_plot=4,
                       sd_within_plot=1.02)
     assert spec.sigma_delta == pytest.approx(0.51)
+    # an int for a float field is held as the float, so sigma keeps its bits
+    assert type(spec.samples_per_plot) is float
+    assert spec.sigma_delta == 1.02 / math.sqrt(4.0)
     exact = DesignSpec(n_enrolled=10, arm_sizes=(5, 5))
     assert exact.sigma_delta == 0.0
 

@@ -8,7 +8,8 @@ from scipy import stats
 
 from soilrct import cli, design, harness, kernels
 from soilrct.errors import ParamError, ScenarioAbortError
-from soilrct.population import Population, generate_population
+from soilrct.population import (Population, PopulationParams,
+                                generate_population)
 from soilrct.stats import norm_ppf
 
 
@@ -38,8 +39,9 @@ HUGE = 2 ** 1024
 
 
 def _wrong_types(kind):
-    """Values of other types than the grid field type `kind`; an empty
-    list is left out for an axis, where it is refused as empty."""
+    """Values of other types than the field type `kind`; an empty list is
+    left out for a tuple, which the grid refuses as an empty axis and a
+    design as too few arms."""
     common = [None, True, "x", {"a": 1}]
     if kind is int:
         return common + [[], 1.5]
@@ -49,16 +51,50 @@ def _wrong_types(kind):
                      else [HUGE]]
 
 
-WRONG_TYPES = [(f.name, value) for f in fields(harness.ScenarioGrid)
-               for value in _wrong_types(f.type)]
+def small_spec(**overrides):
+    base = dict(n_enrolled=4, arm_sizes=(2, 2), samples_per_plot=5.0,
+                sd_within_plot=1.02)
+    base.update(overrides)
+    return design.DesignSpec(**base)
 
 
-@pytest.mark.parametrize("name, value", WRONG_TYPES, ids=[
-    f"{name}-{value!r}".replace(repr(HUGE), "2**1024")
-    for name, value in WRONG_TYPES])
-def test_grid_refuses_a_wrong_type_at_construction(name, value):
+def small_params(**overrides):
+    base = dict(mu_b=2.34, sd_b_across=0.47, mean_control_change=0.16,
+                sd_control_change=0.37, tau=0.1, beta_mod=-0.5, sd_eps1=0.1,
+                n_plots=40)
+    base.update(overrides)
+    return PopulationParams(**base)
+
+
+#: Each parameter type, the function that builds a small valid one with
+#: some fields replaced, and wrong values that `_wrong_types` leaves out:
+#: integral floats and digit strings among them.
+PARAMETER_TYPES = [
+    (harness.ScenarioGrid, small_grid, []),
+    (design.DesignSpec, small_spec, [
+        ("arm_sizes", (2.7, 2.2)), ("arm_sizes", ("2", "2")),
+        ("arm_sizes", (True, True)), ("n_enrolled", 4.0),
+        ("samples_per_plot", "5")]),
+    (PopulationParams, small_params, [("n_plots", 12.5)]),
+]
+
+
+def _wrong_type_id(kind, name, value):
+    prefix = "" if kind is harness.ScenarioGrid else f"{kind.__name__}-"
+    return f"{prefix}{name}-{value!r}".replace(repr(HUGE), "2**1024")
+
+
+WRONG_TYPES = [pytest.param(build, name, value,
+                            id=_wrong_type_id(kind, name, value))
+               for kind, build, extra in PARAMETER_TYPES
+               for name, value in [(f.name, v) for f in fields(kind)
+                                   for v in _wrong_types(f.type)] + extra]
+
+
+@pytest.mark.parametrize("build, name, value", WRONG_TYPES)
+def test_grid_refuses_a_wrong_type_at_construction(build, name, value):
     with pytest.raises(ParamError, match=f"^{name}: expected "):
-        small_grid(**{name: value})
+        build(**{name: value})
 
 
 def test_grid_takes_ints_for_floats_as_floats():
@@ -282,7 +318,7 @@ def test_noise_free_scenario_skips_the_noise_draw():
     # 0, so leaving it undrawn changes neither `perm` nor the kernel output
     grid = small_grid()
     scenario = harness.Scenario(0.3, -0.5, 0.0, 10, math.inf)
-    assert grid.sigma_delta(scenario.m) == 0.0
+    assert grid.design_spec(scenario.n, scenario.m).sigma_delta == 0.0
     pop = generate_population(
         grid.population_params(*scenario.pop_key),
         harness.population_rng(4, *scenario.pop_key))
@@ -337,8 +373,57 @@ def test_scenario_order_is_stable():
 
 def test_sigma_delta():
     grid = small_grid()
-    assert grid.sigma_delta(math.inf) == 0.0
-    assert grid.sigma_delta(4.0) == pytest.approx(1.02 / 2)
+    assert grid.design_spec(10, math.inf).sigma_delta == 0.0
+    assert grid.design_spec(10, 4.0).sigma_delta == pytest.approx(1.02 / 2)
+
+
+#: Measurement settings a design refuses: a `samples_per_plot` that is not
+#: a positive integer or inf, and a `sd_within_plot` that is not finite
+#: and nonnegative.
+BAD_MEASUREMENTS = ([("samples_per_plot", m) for m in
+                     (0.0, -1.0, 2.5, math.nan, -math.inf)]
+                    + [("sd_within_plot", sd) for sd in
+                       (-1.0, math.nan, math.inf)])
+
+
+@pytest.mark.parametrize("name, value", BAD_MEASUREMENTS)
+def test_grid_refuses_a_bad_measurement_as_its_design_does(name, value):
+    # the grid leaves these rules to the `DesignSpec` of each cell
+    with pytest.raises(ParamError) as by_spec:
+        small_spec(**{name: value})
+    grid_value = [value] if name == "samples_per_plot" else value
+    with pytest.raises(ParamError) as by_grid:
+        small_grid(**{name: grid_value})
+    assert str(by_grid.value) == str(by_spec.value)
+    assert str(by_grid.value).startswith(f"{name} must be ")
+
+
+@pytest.mark.parametrize("m", [5.0, math.inf])
+def test_a_cell_study_is_its_first_replicate(m):
+    # `enroll_and_assign` on the cell's design and the scenario's stream
+    # gives replicate 0 of the harness, measured with the cell's sigma
+    grid = small_grid(n_replicates=1)
+    scenario = harness.Scenario(0.3, -0.5, 0.0, 10, m)
+    pop = generate_population(
+        grid.population_params(*scenario.pop_key),
+        harness.population_rng(6, *scenario.pop_key))
+    args = harness.kernel_inputs(grid, scenario, harness.build_bundle(pop), 6)
+    perm, noise, sd, n0 = args[8:12]
+    spec = grid.design_spec(scenario.n, m)
+    study = design.enroll_and_assign(pop, spec,
+                                     harness.scenario_rng(6, scenario))
+    assert sd == spec.sigma_delta and (sd == 0.0) == (m == math.inf)
+    assert n0 == spec.arm_sizes[0] == 5
+    source = perm[0]
+    assert study.source_index.tolist() == source.tolist()
+    assert study.arm.tolist() == [0] * n0 + [1] * (scenario.n - n0)
+    baseline = pop.baseline[source]
+    outcome = pop.po[source, study.arm]
+    if noise is not None:
+        baseline = baseline + sd * noise[0, :, 0]
+        outcome = outcome + sd * noise[0, :, 1]
+    assert study.baseline_obs.tobytes() == baseline.tobytes()
+    assert study.outcome_obs.tobytes() == outcome.tobytes()
 
 
 def test_run_grid_deterministic_across_threads():

@@ -115,6 +115,17 @@ def test_params_refuse_every_nonfinite_float(name, value):
         params(**{name: value})
 
 
+@pytest.mark.parametrize("n_plots", [2 ** 62, 10 ** 20, 10 ** 400],
+                         ids=["2**62", "10**20", "10**400"])
+def test_params_refuse_more_plots_than_numpy_can_address(n_plots):
+    # checked before any array is made, and with no float conversion of
+    # n_plots, which overflows at 10**400
+    with pytest.raises(ParamError, match="^n_plots must be at most "):
+        params(n_plots=n_plots)
+    most = np.iinfo(np.intp).max // 16
+    assert params(n_plots=most).n_plots == most
+
+
 def test_csv_roundtrip_is_exact(tmp_path):
     pop = generate_population(params(n_plots=50), 13)
     path = tmp_path / "pop.csv"
