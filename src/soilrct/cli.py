@@ -409,6 +409,20 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
                 raise SchemaError("--budget requires --costs")
             study = design.ObservedStudy.from_csv(study_csv)
             target_ids, target_cov, target_pop = _read_target(target_csv)
+            if target_pop is not None and target_pop.n_arms != study.n_arms:
+                raise SchemaError(
+                    f"{target_csv}: the target has potential outcomes for "
+                    f"{target_pop.n_arms} arms, the study has "
+                    f"{study.n_arms}")
+        except SoilRctError as exc:
+            _fail(EXIT_CONFIG, str(exc))
+        # the fit refuses an empty arm, so the cost table below is never
+        # wider than the study has plots
+        try:
+            coeffs = policy.fit_per_arm(study)
+        except SoilRctError as exc:
+            _fail(EXIT_ESTIMATOR, str(exc))
+        try:
             costs = (
                 policy.CostModel(np.zeros((len(target_ids), study.n_arms)))
                 if cost_csv is None
@@ -417,11 +431,7 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
         except SoilRctError as exc:
             _fail(EXIT_CONFIG, str(exc))
         try:
-            coeffs = policy.fit_per_arm(study)
             imputed = policy.impute_population(coeffs, target_cov)
-        except SoilRctError as exc:
-            _fail(EXIT_ESTIMATOR, str(exc))
-        try:
             regime = policy.optimal_budgeted(imputed, costs)
         except InfeasibleBudgetError as exc:
             _fail(EXIT_BUDGET, str(exc))

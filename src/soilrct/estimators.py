@@ -57,17 +57,6 @@ class EstimateWithCI:
                 self.ci_upper, self.alpha]
 
 
-@dataclass(frozen=True)
-class InteractionFit:
-    """Full OLS-interaction fit: coefficients, sandwich covariance, residuals."""
-
-    coeffs: np.ndarray
-    sandwich_cov: np.ndarray
-    residuals: np.ndarray
-    fitted: np.ndarray
-    design_rows: np.ndarray
-
-
 def _require_binary(study: ObservedStudy, min_per_arm: int):
     z = study.arm
     if z.max() > 1:
@@ -139,13 +128,13 @@ def interaction_design(study: ObservedStudy) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def ols_interaction(study: ObservedStudy, alpha: float = DEFAULT_ALPHA
-                    ) -> tuple[EstimateWithCI, list[EstimateWithCI],
-                               InteractionFit]:
+                    ) -> tuple[EstimateWithCI, list[EstimateWithCI], tuple]:
     """Fully interacted OLS with robust sandwich inference.
 
     Returns the treatment-coefficient estimate, one estimate per
-    interaction (moderator) coefficient, and the underlying fit.  The
-    covariance is the leverage-adjusted (HC2) sandwich.
+    interaction (moderator) coefficient, and the fit as
+    `linalg.hc2_least_squares` returns it: the coefficients, the
+    residuals and the leverage-adjusted (HC2) sandwich covariance.
     """
     _require_binary(study, min_per_arm=1)
     design = interaction_design(study)
@@ -154,11 +143,8 @@ def ols_interaction(study: ObservedStudy, alpha: float = DEFAULT_ALPHA
         raise InsufficientDataError(
             f"interacted OLS needs n > {q} observations, got {n}")
     _require_finite_squares(design=design, response=study.outcome_obs)
-    coeffs, residuals, cov = linalg.hc2_least_squares(design,
-                                                      study.outcome_obs)
-    fitted = design @ coeffs
-    fit = InteractionFit(coeffs=coeffs, sandwich_cov=cov, residuals=residuals,
-                         fitted=fitted, design_rows=design)
+    fit = linalg.hc2_least_squares(design, study.outcome_obs)
+    coeffs, _, cov = fit
     tau = EstimateWithCI.from_point(coeffs[1], cov[1, 1], alpha)
     p_minus_1 = (q - 2) // 2
     moderators = [

@@ -74,12 +74,12 @@ class ScenarioGrid:
                 raise ParamError(f"{field.name} must be nonempty")
         for n in self.sample_sizes:
             if n < MIN_SAMPLE_SIZE or n % 2:
-                raise ParamError(f"sample sizes must be even integers >= "
+                raise ParamError(f"sample_sizes must be even integers >= "
                                  f"{MIN_SAMPLE_SIZE}, got {n}")
             if n > self.population_size:
                 raise ParamError(
-                    f"cannot enroll {n} from population of "
-                    f"{self.population_size}")
+                    f"sample_sizes: cannot enroll {n} plots from a "
+                    f"population_size of {self.population_size}")
         if self.n_replicates < 1:
             raise ParamError("n_replicates must be >= 1")
         # numpy addresses at most intp.max bytes in one array, and a
@@ -93,8 +93,16 @@ class ScenarioGrid:
         # each cell and population type checks its own values
         for n, m in product(self.sample_sizes, self.samples_per_plot):
             self.design_spec(n, m)
-        for pop_key in product(self.taus, self.beta_mods, self.sd_eps1s):
-            self.population_params(*pop_key)
+        for tau, beta_mod, sd_eps1 in product(self.taus, self.beta_mods,
+                                              self.sd_eps1s):
+            try:
+                self.population_params(tau, beta_mod, sd_eps1)
+            except ParamError as exc:
+                # name the grid keys that the population's fields come from
+                raise ParamError(
+                    f"the population of taus {tau!r}, beta_mods "
+                    f"{beta_mod!r}, sd_eps1s {sd_eps1!r} and population_size "
+                    f"{self.population_size}: {exc}") from None
 
     @classmethod
     def paper_defaults(cls, **overrides) -> "ScenarioGrid":

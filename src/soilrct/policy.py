@@ -79,22 +79,28 @@ class PolicyRegime:
 
 
 def fit_per_arm(study: ObservedStudy) -> np.ndarray:
-    """Least-squares coefficients of Y on the covariates, one row per arm."""
-    k_arms = study.n_arms
+    """Least-squares coefficients of Y on the covariates, one row per arm.
+
+    Raises FitError at the first arm with too few plots to fit, or with
+    rank-deficient covariates.  Nothing is sized by the arm count (the
+    largest label + 1) before every arm is fitted, so a study whose labels
+    skip an arm is refused at its first empty arm, which is at most its
+    number of distinct labels, however large its largest label.
+    """
     p = study.covariates_obs.shape[1]
-    out = np.empty((k_arms, p))
-    for k in range(k_arms):
+    rows = []
+    for k in range(study.n_arms):
         mask = study.arm == k
         if mask.sum() <= p:
             raise FitError(
                 f"arm {k} has {int(mask.sum())} plots; need more than {p} "
                 f"to fit {p} coefficients", arm=k)
         try:
-            out[k] = linalg.least_squares(study.covariates_obs[mask],
-                                          study.outcome_obs[mask])
+            rows.append(linalg.least_squares(study.covariates_obs[mask],
+                                             study.outcome_obs[mask]))
         except SingularMatrixError as exc:
             raise FitError(f"arm {k}: {exc}", arm=k) from exc
-    return out
+    return np.array(rows)
 
 
 def impute_population(coeffs: np.ndarray,

@@ -1,6 +1,6 @@
-"""Smoke test of `benchmarks/bench_kernels.py`: it takes the kernel's
-arguments by position from the shared builder `harness.kernel_inputs`,
-and nothing else runs it, so a change to their order would go unseen."""
+"""Smoke test of `benchmarks/bench_kernels.py`: it calls the draws and
+the kernel on the inputs of the shared builder `harness.kernel_inputs`,
+and nothing else runs it, so a change to either call would go unseen."""
 
 import os
 import subprocess
@@ -12,7 +12,7 @@ import soilrct
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks/bench_kernels.py"
 
 
-def test_bench_kernels_runs_and_agrees_with_qr():
+def test_bench_kernels_times_each_sample_size():
     src = str(Path(soilrct.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -26,4 +26,3 @@ def test_bench_kernels_runs_and_agrees_with_qr():
         kernel = [line for line in lines
                   if line.startswith(f"kernel n={n:>5}:")]
         assert len(kernel) == 1, done.stdout
-        assert kernel[0].endswith("disagreements with QR: 0/4")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +44,10 @@ population_size: 200
 """
 
 
-def write_study(path, seed=3, n=20):
+def write_study(path, seed=3, n=20, arms=2):
     rng = np.random.default_rng(seed)
     b = rng.normal(2.34, 0.47, n)
-    z = np.repeat([0, 1], [n // 2, n // 2])
+    z = np.repeat(np.arange(arms), n // arms)
     y = b + 0.16 + z * (0.3 - 0.2 * (b - b.mean())) + rng.normal(0, 0.3, n)
     study = ObservedStudy(baseline_obs=b, outcome_obs=y, arm=z,
                           source_index=np.arange(n))
@@ -1123,6 +1124,60 @@ def test_simulate_refuses_an_oversized_grid(tmp_path, key, value, match):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label, costs", [(10 ** 12, False), (10 ** 6, True),
+                                          (10 ** 6, False)],
+                         ids=["10**12", "10**6-costs", "10**6"])
+def test_policy_refuses_a_skipped_arm_before_sizing_by_it(tmp_path, label,
+                                                         costs):
+    # a study's arm count is its largest label + 1; arm 2 is empty here
+    written = write_study(tmp_path / "study.csv", n=20)
+    arm = written.arm.copy()
+    arm[-1] = label
+    replace(written, arm=arm).to_csv(tmp_path / "study.csv")
+    (tmp_path / "target.csv").write_text(
+        "plot_id,baseline\n" + "".join(f"{i},{2 + i / 4}\n" for i in range(5)))
+    argv = ["policy", tmp_path / "study.csv", tmp_path / "target.csv",
+            "--out", tmp_path / "pol"]
+    if costs:
+        (tmp_path / "costs.csv").write_text(
+            "plot_id,cost0,cost1\n" + "".join(f"{i},0,1\n" for i in range(5)))
+        argv += ["--costs", tmp_path / "costs.csv"]
+    done = run_python(CLI_MAIN, *argv, preexec_fn=_limit_address_space)
+    assert_one_error_line(done, 4, "arm 2 has 0 plots")
+    assert not (tmp_path / "pol").exists()
+
+
+#: Grid settings refused by a rule of `PopulationParams` or of the grid,
+#: with the rule's words; the refusal must also name the config key.
+KEYED_REFUSALS = [
+    ("population_size", "100000000000000000000", "n_plots must be at most "),
+    ("sd_eps1s", "[-1.0]", "sd_eps1 must be nonnegative, got -1.0"),
+    ("taus", "[.nan]", "tau must be finite"),
+    ("beta_mods", "[1.0e+400]", "beta_mod must be finite"),
+    ("sample_sizes", "[7]", "must be even integers >= 6, got 7"),
+    ("population_size", "1", "cannot enroll 10 plots"),
+]
+
+
+@pytest.mark.parametrize("key, value, rule", KEYED_REFUSALS,
+                         ids=[f"{key}-{value}" for key, value, _
+                              in KEYED_REFUSALS])
+def test_simulate_refusal_names_the_config_key(runner, tmp_path, key, value,
+                                               rule):
+    config = tmp_path / "run.yaml"
+    config.write_text("".join(
+        line + "\n" for line in TINY_CONFIG.splitlines()
+        if not line.startswith(f"{key}:")) + f"{key}: {value}\n")
+    out = tmp_path / "out"
+    result = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                      "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert key in lines[0] and rule in lines[0], lines[0]
+    assert not out.exists()
+
+
 #: Cells of generated tables: plausible values, and values that must be
 #: refused or that overflow downstream.
 _GUARD_CELLS = st.floats(0.5, 4.0).map("{:.3g}".format)
@@ -1135,16 +1190,23 @@ _GUARD_BAD_COSTS = st.sampled_from(["0.5", "2.25", "-1", "nan", "x", "1e18",
                                     "1e300"])
 
 
+#: The study kinds of `_policy_inputs`, by their number of arms.
+_STUDY_ARMS = {"plain": 2, "huge": 2, "three-arm": 3}
+
+
 @st.composite
 def _policy_inputs(draw):
     """A `policy` request: the study kind, the target and cost tables as
     text (costs may be None) and the budget (None or an option value).
-    Half the tables hold only plausible cells."""
+    Half the tables hold only plausible cells.  A target may have as many
+    arms as the study or not; a cost table is as wide as the study."""
+    study = draw(st.sampled_from(["plain", "plain", "huge", "three-arm"]))
     n = draw(st.integers(1, 5))
     ids = st.lists(_GUARD_IDS, min_size=n, max_size=n)
     target_ids = draw(st.one_of(st.just([str(i) for i in range(n)]), ids))
     header = draw(st.sampled_from(
-        ["plot_id,baseline,y0,y1"] * 3 + ["plot_id,baseline"] * 3
+        ["plot_id,baseline,y0,y1"] * 2 + ["plot_id,baseline,y0,y1,y2"] * 2
+        + ["plot_id,baseline"] * 3
         + ["plot_id,baseline,y0", "plot_id,b", '"plot_id","baseline"']))
     width = len(next(csv.reader([header])))
     cells = (st.one_of(_GUARD_CELLS, _GUARD_BAD_CELLS) if draw(st.booleans())
@@ -1161,19 +1223,23 @@ def _policy_inputs(draw):
         cost_ids = (target_ids if rows == n and draw(st.booleans())
                     else draw(st.lists(_GUARD_IDS, min_size=rows,
                                        max_size=rows)))
-        costs = "plot_id,cost0,cost1\n" + "".join(
-            f"{plot},{draw(cost)},{draw(cost)}\n" for plot in cost_ids)
+        arms = range(_STUDY_ARMS[study])
+        costs = ",".join(["plot_id"] + [f"cost{k}" for k in arms]) + "\n"
+        costs += "".join(",".join([plot] + [draw(cost) for _ in arms]) + "\n"
+                         for plot in cost_ids)
     budget = draw(st.one_of(st.none(), st.sampled_from(
         ["0", "1", "3", "2.5", "8", "9007199254740992", "1e300", "-1", "nan",
          "inf"])))
-    return {"study": draw(st.sampled_from(["plain", "plain", "huge"])),
-            "target": target, "costs": costs, "budget": budget}
+    return {"study": study, "target": target, "costs": costs,
+            "budget": budget}
 
 
-def _population_text(n, ids=None):
-    return "plot_id,baseline,y0,y1\n" + "".join(
-        f"{i if ids is None else ids[i]},{2 + i / 4},{2 + i / 3},"
-        f"{2.5 + i / 5}\n" for i in range(n))
+def _population_text(n, ids=None, arms=2):
+    header = ["plot_id", "baseline"] + [f"y{k}" for k in range(arms)]
+    return "".join(",".join(map(str, row)) + "\n" for row in [header] + [
+        [i if ids is None else ids[i], 2 + i / 4]
+        + [2 + k / 2 + i / (3 + 2 * k) for k in range(arms)]
+        for i in range(n)])
 
 
 def _plot_ids(text):
@@ -1199,7 +1265,13 @@ def _plot_ids(text):
 @example(case={"study": "plain", "target": _population_text(3, "ABC"),
                "costs": "plot_id,cost0,cost1\nC,0,1\nZ,0,1\nQ,0,1\n",
                "budget": None})
+# targets with fewer and with more arms than the study
+@example(case={"study": "three-arm", "target": _population_text(3),
+               "costs": None, "budget": None})
+@example(case={"study": "plain", "target": _population_text(3, arms=3),
+               "costs": None, "budget": None})
 def test_policy_answers_or_refuses_any_input(case):
+    arms = _STUDY_ARMS[case["study"]]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         study, target, out = (tmp / "study.csv", tmp / "target.csv",
@@ -1207,7 +1279,7 @@ def test_policy_answers_or_refuses_any_input(case):
         if case["study"] == "huge":
             study.write_text(HUGE_STUDY)
         else:
-            write_study(study, seed=9, n=24)
+            write_study(study, seed=9, n=24, arms=arms)
         target.write_text(case["target"])
         argv = ["policy", study, target, "--out", out]
         if case["costs"] is not None:
@@ -1225,9 +1297,14 @@ def test_policy_answers_or_refuses_any_input(case):
             result.exception
         assert result.exit_code in (0, 2, 4, 5)
         ids = _plot_ids(case["target"])
-        if (len(set(ids)) < len(ids) or case["costs"] is not None
-                and _plot_ids(case["costs"]) != ids):
+        header = case["target"].split("\n", 1)[0].split(",")
+        target_arms = sum(name.startswith("y") for name in header)
+        if len(set(ids)) < len(ids) or target_arms not in (0, arms):
             assert result.exit_code == 2, result.output
+        if case["costs"] is not None and _plot_ids(case["costs"]) != ids:
+            # the huge study cannot be fitted, which is refused first
+            assert result.exit_code in (
+                (2, 4) if case["study"] == "huge" else (2,)), result.output
         if result.exit_code != 0:
             lines = result.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), \
@@ -1239,7 +1316,7 @@ def test_policy_answers_or_refuses_any_input(case):
             rows = list(csv.reader(fh))
         assert rows[0] == ["plot_id", "arm"]
         assert [plot for plot, _ in rows[1:]] == ids
-        assert all(arm in ("0", "1") for _, arm in rows[1:])
+        assert all(int(arm) in range(arms) for _, arm in rows[1:])
         summary = json.loads((out / "policy.json").read_text())
         numbers = [v for k, v in summary.items()
                    if v is not None and (k, v) != ("budget", "inf")]

@@ -13,17 +13,24 @@ from support import (optimal_restricted, ref_arm_fit, ref_sd_fpc,
                      reference_kernel)
 
 
-@pytest.fixture(scope="module")
-def setup():
-    grid = harness.ScenarioGrid.paper_defaults(n_replicates=60,
-                                               population_size=800,
-                                               sample_sizes=(30,))
+def scenario_inputs(n, reps, n_pop):
+    """A generated population of `n_pop` plots and the kernel's inputs
+    for `reps` replicates that enroll `n` of them, as the harness builds
+    them."""
+    grid = harness.ScenarioGrid.paper_defaults(n_replicates=reps,
+                                               population_size=n_pop,
+                                               sample_sizes=(n,))
     scenario = harness.Scenario(tau=0.15, beta_mod=-0.5, sd_eps1=0.2,
-                                n=30, m=5.0)
+                                n=n, m=5.0)
     rng = harness.population_rng(99, *scenario.pop_key)
     pop = generate_population(grid.population_params(*scenario.pop_key), rng)
     return pop, harness.kernel_inputs(grid, scenario,
                                       harness.build_bundle(pop), 99)
+
+
+@pytest.fixture(scope="module")
+def setup():
+    return scenario_inputs(30, 60, 800)
 
 
 def kernel_on(b, y0, y1, perm, noise, sd):
@@ -234,8 +241,12 @@ def test_kernel_gives_the_reference_bytes_across_row_blocks():
             == reference_kernel(*args).tobytes())
 
 
-def test_kernel_matches_library_estimators(setup):
-    pop, args = setup
+# n = 10, 100 and 1000 are the paper's sample sizes; at n = 1000, 70
+# replicates span two of the kernel's row blocks
+@pytest.mark.parametrize("n, reps, n_pop", [(30, 60, 800), (10, 4, 1200),
+                                            (100, 4, 1200), (1000, 70, 1200)])
+def test_kernel_matches_library_estimators(n, reps, n_pop):
+    pop, args = scenario_inputs(n, reps, n_pop)
     out = kernels.scenario_kernel(*args)
     perm, noise, sd, n0 = args[8:12]
     for r in range(perm.shape[0]):
