@@ -213,7 +213,7 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     # the run directory appears complete or not at all: it is written as a
     # temporary sibling, made before the grid runs so that an unusable
     # --out fails at once, and renamed once every file is in it; a run
-    # that exits 2 or 3 also removes the directories that making it made
+    # that does not finish also removes the directories that making it made
     digest = grid_hash(grid, seed)
     run_dir = out_dir / f"run-{seed}-{digest[:12]}"
     tmp_dir = out_dir / f".{run_dir.name}.{os.getpid()}.tmp"
@@ -223,7 +223,7 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
         tmp_dir.mkdir(parents=True)
     except OSError as exc:
         _fail(EXIT_CONFIG, f"cannot write to --out {out_dir}: {exc}")
-    failure = None
+    failure, done = None, False
     try:
         try:
             run = harness.run_grid(grid, seed, threads=threads)
@@ -238,10 +238,12 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
             if run_dir.exists():
                 shutil.rmtree(run_dir)
             tmp_dir.rename(run_dir)
+            done = True
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
+        if not done:
+            _remove_empty(made)
     if failure is not None:
-        _remove_empty(made)
         _fail(*failure)
     click.echo(str(run_dir))
     sys.exit(EXIT_OK)
@@ -396,13 +398,15 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
     from . import design, policy, population
 
     # --out is made before any input is read, so that an unusable one
-    # fails at once; a request refused later removes what making it made
+    # fails at once; a request that does not finish removes what making
+    # it made
     out_dir = Path(out_dir)
     made = _missing_dirs(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _fail(EXIT_CONFIG, f"cannot write to --out {out_dir}: {exc}")
+    done = False
     try:
         try:
             if budget is not None and cost_csv is None:
@@ -437,19 +441,20 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
             _fail(EXIT_BUDGET, str(exc))
         except SoilRctError as exc:
             _fail(EXIT_ESTIMATOR, str(exc))
-    except SystemExit:
-        _remove_empty(made)
-        raise
-
-    if target_pop is not None:
-        regime = replace(regime, realized_mean=population.papo(
-            target_pop, regime.regime))
-    tables.write(out_dir / "regime.csv", ["plot_id", "arm"],
-                 [target_ids, regime.regime.tolist()])
-    summary = regime.summary()
-    summary["budget"] = "inf" if costs.budget == math.inf else costs.budget
-    (out_dir / "policy.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        if target_pop is not None:
+            regime = replace(regime, realized_mean=population.papo(
+                target_pop, regime.regime))
+        tables.write(out_dir / "regime.csv", ["plot_id", "arm"],
+                     [target_ids, regime.regime.tolist()])
+        summary = regime.summary()
+        summary["budget"] = ("inf" if costs.budget == math.inf
+                             else costs.budget)
+        (out_dir / "policy.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        done = True
+    finally:
+        if not done:
+            _remove_empty(made)
     click.echo(str(out_dir / "regime.csv"))
     sys.exit(EXIT_OK)
 

@@ -84,6 +84,25 @@ class DesignSpec:
         return self.sd_within_plot / math.sqrt(self.samples_per_plot)
 
 
+_INTP = np.iinfo(np.intp)
+
+
+def _intp_column(name, values) -> np.ndarray:
+    """`values` as a contiguous intp array.  Raises DesignError for a value
+    outside intp's range, which the cast would wrap or refuse."""
+    values = np.asarray(values)
+    kind, top = values.dtype.kind, 2.0 ** (_INTP.bits - 1)
+    try:
+        if ((kind == "u" and values.size and values.max() > _INTP.max)
+                or (kind == "f"
+                    and not np.all((values >= -top) & (values < top)))):
+            raise OverflowError
+        return np.ascontiguousarray(values, dtype=np.intp)
+    except OverflowError as exc:  # also a Python int past intp
+        raise DesignError(f"{name} values must fit a {_INTP.bits}-bit "
+                          f"signed integer") from exc
+
+
 @dataclass(frozen=True)
 class ObservedStudy:
     """What the analyst sees after the study: (B, Y, Z) plus provenance."""
@@ -97,8 +116,8 @@ class ObservedStudy:
     def __post_init__(self):
         b = np.ascontiguousarray(self.baseline_obs, dtype=np.float64)
         y = np.ascontiguousarray(self.outcome_obs, dtype=np.float64)
-        z = np.ascontiguousarray(self.arm, dtype=np.intp)
-        s = np.ascontiguousarray(self.source_index, dtype=np.intp)
+        z = _intp_column("arm", self.arm)
+        s = _intp_column("source_index", self.source_index)
         cov = self.covariates_obs
         if cov is None:
             cov = regression_rows(b)
@@ -145,6 +164,17 @@ class ObservedStudy:
         _, src, arm, b, y = tables.read(path, {
             "plot_id": str, "source_index": int, "arm": int,
             "baseline_obs": float, "outcome_obs": float})
+        # numpy holds a list of ints as intp only if every one fits it
+        src_array, arm_array = np.array(src), np.array(arm)
+        if src_array.dtype != np.intp or arm_array.dtype != np.intp:
+            fits = range(_INTP.min, _INTP.max + 1)
+            row, name, value = next(
+                (row, name, value) for row, cells in enumerate(zip(src, arm))
+                for name, value in zip(("source_index", "arm"), cells)
+                if value not in fits)
+            raise SchemaError(f"{path}:{row + 2}: column {name}: {value} "
+                              f"does not fit a {_INTP.bits}-bit signed "
+                              f"integer")
         repeat = tables.first_repeat(src)
         if min(arm) < 0:
             row = next(i for i, label in enumerate(arm) if label < 0)
@@ -155,7 +185,7 @@ class ObservedStudy:
             raise SchemaError(f"{path}:{repeat + 2}: duplicate source_index "
                               f"{src[repeat]}")
         return cls(baseline_obs=np.array(b), outcome_obs=np.array(y),
-                   arm=np.array(arm), source_index=np.array(src))
+                   arm=arm_array, source_index=src_array)
 
 
 def arm_labels(spec: DesignSpec) -> np.ndarray:

@@ -11,7 +11,11 @@ line.
 
 Every table soilrct writes itself (populations, studies, `regime.csv`,
 the `simulate` tables) needs no quoting, and is read and written by
-plain string splits and joins.  Anything else, or any fault at all,
+plain string splits and joins.  The plain reader checks a table's shape
+by one numpy scan of its UTF-8 bytes, with no Python work per line: the
+offsets of its commas and line ends must be `width` per line, every
+`width`-th of them a line end and no other, and no line may be longer
+in bytes than the `csv` field limit.  Anything else, or any fault at all,
 goes through the `csv` module: a table with a quote, a `\\r`, a blank
 line, a ragged row or no final `\\n` is read by the strict reader, which
 raises every `SchemaError`, and a cell that needs quoting is written by
@@ -26,6 +30,8 @@ import csv
 import math
 import os
 from itertools import repeat
+
+import numpy as np
 
 from .errors import SchemaError
 
@@ -131,7 +137,16 @@ def _read_plain(path, header_check):
     for a quote, a `\\r`, a blank line, a row of the wrong width, no final
     `\\n`, a line past the `csv` field limit, no data rows or a non-finite
     `float` cell.  Raises ValueError where the strict reader may answer
-    otherwise."""
+    otherwise.
+
+    The shape is checked by one numpy scan of the text's UTF-8 bytes, in
+    which `,` and `\\n` are single bytes: a table of `width` columns is
+    plain only if its separators are `width` per line and every
+    `width`-th of them, and no other, ends a line.  Only `\\n` ends a
+    line, as for `csv.reader`, so \\x0b, \\x0c, \\x1c and U+2028 stay
+    inside a cell.  A line's length is measured in bytes, never fewer
+    than its characters, so the field limit test can only send more
+    tables to the strict reader."""
     with open(path, newline="") as fh:
         text = fh.read()
     # `csv.reader` refuses \x00 before Python 3.11
@@ -142,13 +157,16 @@ def _read_plain(path, header_check):
     head, _, body = text[:-1].partition("\n")
     header = head.split(",")
     parsers = _parsers(header, header_check)
-    # `split("\n")`, not `splitlines()`: like `csv.reader`, it keeps
-    # \x0b, \x0c, \x1c and U+2028 inside a cell
-    lines = body.split("\n")
     width = len(header)
-    if (not body
-            or max(len(head), max(map(len, lines))) > csv.field_size_limit()
-            or set(map(str.count, lines, repeat(","))) != {width - 1}):
+    raw = np.frombuffer(text.encode(), np.uint8)
+    is_end = raw == ord("\n")
+    seps = np.flatnonzero(is_end | (raw == ord(",")))
+    # the offset of each line's end, if every line holds width - 1 commas
+    ends = seps[width - 1::width]
+    if (not body or seps.size != width * ends.size
+            or np.count_nonzero(is_end) != ends.size
+            or not is_end[ends].all()
+            or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit()):
         return None
     cells = body.replace("\n", ",").split(",")
     columns = []

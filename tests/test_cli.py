@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import soilrct
 from support import csv_row
-from soilrct import cli, design, estimators, harness, tables
+from soilrct import cli, design, estimators, harness, policy, tables
 from soilrct.design import ObservedStudy
 from soilrct.errors import ScenarioAbortError
 from soilrct.population import PopulationParams, generate_population
@@ -377,6 +377,19 @@ def test_policy_refusal_removes_only_the_out_it_made(runner, tmp_path,
         assert not (tmp_path / "fo").exists()
 
 
+def test_policy_crash_removes_the_out_it_made(runner, tmp_path, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(policy, "optimal_budgeted", crash)
+    study_path, target_path, _ = make_policy_files(tmp_path)
+    result = runner.invoke(cli.main, [
+        "policy", str(study_path), str(target_path),
+        "--out", str(tmp_path / "fo" / "od" / "sub")])
+    assert isinstance(result.exception, RuntimeError)
+    assert not (tmp_path / "fo").exists()
+
+
 def test_simulate_failed_write_leaves_no_run_dir(runner, tmp_path,
                                                  monkeypatch):
     def boom(*args, **kwargs):
@@ -389,7 +402,7 @@ def test_simulate_failed_write_leaves_no_run_dir(runner, tmp_path,
     result = runner.invoke(cli.main, ["simulate", "--config", str(config),
                                       "--out", str(out)])
     assert isinstance(result.exception, OSError)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_simulate_out_flag_overrides_config_out(runner, tmp_path,
@@ -483,6 +496,20 @@ def test_simulate_failure_removes_only_the_out_it_made(runner, tmp_path,
         assert out.is_dir() and list(out.iterdir()) == []
     else:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
+def test_simulate_crash_removes_the_out_it_made(runner, tmp_path,
+                                                monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(harness, "run_grid", crash)
+    config = tmp_path / "run.yaml"
+    config.write_text(TINY_CONFIG)
+    result = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                      "--out", str(tmp_path / "fo" / "od")])
+    assert isinstance(result.exception, RuntimeError)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
 
 def test_simulate_replaces_an_existing_run_dir(runner, tmp_path):
@@ -1144,6 +1171,26 @@ def test_policy_refuses_a_skipped_arm_before_sizing_by_it(tmp_path, label,
         argv += ["--costs", tmp_path / "costs.csv"]
     done = run_python(CLI_MAIN, *argv, preexec_fn=_limit_address_space)
     assert_one_error_line(done, 4, "arm 2 has 0 plots")
+    assert not (tmp_path / "pol").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "policy"])
+@pytest.mark.parametrize("name, value", [
+    ("arm", 10 ** 20), ("source_index", 2 ** 63), ("source_index", 2 ** 64)],
+    ids=["arm-10**20", "source-2**63", "source-2**64"])
+def test_study_integers_past_int64_exit_2(tmp_path, command, name, value):
+    # 2**63 was wrapped to -2**63, and 10**20 ended in an OverflowError
+    study = tmp_path / "study.csv"
+    write_study(study, n=20)
+    _set_cell(study, 21, ["source_index", "arm"].index(name) + 1, str(value))
+    (tmp_path / "target.csv").write_text(
+        "plot_id,baseline\n" + "".join(f"{i},{2 + i / 4}\n" for i in range(5)))
+    argv = ([command, study] if command == "estimate" else
+            [command, study, tmp_path / "target.csv", "--out",
+             tmp_path / "pol"])
+    assert_one_error_line(run_cli(*argv), 2,
+                          f"{study}:21: column {name}: {value} does not fit "
+                          f"a 64-bit signed integer")
     assert not (tmp_path / "pol").exists()
 
 

@@ -197,6 +197,45 @@ def test_study_validation():
                       arm=np.array([-1, 0]), source_index=np.array([0, 1]))
 
 
+@pytest.mark.parametrize("source", [
+    np.array([0, 1, 2, 2**63], dtype=np.uint64), [0, 1, 2, 2**63],
+    [0, 1, 2, 2**64], [0.0, 1.0, 2.0, 2.0**63], [0.0, 1.0, 2.0, math.nan]],
+    ids=["uint64", "list", "list-object", "float", "nan"])
+def test_study_refuses_labels_past_intp(source):
+    # a cast to intp would wrap 2**63 to -2**63, or raise OverflowError
+    with pytest.raises(DesignError, match="source_index values must fit a "
+                                          "64-bit signed integer"):
+        ObservedStudy(baseline_obs=np.ones(4), outcome_obs=np.ones(4),
+                      arm=np.array([0, 0, 1, 1]), source_index=source)
+    with pytest.raises(DesignError, match="arm values must fit"):
+        ObservedStudy(baseline_obs=np.ones(4), outcome_obs=np.ones(4),
+                      arm=source, source_index=np.arange(4))
+
+
+@pytest.mark.parametrize("sources, arms, fault", [
+    ([0, 1, 0, 2**63], [0, 0, 1, 1], "5: column source_index: "
+                                     "9223372036854775808"),
+    ([0, 1, 2, 3], [0, -1, 10**20, 1], "4: column arm: "
+                                       "100000000000000000000"),
+    ([0, 1, 2, -2**63 - 1], [0, 0, 1, -1], "5: column source_index: "
+                                           "-9223372036854775809"),
+    ([0, 1, 2, 2**64], [0, 0, 2**63, 1], "4: column arm: "
+                                         "9223372036854775808"),
+], ids=["uint64", "object", "negative", "first-by-line"])
+def test_study_csv_refuses_integers_past_int64(tmp_path, sources, arms,
+                                               fault):
+    # a cell past int64 is refused as a cell fault is: before the rules
+    # across rows (distinct sources, nonnegative arms)
+    path = tmp_path / "study.csv"
+    path.write_text("plot_id,source_index,arm,baseline_obs,outcome_obs\n"
+                    + "".join(f"{i},{src},{arm},2.0,2.5\n" for i, (src, arm)
+                              in enumerate(zip(sources, arms))))
+    with pytest.raises(SchemaError) as info:
+        ObservedStudy.from_csv(path)
+    assert str(info.value) == (f"{path}:{fault} does not fit a 64-bit "
+                               f"signed integer")
+
+
 def test_study_diffs_and_counts(pop):
     spec = DesignSpec(n_enrolled=10, arm_sizes=(6, 4))
     study = enroll_and_assign(pop, spec, 5)

@@ -157,6 +157,13 @@ def _table_bytes(draw):
          check="any")
 @example(data=b"id,k,x\n" + b"a" * (csv.field_size_limit() + 1)
          + b",1,1\n", check="columns")
+@example(data=b"id,k,x\n0,1,1.0\n1,2\n3,4,5,6\n", check="columns")
+@example(data=b"id,k\n0\n1\n2,3\n", check="any")
+@example(data=b"id\n0\n1\n2\n", check="any")
+@example(data=b"id,k,x\n" + b"a" * (csv.field_size_limit() - 4)
+         + b",1,1\n", check="columns")
+@example(data="id,k,x\n".encode() + "\u00e9".encode()
+         * (csv.field_size_limit() - 10) + b",1,1\n", check="columns")
 @example(data=b"id,k,x\n0,1,\xff\n", check="columns")
 @example(data=b"\xffid,k,x\n0,1,1\n", check="lenient")
 @example(data=b"id,k,x\n0,1,1e308\n1,2,1e308\n", check="columns")
@@ -292,12 +299,22 @@ def test_soilrct_tables_take_the_fast_path(tmp_path, monkeypatch):
     for name in ("power_curves.csv", "attenuation.csv"):
         assert tables.read(run_dir / name, lambda h: [str] * len(h))[0]
 
-    done = runner.invoke(cli.main, [
-        "policy", str(tmp_path / "study.csv"), str(tmp_path / "pop.csv"),
-        "--out", str(tmp_path / "pol")])
-    assert done.exit_code == 0, done.output
-    ids, arms = tables.read(tmp_path / "pol" / "regime.csv",
-                            {"plot_id": int, "arm": int})
-    assert ids == list(range(40)) and set(arms) <= {0, 1}
-    summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
-    assert summary["realized_mean"] is not None
+    # a budgeted request also reads a cost table in the README's format,
+    # with integer costs (the DP) or `%.17g` floats (the LP)
+    costs = (rng.integers(0, 5, (40, 2)).tolist(),
+             rng.uniform(0, 5, (40, 2)).tolist())
+    for cost in costs:
+        tables.write(tmp_path / "costs.csv", ["plot_id", "cost0", "cost1"],
+                     [range(40), *zip(*cost)])
+        assert (tables.read(tmp_path / "costs.csv", lambda h: [float] * 3)[1]
+                == [float(c) for c, _ in cost])
+        done = runner.invoke(cli.main, [
+            "policy", str(tmp_path / "study.csv"), str(tmp_path / "pop.csv"),
+            "--out", str(tmp_path / "pol"), "--costs",
+            str(tmp_path / "costs.csv"), "--budget", "100"])
+        assert done.exit_code == 0, done.output
+        ids, arms = tables.read(tmp_path / "pol" / "regime.csv",
+                                {"plot_id": int, "arm": int})
+        assert ids == list(range(40)) and set(arms) <= {0, 1}
+        summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
+        assert summary["realized_mean"] is not None
