@@ -20,6 +20,7 @@ it calls into by attribute at call time; so a wrapper or a test that
 replaces `harness.run_grid` is the one called.
 """
 
+import contextlib
 import functools
 import json
 import math
@@ -68,24 +69,25 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _missing_dirs(path: Path) -> list:
-    """`path` and each of its ancestors that does not exist, deepest
-    first: the directories that making `path` would make."""
-    missing = []
-    while not path.exists():
-        missing.append(path)
-        path = path.parent
-    return missing
-
-
-def _remove_empty(dirs) -> None:
-    """Remove the directories `dirs`, deepest first, up to the first that
-    is no longer empty."""
-    for path in dirs:
-        try:
-            path.rmdir()
-        except OSError:  # no longer empty: keep it and its parents
-            break
+@contextlib.contextmanager
+def _out_dir(path: Path, out: Path):
+    """Make the directory `path` for `--out` `out`, or exit 2 if it cannot
+    be made.  If the block then fails in any way, remove the outermost
+    directory that making `path` made, and all in it; a directory that
+    existed, and what it holds, is never touched."""
+    made, missing = None, path
+    while not missing.exists():
+        made, missing = missing, missing.parent
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(EXIT_CONFIG, f"cannot write to --out {out}: {exc}")
+    try:
+        yield
+    except BaseException:  # SystemExit among them
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 def _load_config(path) -> dict:
@@ -218,33 +220,19 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     run_dir = out_dir / f"run-{seed}-{digest[:12]}"
     tmp_dir = out_dir / f".{run_dir.name}.{os.getpid()}.tmp"
     shutil.rmtree(tmp_dir, ignore_errors=True)
-    made = _missing_dirs(tmp_dir.parent)
-    try:
-        tmp_dir.mkdir(parents=True)
-    except OSError as exc:
-        _fail(EXIT_CONFIG, f"cannot write to --out {out_dir}: {exc}")
-    failure, done = None, False
-    try:
+    with _out_dir(tmp_dir, out_dir):
         try:
             run = harness.run_grid(grid, seed, threads=threads)
             _write_run(tmp_dir, run, grid_name, threads, digest)
         except ScenarioAbortError as exc:
-            failure = EXIT_ABORT, str(exc)
+            _fail(EXIT_ABORT, str(exc))
         except ParamError as exc:  # values the parameters cannot give
-            failure = EXIT_CONFIG, str(exc)
+            _fail(EXIT_CONFIG, str(exc))
         except MemoryError as exc:  # a grid too large for this machine
-            failure = EXIT_CONFIG, f"the run does not fit in memory: {exc}"
-        else:
-            if run_dir.exists():
-                shutil.rmtree(run_dir)
-            tmp_dir.rename(run_dir)
-            done = True
-    finally:
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        if not done:
-            _remove_empty(made)
-    if failure is not None:
-        _fail(*failure)
+            _fail(EXIT_CONFIG, f"the run does not fit in memory: {exc}")
+        if run_dir.exists():
+            shutil.rmtree(run_dir)
+        tmp_dir.rename(run_dir)
     click.echo(str(run_dir))
     sys.exit(EXIT_OK)
 
@@ -370,18 +358,19 @@ def _read_costs(path, ids, n_arms, budget) -> "policy.CostModel":
     # arm-major: numpy reduces the first axis of a (K, n) array far faster
     # than the second of an (n, K) one
     cost = np.array(cost)
-    negative = np.flatnonzero((cost < 0.0).any(axis=0))
-    if negative.size:
-        row = int(negative[0])
-        raise SchemaError(f"{path}:{row + 2}: costs must be nonnegative, "
-                          f"got {float(cost[:, row].min())!r}")
+    try:
+        costs = policy.CostModel(cost=cost.T, budget=budget)
+    except ParamError as exc:
+        if exc.row is None:
+            raise
+        raise SchemaError(f"{path}:{exc.row + 2}: {exc}") from exc
     # float64 sums of spends are exact only below 2**53
     with np.errstate(over="ignore"):
         most = float(cost.max(axis=0).sum())
     if most >= 2.0 ** 53:
         raise SchemaError(f"{path}: the most expensive regime costs "
                           f"{most!r}; costs must sum to less than 2**53")
-    return policy.CostModel(cost=cost.T, budget=budget)
+    return costs
 
 
 @main.command("policy")
@@ -398,16 +387,9 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
     from . import design, policy, population
 
     # --out is made before any input is read, so that an unusable one
-    # fails at once; a request that does not finish removes what making
-    # it made
+    # fails at once
     out_dir = Path(out_dir)
-    made = _missing_dirs(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _fail(EXIT_CONFIG, f"cannot write to --out {out_dir}: {exc}")
-    done = False
-    try:
+    with _out_dir(out_dir, out_dir):
         try:
             if budget is not None and cost_csv is None:
                 raise SchemaError("--budget requires --costs")
@@ -451,10 +433,6 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
                              else costs.budget)
         (out_dir / "policy.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        done = True
-    finally:
-        if not done:
-            _remove_empty(made)
     click.echo(str(out_dir / "regime.csv"))
     sys.exit(EXIT_OK)
 

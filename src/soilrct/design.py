@@ -18,6 +18,14 @@ replicate, whose own argument handling costs far more than its 2n - 1
 bounded draws: one `integers` call makes the bounded draws of every
 replicate, and numpy replays Floyd's sampler and the shuffle on them.
 `choice` draws each bound the same way, so both give the same bytes.
+
+Each rule has one owner.  `DesignSpec` checks a design.  `ObservedStudy`
+checks a study's rows: every `arm` and `source_index` cell an integer
+within intp's range, then every arm nonnegative and every source
+distinct.  It refuses the first fault by row, a cell fault before the
+others and `source_index` before `arm` on one row, with a `DesignError`
+whose `row` is that row's position; `from_csv` only adds the file and
+line to it.  `tables.read` checks a CSV's header, widths and cells.
 """
 
 import math
@@ -87,20 +95,30 @@ class DesignSpec:
 _INTP = np.iinfo(np.intp)
 
 
-def _intp_column(name, values) -> np.ndarray:
-    """`values` as a contiguous intp array.  Raises DesignError for a value
-    outside intp's range, which the cast would wrap or refuse."""
-    values = np.asarray(values)
-    kind, top = values.dtype.kind, 2.0 ** (_INTP.bits - 1)
+def _label_fault(value):
+    """Why `value` cannot be an `arm` or `source_index` label, or None."""
     try:
-        if ((kind == "u" and values.size and values.max() > _INTP.max)
-                or (kind == "f"
-                    and not np.all((values >= -top) & (values < top)))):
-            raise OverflowError
-        return np.ascontiguousarray(values, dtype=np.intp)
-    except OverflowError as exc:  # also a Python int past intp
-        raise DesignError(f"{name} values must fit a {_INTP.bits}-bit "
-                          f"signed integer") from exc
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf and nan
+        whole = None
+    if whole is None or not _INTP.min <= whole <= _INTP.max:
+        return f"{value} does not fit a {_INTP.bits}-bit signed integer"
+    return None if whole == value else f"{value} is not an integer"
+
+
+def _label_column(name, values, array):
+    """The labels `values`, held by numpy as the 1-d `array`, as an intp
+    array and None, or None and the row and message of the first cell
+    that `_label_fault` refuses.  An integer array that intp holds is
+    checked by numpy alone; any other column cell by cell, as given, so
+    that a value past 2**53 is not rounded before it is named."""
+    if array.dtype.kind in "biu" and np.can_cast(array.dtype, np.intp):
+        return np.ascontiguousarray(array, dtype=np.intp), None
+    cells = list(values)
+    row = next((i for i, v in enumerate(cells) if _label_fault(v)), None)
+    if row is None:
+        return np.array(cells, dtype=np.intp), None
+    return None, (row, f"column {name}: {_label_fault(cells[row])}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +134,7 @@ class ObservedStudy:
     def __post_init__(self):
         b = np.ascontiguousarray(self.baseline_obs, dtype=np.float64)
         y = np.ascontiguousarray(self.outcome_obs, dtype=np.float64)
-        z = _intp_column("arm", self.arm)
-        s = _intp_column("source_index", self.source_index)
+        z, s = np.asarray(self.arm), np.asarray(self.source_index)
         cov = self.covariates_obs
         if cov is None:
             cov = regression_rows(b)
@@ -129,10 +146,22 @@ class ObservedStudy:
             raise DimensionError(
                 "covariates_obs must have one row per plot and a leading "
                 "column of ones")
+        s, s_fault = _label_column("source_index", self.source_index, s)
+        z, z_fault = _label_column("arm", self.arm, z)
+        if s_fault or z_fault:  # on a tie in row, min keeps source_index
+            row, message = min(filter(None, (s_fault, z_fault)),
+                               key=lambda fault: fault[0])
+            raise DesignError(message, row=row)
+        sources = s.tolist()
+        repeat = tables.first_repeat(sources)
         if z.min() < 0:
-            raise DesignError("arm labels must be nonnegative")
-        if tables.first_repeat(s.tolist()) is not None:
-            raise DesignError("source_index entries must be distinct")
+            row = int(np.argmax(z < 0))
+            if repeat is None or row <= repeat:  # the first fault by row
+                raise DesignError(
+                    f"arm labels must be nonnegative, got {z[row]}", row=row)
+        if repeat is not None:
+            raise DesignError(f"duplicate source_index {sources[repeat]}",
+                              row=repeat)
         for name, arr in (("baseline_obs", b), ("outcome_obs", y),
                           ("arm", z), ("source_index", s),
                           ("covariates_obs", cov)):
@@ -164,28 +193,11 @@ class ObservedStudy:
         _, src, arm, b, y = tables.read(path, {
             "plot_id": str, "source_index": int, "arm": int,
             "baseline_obs": float, "outcome_obs": float})
-        # numpy holds a list of ints as intp only if every one fits it
-        src_array, arm_array = np.array(src), np.array(arm)
-        if src_array.dtype != np.intp or arm_array.dtype != np.intp:
-            fits = range(_INTP.min, _INTP.max + 1)
-            row, name, value = next(
-                (row, name, value) for row, cells in enumerate(zip(src, arm))
-                for name, value in zip(("source_index", "arm"), cells)
-                if value not in fits)
-            raise SchemaError(f"{path}:{row + 2}: column {name}: {value} "
-                              f"does not fit a {_INTP.bits}-bit signed "
-                              f"integer")
-        repeat = tables.first_repeat(src)
-        if min(arm) < 0:
-            row = next(i for i, label in enumerate(arm) if label < 0)
-            if repeat is None or row <= repeat:  # the first fault by line
-                raise SchemaError(f"{path}:{row + 2}: arm labels must be "
-                                  f"nonnegative, got {arm[row]}")
-        if repeat is not None:
-            raise SchemaError(f"{path}:{repeat + 2}: duplicate source_index "
-                              f"{src[repeat]}")
-        return cls(baseline_obs=np.array(b), outcome_obs=np.array(y),
-                   arm=arm_array, source_index=src_array)
+        try:
+            return cls(baseline_obs=b, outcome_obs=y, arm=arm,
+                       source_index=src)
+        except DesignError as exc:
+            raise SchemaError(f"{path}:{exc.row + 2}: {exc}") from exc
 
 
 def arm_labels(spec: DesignSpec) -> np.ndarray:

@@ -6,7 +6,12 @@ class SoilRctError(Exception):
 
 
 class ParamError(SoilRctError, ValueError):
-    """A parameter value is outside its allowed domain."""
+    """A parameter value is outside its allowed domain; for a rule over a
+    table's rows, `row` is the position of the first row that breaks it."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class DimensionError(SoilRctError, ValueError):

@@ -41,8 +41,12 @@ class CostModel:
         cost = np.ascontiguousarray(self.cost, dtype=np.float64)
         if cost.ndim != 2:
             raise DimensionError("cost must be an N x K matrix")
-        if np.any(cost < 0) or not np.all(np.isfinite(cost)):
-            raise ParamError("costs must be finite and nonnegative")
+        if np.any(cost < 0):
+            row = int(np.argmax((cost < 0).any(axis=1)))
+            raise ParamError(f"costs must be nonnegative, got "
+                             f"{float(cost[row].min())!r}", row=row)
+        if not np.all(np.isfinite(cost)):
+            raise ParamError("costs must be finite")
         if math.isnan(self.budget):
             raise ParamError("budget must be a number or +inf")
         object.__setattr__(self, "cost", cost)

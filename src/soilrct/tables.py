@@ -149,10 +149,8 @@ def _read_plain(path, header_check):
     tables to the strict reader."""
     with open(path, newline="") as fh:
         text = fh.read()
-    # `csv.reader` refuses \x00 before Python 3.11
-    if ('"' in text or "\r" in text or "\x00" in text
-            or not text.endswith("\n") or text.startswith("\n")
-            or "\n\n" in text):
+    if ('"' in text or "\r" in text or not text.endswith("\n")
+            or text.startswith("\n") or "\n\n" in text):
         return None
     head, _, body = text[:-1].partition("\n")
     header = head.split(",")

@@ -23,7 +23,7 @@ import soilrct
 from support import csv_row
 from soilrct import cli, design, estimators, harness, policy, tables
 from soilrct.design import ObservedStudy
-from soilrct.errors import ScenarioAbortError
+from soilrct.errors import ParamError, ScenarioAbortError
 from soilrct.population import PopulationParams, generate_population
 
 
@@ -819,6 +819,22 @@ def test_policy_costs_reaching_2_53_exit_2(tmp_path, arm1, budget):
     done = run_cli("policy", study_path, target_path, "--costs", cost_path,
                    "--budget", budget, "--out", tmp_path / "pol")
     assert_one_error_line(done, 2, f"{cost_path}: the most expensive regime")
+
+
+def test_policy_negative_cost_is_the_cost_models_refusal(tmp_path):
+    # `CostModel` refuses the row; the CLI only names its line, and a row
+    # fault comes before the 2**53 rule on the whole table
+    study_path, target_path, _ = make_policy_files(tmp_path)
+    cost_path = tmp_path / "costs.csv"
+    cost_path.write_text("plot_id,cost0,cost1\n0,0,1e18\n1,-2,-1\n2,0,1\n")
+    done = run_cli("policy", study_path, target_path, "--costs", cost_path,
+                   "--out", tmp_path / "pol")
+    with pytest.raises(ParamError) as info:
+        policy.CostModel(np.array([[0, 1e18], [-2, -1], [0, 1]]))
+    assert done.stderr == (f"error: {cost_path}:{info.value.row + 2}: "
+                           f"{info.value}\n")
+    assert done.stderr.endswith(":3: costs must be nonnegative, got -2.0\n")
+    assert done.returncode == 2 and not (tmp_path / "pol").exists()
 
 
 #: What each estimator refuses in a study whose cells are near +-1e300.

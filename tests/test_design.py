@@ -188,7 +188,7 @@ def test_arm_count_mismatch_rejected(pop):
 
 def test_study_validation():
     for source in ([0, 0, 1, 2], [3, 1, 2, 1]):
-        with pytest.raises(DesignError, match="must be distinct"):
+        with pytest.raises(DesignError, match="duplicate source_index"):
             ObservedStudy(baseline_obs=np.ones(4), outcome_obs=np.ones(4),
                           arm=np.array([0, 0, 1, 1]),
                           source_index=np.array(source))
@@ -203,13 +203,49 @@ def test_study_validation():
     ids=["uint64", "list", "list-object", "float", "nan"])
 def test_study_refuses_labels_past_intp(source):
     # a cast to intp would wrap 2**63 to -2**63, or raise OverflowError
-    with pytest.raises(DesignError, match="source_index values must fit a "
-                                          "64-bit signed integer"):
+    with pytest.raises(DesignError, match="column source_index: .* does not "
+                                          "fit a 64-bit signed integer"):
         ObservedStudy(baseline_obs=np.ones(4), outcome_obs=np.ones(4),
                       arm=np.array([0, 0, 1, 1]), source_index=source)
-    with pytest.raises(DesignError, match="arm values must fit"):
+    with pytest.raises(DesignError, match="column arm: .* does not fit a "
+                                          "64-bit signed integer"):
         ObservedStudy(baseline_obs=np.ones(4), outcome_obs=np.ones(4),
                       arm=source, source_index=np.arange(4))
+
+
+@pytest.mark.parametrize("arms, sources, fault", [
+    ([0.5, 0.9, 1.7, 1.2, 0.0, 1.0], range(6), (0, "arm: 0.5")),
+    ([0, 0, 1, 1], [0.2, 0.7, 2, 3], (0, "source_index: 0.2")),
+    ([0, 0, 1, 1], [0, 1, 2, -0.5], (3, "source_index: -0.5")),
+    (np.array([0.0, 0.0, 1.0, 1.5]), np.arange(4), (3, "arm: 1.5")),
+], ids=["arm", "source", "negative-source", "float-array"])
+def test_study_refuses_fractional_labels(arms, sources, fault):
+    # a cast to intp would truncate 0.5 to 0
+    row, what = fault
+    n = len(arms)
+    with pytest.raises(DesignError) as info:
+        ObservedStudy(baseline_obs=np.ones(n), outcome_obs=np.ones(n),
+                      arm=arms, source_index=list(sources))
+    assert str(info.value) == f"column {what} is not an integer"
+    assert info.value.row == row
+
+
+def test_study_takes_whole_float_labels():
+    study = ObservedStudy(baseline_obs=np.ones(4), outcome_obs=np.ones(4),
+                          arm=np.array([0.0, 0.0, 1.0, 1.0]),
+                          source_index=[0.0, 2 ** 63 - 1, 5, 6])
+    assert study.arm.dtype == np.intp and study.arm.tolist() == [0, 0, 1, 1]
+    assert study.source_index.tolist() == [0, 2 ** 63 - 1, 5, 6]
+
+
+def library_refusal(sources, arms):
+    """The DesignError with which the constructor refuses the study of
+    these label columns that a test's CSV holds."""
+    with pytest.raises(DesignError) as info:
+        ObservedStudy(baseline_obs=np.full(len(arms), 2.0),
+                      outcome_obs=np.full(len(arms), 2.5), arm=arms,
+                      source_index=sources)
+    return info.value
 
 
 @pytest.mark.parametrize("sources, arms, fault", [
@@ -221,7 +257,9 @@ def test_study_refuses_labels_past_intp(source):
                                            "-9223372036854775809"),
     ([0, 1, 2, 2**64], [0, 0, 2**63, 1], "4: column arm: "
                                          "9223372036854775808"),
-], ids=["uint64", "object", "negative", "first-by-line"])
+    ([0, 1, 2, 2**63], [0, 0, 1, 2**64], "5: column source_index: "
+                                         "9223372036854775808"),
+], ids=["uint64", "object", "negative", "first-by-line", "source-first"])
 def test_study_csv_refuses_integers_past_int64(tmp_path, sources, arms,
                                                fault):
     # a cell past int64 is refused as a cell fault is: before the rules
@@ -234,6 +272,9 @@ def test_study_csv_refuses_integers_past_int64(tmp_path, sources, arms,
         ObservedStudy.from_csv(path)
     assert str(info.value) == (f"{path}:{fault} does not fit a 64-bit "
                                f"signed integer")
+    # the constructor refuses the same columns at the same row, alike
+    library = library_refusal(sources, arms)
+    assert str(info.value) == f"{path}:{library.row + 2}: {library}"
 
 
 def test_study_diffs_and_counts(pop):
@@ -279,6 +320,9 @@ def test_study_csv_reports_the_first_fault_by_line(tmp_path, sources, arms,
     with pytest.raises(SchemaError) as info:
         ObservedStudy.from_csv(path)
     assert str(info.value) == f"{path}:{fault}"
+    # the constructor refuses the same columns at the same row, alike
+    library = library_refusal(sources, arms)
+    assert str(info.value) == f"{path}:{library.row + 2}: {library}"
 
 
 def test_study_csv_bad_schema(tmp_path):

@@ -594,8 +594,14 @@ def test_dp_refuses_when_no_core_of_every_plot_fits(monkeypatch):
 
 
 def test_cost_model_validation():
-    with pytest.raises(ParamError):
-        CostModel(cost=np.array([[-1.0, 0.0]]))
+    with pytest.raises(ParamError) as info:
+        CostModel(cost=np.array([[0.0, 2.0], [-1.0, 3.0], [-5.0, 0.0]]))
+    assert str(info.value) == "costs must be nonnegative, got -1.0"
+    assert info.value.row == 1
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParamError, match="costs must be finite") as info:
+            CostModel(cost=np.array([[0.0, bad]]))
+        assert info.value.row is None
     with pytest.raises(DimensionError):
         CostModel(cost=np.ones(3))
     with pytest.raises(ParamError):
