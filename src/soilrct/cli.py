@@ -324,21 +324,19 @@ def _read_target(path):
     The kind is decided by the header row alone, as `tables.read_header`
     sees it; a header row it cannot read makes the target a population.
     The table is then read once, a population by `Population.from_csv`,
-    which reports any fault in it."""
+    which reports any fault in it; a bare table's ids are held to
+    `Population`'s own rule, `check_plot_ids`."""
     from . import population
 
     if tables.read_header(path) != ["plot_id", "baseline"]:
         pop = population.Population.from_csv(path)
-        ids, covariates = pop.plot_id, pop.covariates
-    else:
-        pop = None
-        ids, baseline = tables.read(path, {"plot_id": str, "baseline": float})
-        covariates = population.regression_rows(baseline)
-    repeat = tables.first_repeat(ids)
-    if repeat is not None:
-        raise SchemaError(f"{path}:{repeat + 2}: duplicate plot_id "
-                          f"{ids[repeat]!r}")
-    return ids, covariates, pop
+        return pop.plot_id, pop.covariates, pop
+    ids, baseline = tables.read(path, {"plot_id": str, "baseline": float})
+    try:
+        population.check_plot_ids(ids)
+    except ParamError as exc:
+        raise tables.refusal(path, exc) from exc
+    return ids, population.regression_rows(baseline), None
 
 
 def _read_costs(path, ids, n_arms, budget) -> "policy.CostModel":
@@ -361,9 +359,9 @@ def _read_costs(path, ids, n_arms, budget) -> "policy.CostModel":
     try:
         costs = policy.CostModel(cost=cost.T, budget=budget)
     except ParamError as exc:
-        if exc.row is None:
+        if exc.row is None:  # a NaN --budget, which is not the table's
             raise
-        raise SchemaError(f"{path}:{exc.row + 2}: {exc}") from exc
+        raise tables.refusal(path, exc) from exc
     # float64 sums of spends are exact only below 2**53
     with np.errstate(over="ignore"):
         most = float(cost.max(axis=0).sum())

@@ -24,8 +24,9 @@ checks a study's rows: every `arm` and `source_index` cell an integer
 within intp's range, then every arm nonnegative and every source
 distinct.  It refuses the first fault by row, a cell fault before the
 others and `source_index` before `arm` on one row, with a `DesignError`
-whose `row` is that row's position; `from_csv` only adds the file and
-line to it.  `tables.read` checks a CSV's header, widths and cells.
+whose `row` is that row's position, and a study with no plots with one
+whose `row` is None; `from_csv` only adds the file and line to it, by
+`tables.refusal`.  `tables.read` checks a CSV's header, widths and cells.
 """
 
 import math
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tables
-from .errors import DesignError, DimensionError, EnrollmentError, SchemaError
+from .errors import DesignError, DimensionError, EnrollmentError
 from .population import Population, check_field_types, regression_rows
 
 #: Version of the stream of random draws behind every replicate and every
@@ -142,6 +143,8 @@ class ObservedStudy:
         n = b.shape[0]
         if not (y.shape == z.shape == s.shape == (n,)):
             raise DimensionError("study columns must all have equal length")
+        if n == 0:
+            raise DesignError("a study needs at least 1 plot")
         if cov.shape[0] != n or not np.all(cov[:, 0] == 1.0):
             raise DimensionError(
                 "covariates_obs must have one row per plot and a leading "
@@ -197,7 +200,7 @@ class ObservedStudy:
             return cls(baseline_obs=b, outcome_obs=y, arm=arm,
                        source_index=src)
         except DesignError as exc:
-            raise SchemaError(f"{path}:{exc.row + 2}: {exc}") from exc
+            raise tables.refusal(path, exc) from exc
 
 
 def arm_labels(spec: DesignSpec) -> np.ndarray:

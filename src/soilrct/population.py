@@ -5,6 +5,10 @@ A population is a fixed table: one row per plot, holding the baseline
 of a plot, used for regression decompositions, is [1, baseline], built
 by `regression_rows`.  Nothing here is random once the table is built;
 all randomness lives in the generator and in the study design.
+
+`Population` owns the rules over a population's rows, as `ObservedStudy`
+and `CostModel` own theirs; `soilrct policy` holds a bare
+`plot_id,baseline` target to its plot-id rule, `check_plot_ids`.
 """
 
 import math
@@ -98,6 +102,11 @@ class Population:
     is control).  `covariates` is derived from `baseline`: the rows
     [1, b] that `regression_rows` builds.  `plot_id` holds the plots' ids
     as read from a table, or None for 0..n-1.
+
+    The constructor refuses fewer than 2 plots (a DimensionError) and a
+    repeated plot id (`check_plot_ids`'s ParamError, whose `row` is the
+    first repeat); `from_csv` only names the file and line, by
+    `tables.refusal`.
     """
 
     baseline: np.ndarray
@@ -109,17 +118,22 @@ class Population:
         po = np.ascontiguousarray(self.po, dtype=np.float64)
         object.__setattr__(self, "baseline", baseline)
         object.__setattr__(self, "po", po)
+        if baseline.ndim != 1:
+            raise DimensionError("baseline must be a vector")
         n = baseline.shape[0]
-        if baseline.ndim != 1 or n < 2:
-            raise DimensionError("baseline must be a vector of length >= 2")
+        if n < 2:
+            raise DimensionError(f"a population needs at least 2 data rows, "
+                                 f"got {n}")
         if po.ndim != 2 or po.shape[0] != n or po.shape[1] < 2:
             raise DimensionError(
                 f"po must be {n} x K with K >= 2, got shape {po.shape}")
         if not np.all(np.isfinite(po)) or not np.all(np.isfinite(baseline)):
             raise ParamError("potential outcomes and baseline must be finite")
-        if self.plot_id is not None and len(self.plot_id) != n:
-            raise DimensionError(f"{len(self.plot_id)} plot ids for {n} "
-                                 f"plots")
+        if self.plot_id is not None:
+            if len(self.plot_id) != n:
+                raise DimensionError(f"{len(self.plot_id)} plot ids for {n} "
+                                     f"plots")
+            check_plot_ids(self.plot_id)
 
     @property
     def covariates(self) -> np.ndarray:
@@ -144,11 +158,19 @@ class Population:
     @classmethod
     def from_csv(cls, path) -> "Population":
         ids, baseline, *po = tables.read(path, _population_columns)
-        if len(baseline) < 2:
-            raise SchemaError(f"{path}: a population needs at least 2 "
-                              f"data rows, got {len(baseline)}")
-        return cls(baseline=np.array(baseline), po=np.column_stack(po),
-                   plot_id=ids)
+        try:
+            return cls(baseline=np.array(baseline), po=np.column_stack(po),
+                       plot_id=ids)
+        except (DimensionError, ParamError) as exc:
+            raise tables.refusal(path, exc) from exc
+
+
+def check_plot_ids(ids) -> None:
+    """Refuse a repeat among the plot ids `ids` with a ParamError whose
+    `row` is the position of the first repeat."""
+    repeat = tables.first_repeat(ids)
+    if repeat is not None:
+        raise ParamError(f"duplicate plot_id {ids[repeat]!r}", row=repeat)
 
 
 def _population_columns(header) -> list:

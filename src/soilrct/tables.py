@@ -23,7 +23,9 @@ raises every `SchemaError`, and a cell that needs quoting is written by
 
 This is the one module that reads a CSV header: `read` checks it, and
 `read_header` returns it alone, for a caller that picks the kind of a
-table by its header.
+table by its header.  It is also the one module that turns a row into a
+line: the library types refuse a table's rows by position, and
+`refusal` names the file and the line, `row + 2`, of that refusal.
 """
 
 import csv
@@ -111,6 +113,16 @@ def first_repeat(ids):
                 return i
             seen.add(value)
     return None
+
+
+def refusal(path, exc) -> SchemaError:
+    """The `SchemaError` for a library type's refusal `exc` of the rows
+    read from the table at `path`: `<path>:<line>: <exc>`, where the line
+    of the refused row `exc.row` is `row + 2`, or `<path>: <exc>` when
+    `exc` names no row."""
+    row = getattr(exc, "row", None)
+    where = path if row is None else f"{path}:{row + 2}"
+    return SchemaError(f"{where}: {exc}")
 
 
 def read_header(path):

@@ -23,8 +23,9 @@ import soilrct
 from support import csv_row
 from soilrct import cli, design, estimators, harness, policy, tables
 from soilrct.design import ObservedStudy
-from soilrct.errors import ParamError, ScenarioAbortError
-from soilrct.population import PopulationParams, generate_population
+from soilrct.errors import DimensionError, ParamError, ScenarioAbortError
+from soilrct.population import (Population, PopulationParams,
+                                generate_population)
 
 
 @pytest.fixture
@@ -941,6 +942,11 @@ def test_policy_refuses_plot_ids_that_do_not_pair(runner, tmp_path, case):
     named = files[where] if line is None else f"{files[where]}:{line}"
     assert result.output == f"error: {named}: {message}\n"
     assert not (tmp_path / "pol").exists()
+    if cost_ids is None:
+        # `Population` refuses the same ids at the same row, alike
+        library = population_refusal(len(target_ids), plot_id=target_ids)
+        assert result.output == (f"error: {files[where]}:{library.row + 2}: "
+                                 f"{library}\n")
 
 
 def test_policy_bare_baseline_target(runner, tmp_path):
@@ -1052,6 +1058,11 @@ def test_policy_target_faults_exit_2_with_their_error(runner, tmp_path,
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == f"error: {target}{error}\n"
     assert not (tmp_path / "pol").exists()
+    if case == "one-row-population":
+        # `Population` refuses one plot alike, with no row to name
+        library = population_refusal(1)
+        assert getattr(library, "row", None) is None
+        assert result.stderr == f"error: {target}: {library}\n"
 
 
 def test_policy_cost_schema_mismatch_exits_2(runner, tmp_path):
@@ -1295,6 +1306,15 @@ def _policy_inputs(draw):
          "inf"])))
     return {"study": study, "target": target, "costs": costs,
             "budget": budget}
+
+
+def population_refusal(n, plot_id=None):
+    """The error with which `Population` refuses `n` plots of two arms
+    whose ids are `plot_id`."""
+    with pytest.raises((ParamError, DimensionError)) as info:
+        Population(baseline=np.full(n, 2.0), po=np.full((n, 2), 2.5),
+                   plot_id=None if plot_id is None else list(plot_id))
+    return info.value
 
 
 def _population_text(n, ids=None, arms=2):

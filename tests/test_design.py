@@ -195,6 +195,13 @@ def test_study_validation():
     with pytest.raises(DesignError):
         ObservedStudy(baseline_obs=np.ones(2), outcome_obs=np.ones(2),
                       arm=np.array([-1, 0]), source_index=np.array([0, 1]))
+    # a study with no plots names no row, so a CSV names the file alone
+    with pytest.raises(DesignError, match="^a study needs at least 1 "
+                                          "plot$") as info:
+        ObservedStudy(baseline_obs=np.ones(0), outcome_obs=np.ones(0),
+                      arm=np.zeros(0, dtype=int),
+                      source_index=np.zeros(0, dtype=int))
+    assert info.value.row is None
 
 
 @pytest.mark.parametrize("source", [

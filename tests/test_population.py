@@ -88,8 +88,14 @@ def test_papo_rejects_bad_regimes():
 
 
 def test_population_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="^a population needs at least "
+                                             "2 data rows, got 1$") as info:
         Population(baseline=np.array([1.0]), po=np.ones((1, 2)))
+    assert not hasattr(info.value, "row")
+    with pytest.raises(ParamError, match="^duplicate plot_id 'a'$") as info:
+        Population(baseline=np.arange(3.0), po=np.ones((3, 2)),
+                   plot_id=["a", "b", "a"])
+    assert info.value.row == 2
     with pytest.raises(ParamError):
         Population(baseline=np.array([1.0, 2.0]),
                    po=np.array([[1.0, np.inf], [1.0, 1.0]]))
