@@ -8,8 +8,8 @@ study CSV.  Exit codes are stable: 0 success, 2 config or schema error
 failure, 5 infeasible budget.
 
 Of a `simulate` config, this module checks only the run settings
-(`grid`, `seed`, `threads`, `out`) and reads YAML's `inf` spelling;
-`ScenarioGrid` checks every grid setting itself.
+(`grid`, `seed`, `threads`, `out`) and reads YAML's `inf` spelling and
+YAML 1.2's floats; `ScenarioGrid` checks every grid setting itself.
 
 Every command runs in a fresh process, so what it imports is part of its
 time.  When it loads, this module imports only click, numpy, `tables`,
@@ -26,6 +26,7 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import sys
 from dataclasses import MISSING, fields, replace
@@ -93,6 +94,12 @@ def _out_dir(path: Path, out: Path):
 def _load_config(path) -> dict:
     import yaml
 
+    # YAML 1.2's floats, such as 1e-3, 1.0e3 and the 1e-05 of json.dumps,
+    # are strings in the YAML 1.1 that PyYAML reads
+    loader = type("Loader", (yaml.SafeLoader,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"))
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -101,7 +108,7 @@ def _load_config(path) -> dict:
         raise ConfigError(f"{path}: config is not UTF-8: {exc.reason} at "
                           f"byte {exc.start}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, loader)
     except (yaml.YAMLError, ValueError) as exc:  # ints of 4300+ digits
         mark = getattr(exc, "problem_mark", None)
         where = (f" at line {mark.line + 1}, column {mark.column + 1}"
@@ -290,13 +297,12 @@ def _write_dicts(path, header, table) -> None:
               help="Nominal two-sided error rate for the Wald interval.")
 def estimate(study_csv, name, alpha):
     """Apply one treatment-effect estimator to an observed-study CSV."""
-    from . import design, estimators
+    from . import design, estimators, stats
 
     if alpha is None:
         alpha = estimators.DEFAULT_ALPHA
-    if not 0.0 < alpha < 1.0:
-        _fail(EXIT_CONFIG, f"alpha must lie in (0, 1), got {alpha}")
     try:
+        stats.check_alpha(alpha)
         study = design.ObservedStudy.from_csv(study_csv)
     except SoilRctError as exc:
         _fail(EXIT_CONFIG, str(exc))
@@ -353,18 +359,15 @@ def _read_costs(path, ids, n_arms, budget) -> "policy.CostModel":
         row = next(i for i, (a, b) in enumerate(zip(cost_ids, ids)) if a != b)
         raise SchemaError(f"{path}:{row + 2}: plot_id {cost_ids[row]!r} "
                           f"where the target has {ids[row]!r}")
-    # arm-major: numpy reduces the first axis of a (K, n) array far faster
-    # than the second of an (n, K) one
-    cost = np.array(cost)
     try:
-        costs = policy.CostModel(cost=cost.T, budget=budget)
+        costs = policy.CostModel(cost=np.column_stack(cost), budget=budget)
     except ParamError as exc:
         if exc.row is None:  # a NaN --budget, which is not the table's
             raise
         raise tables.refusal(path, exc) from exc
     # float64 sums of spends are exact only below 2**53
     with np.errstate(over="ignore"):
-        most = float(cost.max(axis=0).sum())
+        most = float(np.maximum.reduce(cost).sum())
     if most >= 2.0 ** 53:
         raise SchemaError(f"{path}: the most expensive regime costs "
                           f"{most!r}; costs must sum to less than 2**53")

@@ -140,12 +140,12 @@ class ObservedStudy:
         if cov is None:
             cov = regression_rows(b)
         cov = np.ascontiguousarray(cov, dtype=np.float64)
+        if b.ndim != 1 or not y.shape == z.shape == s.shape == b.shape:
+            raise DimensionError("study columns must be equal-length vectors")
         n = b.shape[0]
-        if not (y.shape == z.shape == s.shape == (n,)):
-            raise DimensionError("study columns must all have equal length")
         if n == 0:
             raise DesignError("a study needs at least 1 plot")
-        if cov.shape[0] != n or not np.all(cov[:, 0] == 1.0):
+        if cov.ndim != 2 or not np.array_equal(cov[:, :1], np.ones((n, 1))):
             raise DimensionError(
                 "covariates_obs must have one row per plot and a leading "
                 "column of ones")

@@ -159,8 +159,7 @@ class Population:
     def from_csv(cls, path) -> "Population":
         ids, baseline, *po = tables.read(path, _population_columns)
         try:
-            return cls(baseline=np.array(baseline), po=np.column_stack(po),
-                       plot_id=ids)
+            return cls(baseline=baseline, po=np.column_stack(po), plot_id=ids)
         except (DimensionError, ParamError) as exc:
             raise tables.refusal(path, exc) from exc
 

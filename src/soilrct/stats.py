@@ -22,10 +22,16 @@ def norm_ppf(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse `alpha` unless 0 < alpha < 1 and 1 - alpha/2 < 1 in float64."""
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
+        raise ParamError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1 in "
+                         f"float64, got {alpha}")
+
+
 def wald_halfwidth(variance: float, alpha: float) -> float:
     """Half-width of an equal-tailed (1 - alpha) Wald interval."""
     if variance < 0.0:
         raise ParamError(f"variance must be nonnegative, got {variance}")
-    if not 0.0 < alpha < 1.0:
-        raise ParamError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     return norm_ppf(1.0 - alpha / 2.0) * math.sqrt(variance)

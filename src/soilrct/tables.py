@@ -29,7 +29,6 @@ line: the library types refuse a table's rows by position, and
 """
 
 import csv
-import math
 import os
 from itertools import repeat
 
@@ -86,7 +85,8 @@ def _format_column(column) -> list:
 
 
 def read(path, header_check) -> list:
-    """The data columns of the table at `path`, one list per column.
+    """The data columns of the table at `path`: a C-contiguous float64
+    array for each column parsed by `float`, a list for every other one.
 
     `header_check` is either a mapping from each expected column name to
     its parser, or a function that takes the header row and returns one
@@ -182,13 +182,12 @@ def _read_plain(path, header_check):
     columns = []
     for j, parse in zip(range(width), parsers):
         column = cells[j::width]
-        if parse is not str:
-            column = list(map(parse, column))
-            # a float sum is finite only if every term is; a sum of
-            # finite terms can still overflow, so then test each cell
-            if parse is float and not (math.isfinite(sum(column))
-                                       or all(map(math.isfinite, column))):
+        if parse is float:
+            column = np.fromiter(map(float, column), np.float64, len(column))
+            if not np.isfinite(column).all():
                 return None
+        elif parse is not str:
+            column = list(map(parse, column))
         columns.append(column)
     return columns
 
@@ -216,9 +215,6 @@ def _read_strict(path, header_check) -> list:
                               f"expected {width}")
     columns = []
     for name, parse, cells in zip(header, parsers, zip(*rows)):
-        if parse is str:
-            columns.append(list(cells))
-            continue
         values = []
         try:
             for cell in cells:
@@ -226,9 +222,11 @@ def _read_strict(path, header_check) -> list:
         except ValueError as exc:
             raise SchemaError(f"{path}:{len(values) + 2}: column {name}: "
                               f"{exc}") from exc
-        if parse is float and not all(map(math.isfinite, values)):
-            lineno = 2 + [math.isfinite(v) for v in values].index(False)
-            raise SchemaError(f"{path}:{lineno}: column {name}: "
-                              f"{cells[lineno - 2]!r} is not finite")
+        if parse is float:
+            values = np.array(values, dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise SchemaError(f"{path}:{bad[0] + 2}: column {name}: "
+                                  f"{cells[bad[0]]!r} is not finite")
         columns.append(values)
     return columns

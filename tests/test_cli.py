@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -250,6 +251,36 @@ def test_simulate_unreadable_config_exits_2(tmp_path, config, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_reads_yaml_1_2_numbers(runner, tmp_path):
+    # YAML 1.1, which PyYAML follows, reads 1e-5, 1.0e-5 and the 1e-05 of
+    # `json.dumps` as strings; each spelling must give the same run
+    noisy = yaml.safe_load(TINY_CONFIG.replace("samples_per_plot: [inf]",
+                                               "samples_per_plot: [5]"))
+    configs = [yaml.safe_dump(noisy) + f"sd_within_plot: {value}\n"
+               for value in ("0.00001", "1e-5", "1.0e-5", "1E-5")]
+    configs.append(json.dumps(dict(noisy, sd_within_plot=1e-5)))
+    assert "1e-05" in configs[-1]
+    runs = []
+    for i, text in enumerate(configs):
+        config = tmp_path / f"run{i}.yaml"
+        config.write_text(text)
+        result = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                          "--out", str(tmp_path / str(i))])
+        assert result.exit_code == 0, result.output
+        run_dir = Path(result.output.strip())
+        runs.append((run_dir.name, {path.name: path.read_bytes()
+                                    for path in run_dir.iterdir()}))
+    assert all(run == runs[0] for run in runs)
+    manifest = json.loads(runs[0][1]["manifest.json"])
+    assert manifest["config"]["sd_within_plot"] == "1.0000000000000001e-05"
+    # a quoted number stays a string, and is refused
+    config = tmp_path / "quoted.yaml"
+    config.write_text(yaml.safe_dump(noisy) + 'sd_within_plot: "1e-5"\n')
+    done = run_cli("simulate", "--config", config, "--out", tmp_path / "q")
+    assert_one_error_line(done, 2, "sd_within_plot: expected a number, got "
+                                   "'1e-5'")
+
+
 def test_simulate_bad_yaml_reports_location(runner, tmp_path):
     config = tmp_path / "run.yaml"
     config.write_text("taus: [0.0,\n  0.3\n")
@@ -420,8 +451,7 @@ def test_simulate_out_flag_overrides_config_out(runner, tmp_path,
     assert Path(result.output.strip()).parent == Path("elsewhere")
 
 
-#: Each top-level config key takes each of these YAML values in turn; YAML
-#: reads `1e308` as a string, so the float is written `1.0e+308`.
+#: Each top-level config key takes each of these YAML values in turn.
 GUARD_VALUES = ["null", "true", '"x"', "[]", "[1]", "{a: 1}", "1.5", "-1",
                 "0", "7", ".nan", "1.0e+308"]
 
@@ -578,7 +608,8 @@ def test_estimate_naive_mod_constant_baseline_exits_4(tmp_path):
     assert_one_error_line(done, 4, "baseline has zero variance")
 
 
-@pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+# 1e-17 lies in (0, 1), but 1 - 1e-17/2 rounds to 1
+@pytest.mark.parametrize("alpha", ["1.5", "0", "nan", "1e-17"])
 def test_estimate_bad_alpha_exits_2(runner, tmp_path, alpha):
     path = tmp_path / "study.csv"
     write_study(path)

@@ -6,8 +6,8 @@ import pytest
 from soilrct import design
 from soilrct.design import (DesignSpec, ObservedStudy, arm_labels,
                             draw_replicates, enroll_and_assign)
-from soilrct.errors import (DesignError, EnrollmentError, ParamError,
-                            SchemaError)
+from soilrct.errors import (DesignError, DimensionError, EnrollmentError,
+                            ParamError, SchemaError)
 from soilrct.population import (Population, PopulationParams,
                                 generate_population)
 
@@ -202,6 +202,20 @@ def test_study_validation():
                       arm=np.zeros(0, dtype=int),
                       source_index=np.zeros(0, dtype=int))
     assert info.value.row is None
+    # columns that are not vectors of one length, and covariates that are
+    # not a matrix of one row per plot with a column, are refused before
+    # any column is indexed
+    for rest in (np.arange(6), np.zeros((6, 2), dtype=int)):
+        with pytest.raises(DimensionError, match="^study columns must be "
+                                                 "equal-length vectors$"):
+            ObservedStudy(baseline_obs=np.ones((6, 2)), outcome_obs=rest,
+                          arm=rest, source_index=rest)
+    for cov in (np.ones(2), np.ones((2, 0)), np.ones((3, 2))):
+        with pytest.raises(DimensionError, match="^covariates_obs must have "
+                                                 "one row per plot"):
+            ObservedStudy(baseline_obs=np.ones(2), outcome_obs=np.ones(2),
+                          arm=[0, 1], source_index=[0, 1],
+                          covariates_obs=cov)
 
 
 @pytest.mark.parametrize("source", [

@@ -57,3 +57,7 @@ def test_wald_halfwidth_rejects_bad_inputs():
         wald_halfwidth(1.0, 0.0)
     with pytest.raises(ParamError):
         wald_halfwidth(1.0, 1.0)
+    # the upper quantile's level 1 - alpha/2 rounds to 1 up to 2**-53
+    with pytest.raises(ParamError, match="alpha must lie in"):
+        wald_halfwidth(1.0, 2.0 ** -53)
+    assert wald_halfwidth(1.0, 2.0 ** -52) == norm_ppf(1.0 - 2.0 ** -53)

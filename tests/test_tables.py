@@ -29,7 +29,10 @@ def test_write_then_read_is_exact(tmp_path):
     ids, ks, xs = tables.read(path, COLUMNS)
     assert ids == [f"p{i}" for i in range(len(values))]
     assert ks == list(range(len(values)))
-    assert [v.hex() for v in xs] == [v.hex() for v in values]
+    # a float column is a C-contiguous float64 array, the others lists
+    assert type(ids) is type(ks) is list
+    assert xs.dtype == np.float64 and xs.flags.c_contiguous
+    assert xs.tobytes() == np.array(values).tobytes()
 
 
 def test_write_to_open_file_cells():
@@ -75,8 +78,8 @@ def test_read_header_function_and_lenient_parser(tmp_path):
         return [lambda cell: float(cell)] + [float] * (len(header) - 1)
 
     m, y0, y1 = tables.read(path, check)
-    assert m[0] == math.inf and math.isnan(m[1])
-    assert (y0, y1) == ([1.0, 3.0], [2.0, 4.0])
+    assert type(m) is list and m[0] == math.inf and math.isnan(m[1])
+    assert (y0.tolist(), y1.tolist()) == ([1.0, 3.0], [2.0, 4.0])
     path.write_text("n,y0\n1,2\n")
     with pytest.raises(SchemaError, match=r"t\.csv:1: first column must be m"):
         tables.read(path, check)
@@ -101,8 +104,13 @@ def _outcome(read, path, header_check):
         columns = read(path, header_check)
     except SchemaError as exc:
         return "error", str(exc)
-    # repr tells int from float, -0.0 from 0.0 and keeps nan comparable
-    return "columns", [[repr(v) for v in column] for column in columns]
+    # a float64 array is compared bit for bit, which tells -0.0 from 0.0;
+    # in a list, repr tells int from float and keeps nan comparable
+    return "columns", [
+        (column.dtype.str, column.flags.c_contiguous, column.tobytes())
+        if isinstance(column, np.ndarray)
+        else (type(column).__name__, [repr(v) for v in column])
+        for column in columns]
 
 
 _CELLS = st.one_of(
@@ -169,6 +177,8 @@ def _table_bytes(draw):
 @example(data=b"id,k,x\n0,1,1e308\n1,2,1e308\n", check="columns")
 @example(data=b"id,k,x\n0,1,1e308\n1,2,-1e308\n2,3,1e308\n", check="columns")
 @example(data=b"id,k,x\n0,1,1e308\n1,2,1e308\n2,3,-1e308\n", check="columns")
+@example(data=b"id,k,x\n0,1,-0.0\n1,2,0.0\n2,3,-0\n", check="columns")
+@example(data=b"id,k,x\n0,1,-0.0\n1,2,0.0\n2,3,-0\n", check="lenient")
 def test_read_matches_the_strict_reader(tmp_path, data, check):
     path = tmp_path / "t.csv"
     path.write_bytes(data)
@@ -183,7 +193,8 @@ def test_read_matches_the_strict_reader(tmp_path, data, check):
 def test_plain_reader_takes_finite_cells_whose_sum_overflows(tmp_path, rows):
     path = tmp_path / "t.csv"
     tables.write(path, list(COLUMNS), zip(*rows))
-    assert tables._read_plain(path, COLUMNS) == [list(c) for c in zip(*rows)]
+    ids, ks, xs = tables._read_plain(path, COLUMNS)
+    assert [ids, ks, xs.tolist()] == [list(c) for c in zip(*rows)]
 
 
 def _csv_writer_table(header, columns) -> str:
@@ -307,7 +318,7 @@ def test_soilrct_tables_take_the_fast_path(tmp_path, monkeypatch):
         tables.write(tmp_path / "costs.csv", ["plot_id", "cost0", "cost1"],
                      [range(40), *zip(*cost)])
         assert (tables.read(tmp_path / "costs.csv", lambda h: [float] * 3)[1]
-                == [float(c) for c, _ in cost])
+                .tolist() == [float(c) for c, _ in cost])
         done = runner.invoke(cli.main, [
             "policy", str(tmp_path / "study.csv"), str(tmp_path / "pop.csv"),
             "--out", str(tmp_path / "pol"), "--costs",
