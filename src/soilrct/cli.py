@@ -127,7 +127,9 @@ def _load_config(path) -> dict:
 
 
 def _yaml_inf(value):
-    """`value` with `inf` and `infinity`, in any case, as `math.inf`."""
+    """`value` with `inf` and `infinity`, in any case, as `math.inf`, quoted
+    or not: strict JSON has no literal for infinity, so a JSON config writes
+    m = inf as `"inf"`, though it quotes no other number."""
     if isinstance(value, list):
         return list(map(_yaml_inf, value))
     if isinstance(value, str) and value.lower() in ("inf", "infinity"):
@@ -322,29 +324,6 @@ def estimate(study_csv, name, alpha):
     sys.exit(EXIT_OK)
 
 
-def _read_target(path):
-    """Target plot ids and covariates for imputation, from a population
-    CSV (which also enables oracle evaluation, and is returned) or a bare
-    `plot_id,baseline` table.  A repeated plot id is refused.
-
-    The kind is decided by the header row alone, as `tables.read_header`
-    sees it; a header row it cannot read makes the target a population.
-    The table is then read once, a population by `Population.from_csv`,
-    which reports any fault in it; a bare table's ids are held to
-    `Population`'s own rule, `check_plot_ids`."""
-    from . import population
-
-    if tables.read_header(path) != ["plot_id", "baseline"]:
-        pop = population.Population.from_csv(path)
-        return pop.plot_id, pop.covariates, pop
-    ids, baseline = tables.read(path, {"plot_id": str, "baseline": float})
-    try:
-        population.check_plot_ids(ids)
-    except ParamError as exc:
-        raise tables.refusal(path, exc) from exc
-    return ids, population.regression_rows(baseline), None
-
-
 def _read_costs(path, ids, n_arms, budget) -> "policy.CostModel":
     """The cost table at `path`, whose rows must name the target's plots
     `ids` in the target's order."""
@@ -395,7 +374,8 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
             if budget is not None and cost_csv is None:
                 raise SchemaError("--budget requires --costs")
             study = design.ObservedStudy.from_csv(study_csv)
-            target_ids, target_cov, target_pop = _read_target(target_csv)
+            target_ids, target_cov, target_pop = population.read_target(
+                target_csv)
             if target_pop is not None and target_pop.n_arms != study.n_arms:
                 raise SchemaError(
                     f"{target_csv}: the target has potential outcomes for "

@@ -209,6 +209,7 @@ class PopulationBundle:
     y0: np.ndarray
     y1: np.ndarray
     pate: float
+    slope: float
     mean_y0: float
     mean_y1: float
     oracle_value: float
@@ -222,12 +223,19 @@ def build_bundle(pop: Population) -> PopulationBundle:
     y0 = np.ascontiguousarray(pop.po[:, 0])
     y1 = np.ascontiguousarray(pop.po[:, 1])
     sort_b, cum0, cum1 = kernels.population_tables(pop.baseline, y0, y1)
+    moments = kernels.baseline_moments(pop.baseline)
+    # `slope`, the target of `mod` and `naive`: Cov_P / Var_P of y1 - y0 on
+    # the baseline, per SD_P of the baseline (ddof 0, as generated); nan
+    # where the baseline has no spread
+    effect, var_b = y1 - y0, moments[0]
+    cov = float(np.mean((effect - effect.mean())
+                        * (pop.baseline - pop.baseline.mean())))
+    slope = cov / var_b * math.sqrt(var_b) if var_b > 0.0 else math.nan
     return PopulationBundle(
-        population=pop, y0=y0, y1=y1, pate=pate(pop),
+        population=pop, y0=y0, y1=y1, pate=pate(pop), slope=slope,
         mean_y0=float(y0.mean()), mean_y1=float(y1.mean()),
         oracle_value=float(np.maximum(y0, y1).mean()),
-        sort_b=sort_b, cum0=cum0, cum1=cum1,
-        baseline_moments=kernels.baseline_moments(pop.baseline))
+        sort_b=sort_b, cum0=cum0, cum1=cum1, baseline_moments=moments)
 
 
 @dataclass(frozen=True)
@@ -238,6 +246,7 @@ class ScenarioResult:
     raw: np.ndarray
     n_fail: int
     pate: float
+    slope: float
     oracle_value: float
 
     def valid(self) -> np.ndarray:
@@ -248,24 +257,24 @@ class ScenarioResult:
         """Every number the run's tables report of this scenario, from one
         pass over its valid kernel rows; nan where no row is valid.
 
-        `bias`, `rmse`, `coverage`, `ci_width`, `power` and `bias_se` list
-        dim, did, ols, mod and naive, in that order, each judged against
-        the PATE or the moderator slope; `value` holds the mean estimated
-        and restricted policy values, `gap_mean` and `gap_var` the mean of
-        their difference and its variance (0 below two rows), and
-        `n_valid` the number of valid rows.  The `mod`
-        variance is the HC2 variance plus the delta-method term for the
-        sample SD that scales its baseline.  Estimates and variances are
-        stacked as C-contiguous (5, k) rows, which numpy sums in the same
-        pairwise order as each lone column, so no digit depends on the
-        stacking.  A sum that overflows raises ParamError.
+        `target`, `bias`, `rmse`, `coverage`, `ci_width`, `power` and
+        `bias_se` list dim, did, ols, mod and naive, in that order, judged
+        against the PATE or the population's own `slope`; `value` holds
+        the mean estimated and restricted policy values, `gap_mean` and
+        `gap_var` the mean of their difference and its variance (0 below
+        two rows), and `n_valid` the number of valid rows.  The `mod`
+        variance adds to HC2 the delta-method term for the sample SD that
+        scales its baseline.  Estimates and variances are stacked as
+        C-contiguous (5, k) rows, which numpy sums in the same pairwise
+        order as each lone column, so no digit depends on the stacking.  A
+        sum that overflows raises ParamError.
         """
         ok = self.valid()
         k = ok.shape[0]
         est = np.ascontiguousarray(ok[:, 0:10:2].T)
         var = np.ascontiguousarray(ok[:, 1:10:2].T)
         value = np.ascontiguousarray(ok[:, 10:12].T)
-        target = np.array([self.pate] * 3 + [self.scenario.beta_mod] * 2)
+        target = np.array([self.pate] * 3 + [self.slope] * 2)
         try:
             # k = 0 gives 0 / 0 = nan
             with np.errstate(invalid="ignore", over="raise"):
@@ -274,6 +283,7 @@ class ScenarioResult:
                 half = _Z975 * np.sqrt(var)
                 gap = value[0] - value[1]
                 means = {
+                    "target": target,
                     "bias": err.sum(axis=1) / k,
                     "rmse": np.sqrt((err * err).sum(axis=1) / k),
                     "coverage": (np.abs(err) <= half).sum(axis=1) / k,
@@ -331,7 +341,7 @@ def run_scenario(grid: ScenarioGrid, scenario: Scenario,
             f"scenario {scenario}: {n_fail}/{reps} replicates failed, "
             f"exceeding the {MAX_FAILURE_RATE:.0%} tolerance")
     return ScenarioResult(scenario=scenario, raw=raw, n_fail=n_fail,
-                          pate=bundle.pate,
+                          pate=bundle.pate, slope=bundle.slope,
                           oracle_value=bundle.oracle_value)
 
 
@@ -395,14 +405,13 @@ def scenario_metrics(result: ScenarioResult,
         warn.append("no-valid-replicates")
     rows = []
     for i, name in enumerate(PATE_ESTIMATORS + MODERATOR_ESTIMATORS):
-        with_power = name in PATE_ESTIMATORS
         rows.append(MetricsRow(
             tau=sc.tau, beta_mod=sc.beta_mod, sd_eps1=sc.sd_eps1,
             n=sc.n, m=sc.m, estimator=name,
-            target=result.pate if with_power else sc.beta_mod,
+            target=red["target"][i],
             bias=red["bias"][i], rmse=red["rmse"][i],
             coverage=red["coverage"][i], ci_width=red["ci_width"][i],
-            power=red["power"][i] if with_power else None,
+            power=red["power"][i] if name in PATE_ESTIMATORS else None,
             n_fail=result.n_fail, warnings=";".join(warn)))
     return rows
 

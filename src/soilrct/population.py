@@ -7,8 +7,8 @@ by `regression_rows`.  Nothing here is random once the table is built;
 all randomness lives in the generator and in the study design.
 
 `Population` owns the rules over a population's rows, as `ObservedStudy`
-and `CostModel` own theirs; `soilrct policy` holds a bare
-`plot_id,baseline` target to its plot-id rule, `check_plot_ids`.
+and `CostModel` own theirs; `read_target` reads a `soilrct policy` target
+of either kind, a population or a bare `plot_id,baseline` table, at once.
 """
 
 import math
@@ -105,8 +105,8 @@ class Population:
 
     The constructor refuses fewer than 2 plots (a DimensionError) and a
     repeated plot id (`check_plot_ids`'s ParamError, whose `row` is the
-    first repeat); `from_csv` only names the file and line, by
-    `tables.refusal`.
+    first repeat); `from_csv` and `read_target` only name the file and
+    line, by `tables.refusal`.
     """
 
     baseline: np.ndarray
@@ -157,11 +157,30 @@ class Population:
 
     @classmethod
     def from_csv(cls, path) -> "Population":
-        ids, baseline, *po = tables.read(path, _population_columns)
-        try:
-            return cls(baseline=baseline, po=np.column_stack(po), plot_id=ids)
-        except (DimensionError, ParamError) as exc:
-            raise tables.refusal(path, exc) from exc
+        return _checked(path, *tables.read(path, _population_columns))
+
+
+def read_target(path) -> tuple:
+    """(plot ids, covariate rows, `Population` or None) of the `policy`
+    target at `path`, a population or a bare `plot_id,baseline` table,
+    read once and refused as `Population.from_csv` refuses."""
+    ids, baseline, *po = tables.read(path, lambda header: (
+        [str, float] if header == ["plot_id", "baseline"]
+        else _population_columns(header)))
+    return ids, regression_rows(baseline), _checked(path, ids, baseline, *po)
+
+
+def _checked(path, ids, baseline, *po) -> Optional[Population]:
+    """The population of the columns read from `path`; None for a bare
+    table (no `po`), whose ids must pass `check_plot_ids`."""
+    try:
+        if not po:
+            check_plot_ids(ids)
+            return None
+        return Population(baseline=baseline, po=np.column_stack(po),
+                          plot_id=ids)
+    except (DimensionError, ParamError) as exc:
+        raise tables.refusal(path, exc) from exc
 
 
 def check_plot_ids(ids) -> None:

@@ -21,11 +21,11 @@ line, a ragged row or no final `\\n` is read by the strict reader, which
 raises every `SchemaError`, and a cell that needs quoting is written by
 `csv.writer`.
 
-This is the one module that reads a CSV header: `read` checks it, and
-`read_header` returns it alone, for a caller that picks the kind of a
-table by its header.  It is also the one module that turns a row into a
-line: the library types refuse a table's rows by position, and
-`refusal` names the file and the line, `row + 2`, of that refusal.
+`read` is the one reader of a CSV header: it hands the header to the
+caller's check, which may pick the kind of the table by it.  This is also
+the one module that turns a row into a line: the library types refuse a
+table's rows by position, and `refusal` names the file and the line,
+`row + 2`, of that refusal.
 """
 
 import csv
@@ -123,17 +123,6 @@ def refusal(path, exc) -> SchemaError:
     row = getattr(exc, "row", None)
     where = path if row is None else f"{path}:{row + 2}"
     return SchemaError(f"{where}: {exc}")
-
-
-def read_header(path):
-    """The header row of the table at `path` as the strict `csv` reader
-    sees it, or None if the file is empty or that reader cannot read its
-    first row."""
-    try:
-        with open(path, newline="") as fh:
-            return next(csv.reader(fh, strict=True), None)
-    except (csv.Error, ValueError):  # UnicodeDecodeError among them
-        return None
 
 
 def _parsers(header, header_check) -> list:

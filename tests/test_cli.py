@@ -22,9 +22,11 @@ from hypothesis import strategies as st
 
 import soilrct
 from support import csv_row
-from soilrct import cli, design, estimators, harness, policy, tables
+from soilrct import (cli, design, estimators, harness, policy, population,
+                     tables)
 from soilrct.design import ObservedStudy
-from soilrct.errors import DimensionError, ParamError, ScenarioAbortError
+from soilrct.errors import (DimensionError, ParamError, ScenarioAbortError,
+                            SchemaError)
 from soilrct.population import (Population, PopulationParams,
                                 generate_population)
 
@@ -114,15 +116,17 @@ population_size: 60
 # sha256 of each table that `simulate --config GOLDEN_CONFIG --seed 5`
 # wrote before the per-scenario reductions were stacked into one pass
 # (Python 3.11.7, numpy 2.4.6), taken with `sha256sum` in the run
-# directory.  A change that means to keep every artifact byte-identical
-# must keep these; one that means to change them says so and retakes them.
+# directory; `metrics.csv` and `attenuation.csv` were retaken when `mod`
+# and `naive` came to be judged against the population's own slope.  A
+# change that means to keep every artifact byte-identical must keep
+# these; one that means to change them says so and retakes them.
 GOLDEN_DIGESTS = {
     "metrics.csv":
-        "cb25f87a53e974b78154e39c0922ad4d5d95d529f87da6255a0b6e45ddfdc6ab",
+        "1c24c033465c81f9a6fe3f7afccaa6c504c10a1acc26ca7a7c278b1207905816",
     "power_curves.csv":
         "c67a53c4bdf86301078f13bc3cc09f7021af1977e92d551d544821d320254800",
     "attenuation.csv":
-        "c2b8a87a8293bc057b18ed10d1da3e7aa2efbfe4f8c2eb9d67e5400027ad410f",
+        "18f44a275693d2f320ed9c8badc7ef45227b8613a3040028032347bc2aa0c066",
     "policy_summary.json":
         "c369b8302e141a907650b70bc560b7a30a39b1127ea58e79bc03809b8a16ad88",
 }
@@ -279,6 +283,29 @@ def test_simulate_reads_yaml_1_2_numbers(runner, tmp_path):
     done = run_cli("simulate", "--config", config, "--out", tmp_path / "q")
     assert_one_error_line(done, 2, "sd_within_plot: expected a number, got "
                                    "'1e-5'")
+
+
+def test_a_json_config_writes_inf_quoted(runner, tmp_path):
+    # strict JSON has no literal for infinity, so a quoted "inf" is m = inf
+    # and gives the run of the plain word; any other quoted number is refused
+    settings = yaml.safe_load(TINY_CONFIG)
+    runs = []
+    for name, text in (("plain", TINY_CONFIG), ("json", json.dumps(
+            dict(settings, samples_per_plot=["inf"])))):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(text)
+        result = runner.invoke(cli.main, ["simulate", "--config", str(config),
+                                          "--out", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+        run_dir = Path(result.output.strip())
+        runs.append((run_dir.name, (run_dir / "metrics.csv").read_bytes()))
+    assert '"inf"' in text and runs[0] == runs[1]
+    config = tmp_path / "five.json"
+    config.write_text(json.dumps(dict(settings, samples_per_plot=["5"])))
+    done = run_cli("simulate", "--config", config, "--out", tmp_path / "5")
+    assert_one_error_line(done, 2, "samples_per_plot: expected a number, "
+                                   "got '5'")
+    assert not (tmp_path / "5").exists()
 
 
 def test_simulate_bad_yaml_reports_location(runner, tmp_path):
@@ -1014,11 +1041,16 @@ def test_policy_bare_target_kind_follows_the_csv_reader(runner, tmp_path,
     assert summary["realized_mean"] is None
 
 
-def test_policy_reads_a_population_target_once(runner, tmp_path,
-                                               monkeypatch):
-    study_path, target_path, _ = make_policy_files(tmp_path)
-    opened = {"cli": 0, "tables": 0}
-    for name, module in (("cli", cli), ("tables", tables)):
+@pytest.mark.parametrize("kind", ["population", "bare"])
+def test_policy_reads_its_target_once(runner, tmp_path, monkeypatch, kind):
+    study_path, target_path, pop = make_policy_files(tmp_path)
+    if kind == "bare":
+        target_path = tmp_path / "bare.csv"
+        tables.write(target_path, ["plot_id", "baseline"],
+                     [range(pop.n_plots), pop.baseline.tolist()])
+    opened = {"cli": 0, "population": 0, "tables": 0}
+    for name, module in (("cli", cli), ("population", population),
+                         ("tables", tables)):
         def counting_open(file, *args, _name=name, **kwargs):
             if os.fspath(file) == str(target_path):
                 opened[_name] += 1
@@ -1028,9 +1060,43 @@ def test_policy_reads_a_population_target_once(runner, tmp_path,
                                       str(target_path), "--out",
                                       str(tmp_path / "pol")])
     assert result.exit_code == 0, result.output
-    # the header row is read on its own by `tables.read_header`, the table
-    # by one `tables.read`
-    assert opened == {"cli": 0, "tables": 2}
+    # one `tables.read` reads the header and the table of either kind
+    assert opened == {"cli": 0, "population": 0, "tables": 1}
+
+
+@pytest.mark.parametrize("kind", ["population", "bare", "abc-cell"])
+def test_population_reads_a_target_as_policy_does(runner, tmp_path, kind):
+    # the library reads a target as `policy` does: the ids regime.csv
+    # names, the covariate rows of the baselines, a `Population` only for
+    # a population table, and the refusal that `policy` prints
+    study_path, target, pop = make_policy_files(tmp_path)
+    if kind != "population":
+        target = tmp_path / "bare.csv"
+        target.write_text("plot_id,baseline\n" + "".join(
+            f"{i},{b!r}\n" for i, b in enumerate(pop.baseline.tolist())))
+    if kind == "abc-cell":
+        target.write_text("plot_id,baseline\n0,2.0\n1,abc\n")
+    result = runner.invoke(cli.main, ["policy", str(study_path), str(target),
+                                      "--out", str(tmp_path / "pol")])
+    if kind == "abc-cell":
+        with pytest.raises(SchemaError) as refused:
+            population.read_target(target)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {refused.value}\n"
+        return
+    assert result.exit_code == 0, result.output
+    ids, covariates, got = population.read_target(target)
+    regime_ids, _ = tables.read(tmp_path / "pol" / "regime.csv",
+                                {"plot_id": str, "arm": int})
+    assert ids == regime_ids == ["0", "1", "2"]
+    assert covariates.tobytes() == pop.covariates.tobytes()
+    summary = json.loads((tmp_path / "pol" / "policy.json").read_text())
+    assert (got is None) == (kind == "bare") == (
+        summary["realized_mean"] is None)
+    if got is not None:
+        assert got.plot_id == ids
+        assert got.po.tobytes() == pop.po.tobytes()
+        assert got.baseline.tobytes() == pop.baseline.tobytes()
 
 
 def _past_8kb(data: bytes) -> bytes:

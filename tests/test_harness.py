@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -150,7 +150,7 @@ def oracle_metrics(run):
         ok = r.valid()
         for name in harness.PATE_ESTIMATORS + harness.MODERATOR_ESTIMATORS:
             with_power = name in harness.PATE_ESTIMATORS
-            target = r.pate if with_power else r.scenario.beta_mod
+            target = r.pate if with_power else r.slope
             if ok.shape[0] == 0:
                 out.append((math.nan,) * 4
                            + ((math.nan,) if with_power else (None,)))
@@ -169,7 +169,7 @@ def oracle_attenuation(run):
         for name in harness.MODERATOR_ESTIMATORS:
             est, var = oracle_estimates(ok, name)
             half = norm_ppf(0.975) * np.sqrt(var)
-            err = est - r.scenario.beta_mod
+            err = est - r.slope
             out.append((float(err.mean()),
                         float(est.std(ddof=1) / math.sqrt(est.shape[0]))
                         if est.shape[0] > 1 else math.nan,
@@ -236,9 +236,7 @@ def all_rows_failed(result):
     raw = result.raw.copy()
     raw[:, 4:12] = raw[:, 13] = math.nan
     raw[:, 12] = 1.0
-    return harness.ScenarioResult(
-        scenario=result.scenario, raw=raw, n_fail=raw.shape[0],
-        pate=result.pate, oracle_value=result.oracle_value)
+    return replace(result, raw=raw, n_fail=raw.shape[0])
 
 
 def failing_run(monkeypatch):
@@ -518,9 +516,30 @@ def test_moderator_rows_have_no_power():
     for r in rows:
         if r.estimator in harness.MODERATOR_ESTIMATORS:
             assert r.power is None
-            assert r.target == r.beta_mod
+            # the population's own slope, which is beta_mod at sd_eps1 = 0
+            assert r.target == run.bundles[(r.tau, r.beta_mod,
+                                            r.sd_eps1)].slope
+            assert abs(r.target - r.beta_mod) <= 1e-12
         else:
             assert r.power is not None
+
+
+@pytest.mark.parametrize("sd_eps1", [0.0, math.sqrt(0.1)])
+def test_bundle_slope_is_the_population_slope(sd_eps1):
+    # the slope of y1 - y0 on the baseline standardized over the
+    # population, ddof 0: beta_mod itself when the effect has no noise
+    params = small_grid().population_params(0.3, -0.5, sd_eps1)
+    pop = generate_population(params, 17)
+    slope = harness.build_bundle(pop).slope
+    b = pop.baseline
+    cov = np.cov(pop.po[:, 1] - pop.po[:, 0], (b - b.mean()) / b.std(),
+                 ddof=0)
+    assert slope == pytest.approx(cov[0, 1] / cov[1, 1], rel=1e-12)
+    if sd_eps1 == 0.0:
+        assert abs(slope - params.beta_mod) <= 1e-12
+    else:
+        # the effect noise moves it by Cov_P(eps1, b~)
+        assert 1e-6 < abs(slope - params.beta_mod) < 0.1
 
 
 def test_single_replicate_flagged():
@@ -588,6 +607,6 @@ def test_a_reduction_that_overflows_raises_param_error(column, value):
     raw[:, kernels.KERNEL_COLUMNS.index("mod_scale_var")] = value
     result = harness.ScenarioResult(
         scenario=harness.Scenario(0.0, -0.5, 0.0, 10, math.inf), raw=raw,
-        n_fail=0, pate=0.0, oracle_value=0.0)
+        n_fail=0, pate=0.0, slope=-0.5, oracle_value=0.0)
     with pytest.raises(ParamError, match="the metrics overflow"):
         result.reduction

@@ -68,7 +68,7 @@ def test_first_repeat(ids, position):
     assert tables.first_repeat(ids) == position
 
 
-def test_read_header_function_and_lenient_parser(tmp_path):
+def test_read_takes_a_header_function_and_a_lenient_parser(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("m,y0,y1\ninf,1,2\nnan,3,4\n")
 
