@@ -251,13 +251,12 @@ def _write_run(run_dir, run, grid_name, threads, digest) -> None:
     from . import design, harness, kernels
 
     grid, seed = run.grid, run.master_seed
-    rows = harness.metrics_rows(run)
-    harness.metrics_to_csv(rows, run_dir / "metrics.csv")
+    harness.metrics_to_csv(harness.metrics_rows(run), run_dir / "metrics.csv")
     summary = harness.policy_summary(run)
     (run_dir / "policy_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_dicts(run_dir / "power_curves.csv", harness.POWER_HEADER,
-                 harness.power_table(rows, grid.n_replicates))
+                 harness.power_table(run))
     _write_dicts(run_dir / "attenuation.csv", harness.ATTENUATION_HEADER,
                  harness.attenuation_table(run))
     outputs = ["metrics.csv", "policy_summary.json", "power_curves.csv",
@@ -336,8 +335,9 @@ def _read_costs(path, ids, n_arms, budget) -> "policy.CostModel":
             f"{path}: {len(cost_ids)} cost rows for {len(ids)} target plots")
     if cost_ids != ids:
         row = next(i for i, (a, b) in enumerate(zip(cost_ids, ids)) if a != b)
-        raise SchemaError(f"{path}:{row + 2}: plot_id {cost_ids[row]!r} "
-                          f"where the target has {ids[row]!r}")
+        raise tables.refusal(path, ParamError(
+            f"plot_id {cost_ids[row]!r} where the target has {ids[row]!r}",
+            row=row))
     try:
         costs = policy.CostModel(cost=np.column_stack(cost), budget=budget)
     except ParamError as exc:

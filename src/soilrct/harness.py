@@ -178,7 +178,8 @@ def _content_spawn_key(tag: int, *parts) -> tuple:
     Keying streams by content rather than by position means adding or
     removing grid entries never shifts the randomness of the others.
     """
-    text = "|".join(format(p, tables.FLOAT_FMT) if isinstance(p, float)
+    # `p + 0.0` turns -0.0 into 0.0, which the grid groups with it
+    text = "|".join(format(p + 0.0, tables.FLOAT_FMT) if isinstance(p, float)
                     else str(p) for p in parts)
     digest = hashlib.sha256(text.encode()).digest()
     words = tuple(int.from_bytes(digest[4 * i:4 * i + 4], "little")
@@ -240,14 +241,13 @@ def build_bundle(pop: Population) -> PopulationBundle:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Raw kernel output for one scenario, with failure accounting."""
+    """Raw kernel output for one scenario, with failure accounting, and
+    the bundle of the population it ran on."""
 
     scenario: Scenario
     raw: np.ndarray
     n_fail: int
-    pate: float
-    slope: float
-    oracle_value: float
+    bundle: PopulationBundle
 
     def valid(self) -> np.ndarray:
         return self.raw[self.raw[:, 12] == 0.0]
@@ -255,28 +255,27 @@ class ScenarioResult:
     @cached_property
     def reduction(self) -> dict:
         """Every number the run's tables report of this scenario, from one
-        pass over its valid kernel rows; nan where no row is valid.
+        pass over its valid kernel rows, of which `run_scenario` leaves at
+        least one.
 
         `target`, `bias`, `rmse`, `coverage`, `ci_width`, `power` and
         `bias_se` list dim, did, ols, mod and naive, in that order, judged
         against the PATE or the population's own `slope`; `value` holds
         the mean estimated and restricted policy values, `gap_mean` and
         `gap_var` the mean of their difference and its variance (0 below
-        two rows), and `n_valid` the number of valid rows.  The `mod`
-        variance adds to HC2 the delta-method term for the sample SD that
-        scales its baseline.  Estimates and variances are stacked as
-        C-contiguous (5, k) rows, which numpy sums in the same pairwise
-        order as each lone column, so no digit depends on the stacking.  A
-        sum that overflows raises ParamError.
+        two rows).  The `mod` variance adds to HC2 the delta-method term
+        for the sample SD that scales its baseline.  Estimates and
+        variances are stacked as C-contiguous (5, k) rows, which numpy sums
+        in the same pairwise order as each lone column, so no digit depends
+        on the stacking.  A sum that overflows raises ParamError.
         """
         ok = self.valid()
         k = ok.shape[0]
         est = np.ascontiguousarray(ok[:, 0:10:2].T)
         var = np.ascontiguousarray(ok[:, 1:10:2].T)
         value = np.ascontiguousarray(ok[:, 10:12].T)
-        target = np.array([self.pate] * 3 + [self.slope] * 2)
+        target = np.array([self.bundle.pate] * 3 + [self.bundle.slope] * 2)
         try:
-            # k = 0 gives 0 / 0 = nan
             with np.errstate(invalid="ignore", over="raise"):
                 var[3] += ok[:, _MOD_SCALE_VAR]
                 err = est - target[:, np.newaxis]
@@ -302,7 +301,6 @@ class ScenarioResult:
                              f"overflow: {exc}") from exc
         out = {key: val.tolist() for key, val in means.items()}
         out["gap_var"] = gap_var
-        out["n_valid"] = k
         return out
 
 
@@ -341,8 +339,7 @@ def run_scenario(grid: ScenarioGrid, scenario: Scenario,
             f"scenario {scenario}: {n_fail}/{reps} replicates failed, "
             f"exceeding the {MAX_FAILURE_RATE:.0%} tolerance")
     return ScenarioResult(scenario=scenario, raw=raw, n_fail=n_fail,
-                          pate=bundle.pate, slope=bundle.slope,
-                          oracle_value=bundle.oracle_value)
+                          bundle=bundle)
 
 
 @dataclass(frozen=True)
@@ -353,7 +350,6 @@ class GridResult:
     master_seed: int
     scenarios: list
     results: list
-    bundles: dict
 
 
 def run_grid(grid: ScenarioGrid, master_seed: int,
@@ -388,21 +384,18 @@ def run_grid(grid: ScenarioGrid, master_seed: int,
     else:
         results = [one(sc) for sc in scenarios]
     return GridResult(grid=grid, master_seed=master_seed,
-                      scenarios=scenarios, results=results, bundles=bundles)
+                      scenarios=scenarios, results=results)
 
 
-def scenario_metrics(result: ScenarioResult,
-                     n_replicates: int) -> list:
+def scenario_metrics(result: ScenarioResult) -> list:
     """Metric rows for every estimator of one scenario."""
     sc = result.scenario
     red = result.reduction
     warn = []
     if result.n_fail:
         warn.append(f"failures={result.n_fail}")
-    if n_replicates == 1:
+    if result.raw.shape[0] == 1:
         warn.append("single-replicate")
-    if red["n_valid"] == 0:
-        warn.append("no-valid-replicates")
     rows = []
     for i, name in enumerate(PATE_ESTIMATORS + MODERATOR_ESTIMATORS):
         rows.append(MetricsRow(
@@ -419,13 +412,12 @@ def scenario_metrics(result: ScenarioResult,
 def metrics_rows(run: GridResult) -> list:
     rows = []
     for result in run.results:
-        rows.extend(scenario_metrics(result, run.grid.n_replicates))
+        rows.extend(scenario_metrics(result))
     return rows
 
 
 def _number(cell) -> float:
-    # not `float`, which tables.read holds to finite values: m may be inf,
-    # and a scenario with no valid replicate has nan metrics
+    # not `float`, which tables.read holds to finite values: m may be inf
     return float(cell)
 
 
@@ -457,7 +449,7 @@ def metrics_from_csv(path) -> list:
 def _policy_block(results) -> dict:
     estimated, restricted = zip(*(r.reduction["value"] for r in results))
     return {
-        "oracle": float(np.mean([r.oracle_value for r in results])),
+        "oracle": float(np.mean([r.bundle.oracle_value for r in results])),
         "estimated": float(np.mean(estimated)),
         "restricted": float(np.mean(restricted)),
         "n_scenarios": len(results),
@@ -514,22 +506,21 @@ POWER_HEADER = ["estimator", "n", "m", "tau", "tau_relative", "power",
                 "power_se"]
 
 
-def power_table(rows, n_replicates: int) -> list:
-    """Power per (estimator, n, m, tau) from the `metrics_rows` of a run
-    of `n_replicates` replicates per scenario, with the effect also
-    expressed relative to the baseline mean and a binomial Monte Carlo
-    SE."""
+def power_table(run: GridResult) -> list:
+    """Power per (estimator, n, m, tau), with the effect also expressed
+    relative to the baseline mean and a binomial Monte Carlo SE over the
+    scenario's valid replicates."""
     out = []
-    for r in rows:
-        if r.power is None or math.isnan(r.coverage):
-            continue
-        reps = n_replicates - r.n_fail
-        se = math.sqrt(max(r.power * (1.0 - r.power), 1e-12) / reps)
-        out.append({
-            "estimator": r.estimator, "n": r.n, "m": r.m, "tau": r.tau,
-            "tau_relative": r.tau / BASELINE_MEAN, "power": r.power,
-            "power_se": se,
-        })
+    for result in run.results:
+        sc, red = result.scenario, result.reduction
+        reps = result.raw.shape[0] - result.n_fail
+        for name, power in zip(PATE_ESTIMATORS, red["power"]):
+            se = math.sqrt(max(power * (1.0 - power), 1e-12) / reps)
+            out.append({
+                "estimator": name, "n": sc.n, "m": sc.m, "tau": sc.tau,
+                "tau_relative": sc.tau / BASELINE_MEAN, "power": power,
+                "power_se": se,
+            })
     return out
 
 
@@ -544,8 +535,6 @@ def attenuation_table(run: GridResult) -> list:
     out = []
     for result in run.results:
         sc, red = result.scenario, result.reduction
-        if red["n_valid"] == 0:
-            continue
         for i, name in enumerate(MODERATOR_ESTIMATORS, len(PATE_ESTIMATORS)):
             out.append({
                 "estimator": name, "n": sc.n, "m": sc.m, "tau": sc.tau,

@@ -215,9 +215,10 @@ def generate_population(params: PopulationParams, seed) -> Population:
     rng = np.random.default_rng(seed)
     n = params.n_plots
     b = rng.normal(params.mu_b, params.sd_b_across, size=n)
-    eps0 = rng.normal(params.mean_control_change, params.sd_control_change,
-                      size=n)
-    eps1 = rng.normal(0.0, params.sd_eps1, size=n)
+    # `+ 0.0` turns an SD of -0.0, which numpy refuses, into 0.0
+    eps0 = rng.normal(params.mean_control_change,
+                      params.sd_control_change + 0.0, size=n)
+    eps1 = rng.normal(0.0, params.sd_eps1 + 0.0, size=n)
     y0 = b + eps0
     sd_b = b.std()
     if sd_b == 0.0:

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 import support
 from soilrct import cli, estimators, harness, linalg, policy
 from soilrct.design import ObservedStudy
+from soilrct.population import pate
 
 MASTER_SEED = 20250801
 
@@ -216,7 +217,8 @@ def test_criterion_4_attenuation(paper_run):
                 f"naive coverage at m={m}: {naive[m]['coverage']:.3f}")
     # the naive slope converges to its regression-to-the-mean limit, not
     # to beta; at m=5 that limit happens to lie within 0.002 of beta
-    pop = paper_run.bundles[(0.0, -0.5, 0.0)].population
+    pop = next(r.bundle.population for r in paper_run.results
+               if r.scenario.pop_key == (0.0, -0.5, 0.0))
     n = 1000
     for m in ms:
         sd = paper_run.grid.design_spec(n, m).sigma_delta
@@ -365,6 +367,8 @@ def test_criterion_6_determinism(tmp_path):
 def test_pate_oracle_consistency(paper_run):
     # the harness targets must agree with the population-level oracle
     for result in paper_run.results[:10]:
-        assert math.isfinite(result.pate)
+        target = pate(result.bundle.population)
+        assert math.isfinite(target)
+        assert result.reduction["target"][:3] == [target] * 3
     pops = {r.scenario.pop_key for r in paper_run.results}
     assert len(pops) == 24

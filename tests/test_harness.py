@@ -1,6 +1,5 @@
 import math
-import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -150,13 +149,9 @@ def oracle_metrics(run):
         ok = r.valid()
         for name in harness.PATE_ESTIMATORS + harness.MODERATOR_ESTIMATORS:
             with_power = name in harness.PATE_ESTIMATORS
-            target = r.pate if with_power else r.slope
-            if ok.shape[0] == 0:
-                out.append((math.nan,) * 4
-                           + ((math.nan,) if with_power else (None,)))
-            else:
-                out.append(oracle_estimator_metrics(
-                    *oracle_estimates(ok, name), target, with_power))
+            target = r.bundle.pate if with_power else r.bundle.slope
+            out.append(oracle_estimator_metrics(
+                *oracle_estimates(ok, name), target, with_power))
     return out
 
 
@@ -164,12 +159,10 @@ def oracle_attenuation(run):
     out = []
     for r in run.results:
         ok = r.valid()
-        if ok.shape[0] == 0:
-            continue
         for name in harness.MODERATOR_ESTIMATORS:
             est, var = oracle_estimates(ok, name)
             half = norm_ppf(0.975) * np.sqrt(var)
-            err = est - r.slope
+            err = est - r.bundle.slope
             out.append((float(err.mean()),
                         float(est.std(ddof=1) / math.sqrt(est.shape[0]))
                         if est.shape[0] > 1 else math.nan,
@@ -180,7 +173,8 @@ def oracle_attenuation(run):
 def oracle_policy_block(results):
     means = [[float(r.valid()[:, col].mean()) for r in results]
              for col in (10, 11)]
-    return {"oracle": float(np.mean([r.oracle_value for r in results])),
+    return {"oracle": float(np.mean([r.bundle.oracle_value
+                                     for r in results])),
             "estimated": float(np.mean(means[0])),
             "restricted": float(np.mean(means[1])),
             "n_scenarios": len(results)}
@@ -232,13 +226,6 @@ def tied_baselines(params, rng):
     return Population(baseline=baseline, po=pop.po)
 
 
-def all_rows_failed(result):
-    raw = result.raw.copy()
-    raw[:, 4:12] = raw[:, 13] = math.nan
-    raw[:, 12] = 1.0
-    return replace(result, raw=raw, n_fail=raw.shape[0])
-
-
 def failing_run(monkeypatch):
     monkeypatch.setattr(harness, "MAX_FAILURE_RATE", 1.0)
     monkeypatch.setattr(harness, "generate_population", tied_baselines)
@@ -256,33 +243,18 @@ def single_replicate_run(monkeypatch):
                                        beta_mods=(-0.5, 0.0)), 9)
 
 
-def run_with_a_scenario_all_failed(monkeypatch):
-    run = harness.run_grid(small_grid(), 10)
-    results = list(run.results)
-    results[0] = all_rows_failed(results[0])
-    results[5] = all_rows_failed(results[5])
-    return harness.GridResult(grid=run.grid, master_seed=run.master_seed,
-                              scenarios=run.scenarios, results=results,
-                              bundles=run.bundles)
-
-
-@pytest.mark.parametrize("make_run", [
-    failing_run, single_replicate_run, run_with_a_scenario_all_failed])
+@pytest.mark.parametrize("make_run", [failing_run, single_replicate_run])
 def test_tables_match_the_per_column_reductions_bit_for_bit(make_run,
                                                             monkeypatch):
     run = make_run(monkeypatch)
     rows = harness.metrics_rows(run)
     got = [(r.bias, r.rmse, r.coverage, r.ci_width, r.power) for r in rows]
     attenuation = harness.attenuation_table(run)
-    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
-        # the oracle takes means of empty columns where every row failed
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert bits_of(got) == bits_of(oracle_metrics(run))
-        assert bits_of([(a["bias"], a["bias_se"], a["coverage"])
-                        for a in attenuation]) == bits_of(
-            oracle_attenuation(run))
-        assert bits_of(harness.policy_summary(run)) == bits_of(
-            oracle_policy_summary(run))
+    assert bits_of(got) == bits_of(oracle_metrics(run))
+    assert bits_of([(a["bias"], a["bias_se"], a["coverage"])
+                    for a in attenuation]) == bits_of(oracle_attenuation(run))
+    assert bits_of(harness.policy_summary(run)) == bits_of(
+        oracle_policy_summary(run))
     # every number is a Python float, as metrics.csv's `%.17g` expects
     assert {type(v) for row in got for v in row} <= {float, type(None)}
     # an attenuation row reports its metrics row's bias and coverage
@@ -292,10 +264,19 @@ def test_tables_match_the_per_column_reductions_bit_for_bit(make_run,
                       a["estimator"])]
         assert bits(a["bias"]) == bits(row.bias)
         assert bits(a["coverage"]) == bits(row.coverage)
-    empty = [r.n_fail == r.raw.shape[0] for r in run.results]
-    assert len(attenuation) == 2 * empty.count(False)
-    assert [("no-valid-replicates" in r.warnings) for r in rows] == [
-        e for e in empty for _ in range(5)]
+    assert len(attenuation) == 2 * len(run.results)
+    # a power row reports its metrics row's power, with a binomial SE over
+    # the scenario's valid replicates
+    pate_rows = [r for r in rows if r.power is not None]
+    power = harness.power_table(run)
+    assert len(power) == len(pate_rows) == 3 * len(run.results)
+    for p, row in zip(power, pate_rows):
+        assert (p["estimator"], p["n"], p["m"], p["tau"]) == (
+            row.estimator, row.n, row.m, row.tau)
+        reps = run.grid.n_replicates - row.n_fail
+        assert bits(p["power"]) == bits(row.power)
+        assert bits(p["power_se"]) == bits(math.sqrt(
+            max(row.power * (1.0 - row.power), 1e-12) / reps))
 
 
 def test_draw_replicates_keeps_the_stream():
@@ -444,6 +425,20 @@ def test_scenario_streams_are_content_keyed():
     assert np.array_equal(match[0].raw, narrow.results[0].raw)
 
 
+@pytest.mark.parametrize("axis", ["taus", "beta_mods", "sd_eps1s"])
+def test_adding_zero_keeps_the_negative_zero_scenarios(axis):
+    # the grid groups -0.0 with 0.0, and so do the content keys: adding
+    # the point 0.0 leaves the results of the -0.0 scenarios as they were
+    narrow = harness.run_grid(small_grid(**{axis: (-0.0,)}), 7)
+    wide = harness.run_grid(small_grid(**{axis: (0.0, -0.0)}), 7)
+    for result in narrow.results:
+        match = [r for r in wide.results if r.scenario == result.scenario]
+        assert len(match) == 2  # -0.0 == 0.0
+        for other in match:
+            assert np.array_equal(other.raw, result.raw)
+            assert other.reduction == result.reduction
+
+
 def test_master_seed_changes_results():
     grid = small_grid(taus=(0.3,), sample_sizes=(100,),
                       samples_per_plot=(math.inf,))
@@ -513,12 +508,12 @@ def test_moderator_rows_have_no_power():
     rows = harness.metrics_rows(run)
     assert {r.estimator for r in rows} == {"dim", "did", "ols", "mod",
                                           "naive"}
+    slopes = {r.scenario.pop_key: r.bundle.slope for r in run.results}
     for r in rows:
         if r.estimator in harness.MODERATOR_ESTIMATORS:
             assert r.power is None
             # the population's own slope, which is beta_mod at sd_eps1 = 0
-            assert r.target == run.bundles[(r.tau, r.beta_mod,
-                                            r.sd_eps1)].slope
+            assert r.target == slopes[(r.tau, r.beta_mod, r.sd_eps1)]
             assert abs(r.target - r.beta_mod) <= 1e-12
         else:
             assert r.power is not None
@@ -568,8 +563,7 @@ def test_policy_summary_blocks():
 
 def test_power_table_contents():
     run = harness.run_grid(small_grid(), 3)
-    table = harness.power_table(harness.metrics_rows(run),
-                                run.grid.n_replicates)
+    table = harness.power_table(run)
     assert len(table) == 3 * len(run.results)
     for row in table:
         assert 0.0 <= row["power"] <= 1.0
@@ -584,14 +578,18 @@ def test_attenuation_table_contents():
         harness.MODERATOR_ESTIMATORS)
 
 
-def test_scenario_abort_on_mass_failure():
+@pytest.mark.parametrize("n_replicates", [1, 40])
+def test_scenario_abort_on_mass_failure(n_replicates):
+    # the tables rely on this rule: under it every scenario that a run
+    # returns keeps at least one valid replicate
+    assert harness.MAX_FAILURE_RATE < 1
     # constant baseline makes every replicate degenerate
     n_pop = 100
     baseline = np.full(n_pop, 2.0)
     po = np.column_stack([np.ones(n_pop), np.ones(n_pop) * 1.5])
     pop = Population(baseline=baseline, po=po)
     bundle = harness.build_bundle(pop)
-    grid = small_grid(population_size=n_pop)
+    grid = small_grid(population_size=n_pop, n_replicates=n_replicates)
     scenario = harness.Scenario(0.0, -0.5, 0.0, 10, math.inf)
     with pytest.raises(ScenarioAbortError):
         harness.run_scenario(grid, scenario, bundle, 1)
@@ -605,8 +603,10 @@ def test_a_reduction_that_overflows_raises_param_error(column, value):
     raw[:, 1:10:2] = 1.0
     raw[:, column] = value
     raw[:, kernels.KERNEL_COLUMNS.index("mod_scale_var")] = value
+    pop = generate_population(
+        small_grid().population_params(0.0, -0.5, 0.0), 1)
     result = harness.ScenarioResult(
         scenario=harness.Scenario(0.0, -0.5, 0.0, 10, math.inf), raw=raw,
-        n_fail=0, pate=0.0, slope=-0.5, oracle_value=0.0)
+        n_fail=0, bundle=harness.build_bundle(pop))
     with pytest.raises(ParamError, match="the metrics overflow"):
         result.reduction

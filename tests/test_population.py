@@ -23,6 +23,15 @@ def test_generation_is_deterministic():
     assert np.array_equal(a.po, b.po)
 
 
+@pytest.mark.parametrize("name", ["sd_control_change", "sd_eps1"])
+def test_a_negative_zero_sd_draws_as_zero(name):
+    # numpy refuses a scale of -0.0, which the parameters accept as zero
+    a = generate_population(params(**{name: -0.0}), 7)
+    b = generate_population(params(**{name: 0.0}), 7)
+    assert a.baseline.tobytes() == b.baseline.tobytes()
+    assert a.po.tobytes() == b.po.tobytes()
+
+
 def test_different_seeds_differ():
     a = generate_population(params(), 7)
     b = generate_population(params(), 8)
