@@ -44,10 +44,17 @@ MIN_SAMPLE_SIZE = 6
 
 _Z975 = norm_ppf(0.975)
 
-#: Kernel column that the `mod` variance adds to its HC2 column.
-_MOD_SCALE_VAR = kernels.KERNEL_COLUMNS.index("mod_scale_var")
-PATE_ESTIMATORS = ("dim", "did", "ols")
-MODERATOR_ESTIMATORS = ("mod", "naive")
+#: The estimators in metrics.csv order: name, estimate column and the
+#: columns that sum to its variance, by `kernels.KERNEL_COLUMNS` name, and
+#: target, `pate` (which has power) or the population's `slope`.
+ESTIMATORS = (
+    ("dim", "dim_est", ("dim_var",), "pate"),
+    ("did", "did_est", ("did_var",), "pate"),
+    ("ols", "ols_est", ("ols_var",), "pate"),
+    ("mod", "mod_est", ("mod_var", "mod_scale_var"), "slope"),
+    ("naive", "naive_est", ("naive_var",), "slope"))
+PATE_ESTIMATORS = tuple(e[0] for e in ESTIMATORS if e[3] == "pate")
+MODERATOR_ESTIMATORS = tuple(e[0] for e in ESTIMATORS if e[3] == "slope")
 
 
 @dataclass(frozen=True)
@@ -69,9 +76,15 @@ class ScenarioGrid:
 
     def __post_init__(self):
         check_field_types(self)
-        for field in fields(self):  # an axis is a field with no default
-            if field.default is MISSING and not getattr(self, field.name):
-                raise ParamError(f"{field.name} must be nonempty")
+        for name in (f.name for f in fields(self) if f.default is MISSING):
+            axis = getattr(self, name)  # an axis is a field with no default
+            if not axis:
+                raise ParamError(f"{name} must be nonempty")
+            repeat = tables.first_repeat(axis)  # -0.0 repeats 0.0
+            if repeat is not None:
+                first = axis[axis.index(axis[repeat])]
+                raise ParamError(f"{name} must hold distinct values: "
+                                 f"{axis[repeat]!r} repeats {first!r}")
         for n in self.sample_sizes:
             if n < MIN_SAMPLE_SIZE or n % 2:
                 raise ParamError(f"sample_sizes must be even integers >= "
@@ -250,7 +263,8 @@ class ScenarioResult:
     bundle: PopulationBundle
 
     def valid(self) -> np.ndarray:
-        return self.raw[self.raw[:, 12] == 0.0]
+        return self.raw[self.raw[:, kernels.KERNEL_COLUMNS.index("fail")]
+                        == 0.0]
 
     @cached_property
     def reduction(self) -> dict:
@@ -259,25 +273,30 @@ class ScenarioResult:
         least one.
 
         `target`, `bias`, `rmse`, `coverage`, `ci_width`, `power` and
-        `bias_se` list dim, did, ols, mod and naive, in that order, judged
-        against the PATE or the population's own `slope`; `value` holds
-        the mean estimated and restricted policy values, `gap_mean` and
-        `gap_var` the mean of their difference and its variance (0 below
-        two rows).  The `mod` variance adds to HC2 the delta-method term
-        for the sample SD that scales its baseline.  Estimates and
-        variances are stacked as C-contiguous (5, k) rows, which numpy sums
-        in the same pairwise order as each lone column, so no digit depends
-        on the stacking.  A sum that overflows raises ParamError.
+        `bias_se` list the `ESTIMATORS` in order, each judged against its
+        target in the bundle; `value` holds the mean estimated and
+        restricted policy values, `gap_mean` and `gap_var` the mean of
+        their difference and its variance (0 below two rows).  The `mod`
+        variance adds to HC2 the delta-method term for the sample SD that
+        scales its baseline.  Estimates and variances are stacked as
+        C-contiguous (estimators, k) rows, which numpy sums in the same
+        pairwise order as each lone column, so no digit depends on the
+        stacking.  A sum that overflows raises ParamError.
         """
         ok = self.valid()
         k = ok.shape[0]
-        est = np.ascontiguousarray(ok[:, 0:10:2].T)
-        var = np.ascontiguousarray(ok[:, 1:10:2].T)
-        value = np.ascontiguousarray(ok[:, 10:12].T)
-        target = np.array([self.bundle.pate] * 3 + [self.bundle.slope] * 2)
+        col = kernels.KERNEL_COLUMNS.index
+        est = np.ascontiguousarray(ok[:, [col(e[1]) for e in ESTIMATORS]].T)
+        var = np.ascontiguousarray(
+            ok[:, [col(e[2][0]) for e in ESTIMATORS]].T)
+        value = np.ascontiguousarray(
+            ok[:, [col("policy_value"), col("restricted_value")]].T)
+        target = np.array([getattr(self.bundle, e[3]) for e in ESTIMATORS])
         try:
             with np.errstate(invalid="ignore", over="raise"):
-                var[3] += ok[:, _MOD_SCALE_VAR]
+                for row, (_, _, names, _) in zip(var, ESTIMATORS):
+                    for name in names[1:]:
+                        row += ok[:, col(name)]
                 err = est - target[:, np.newaxis]
                 half = _Z975 * np.sqrt(var)
                 gap = value[0] - value[1]
@@ -289,7 +308,7 @@ class ScenarioResult:
                     "ci_width": (2.0 * half).sum(axis=1) / k,
                     "power": (est - half > 0.0).sum(axis=1) / k,
                     "bias_se": est.std(axis=1, ddof=1) / math.sqrt(k)
-                    if k > 1 else np.full(5, math.nan),
+                    if k > 1 else np.full(len(est), math.nan),
                     # the mean realized policy values, estimated and
                     # restricted
                     "value": value.sum(axis=1) / k,
@@ -333,7 +352,7 @@ def run_scenario(grid: ScenarioGrid, scenario: Scenario,
     except FloatingPointError as exc:
         raise ParamError(f"scenario {scenario}: the measurements overflow: "
                          f"{exc}") from exc
-    n_fail = int((raw[:, 12] != 0.0).sum())
+    n_fail = int((raw[:, kernels.KERNEL_COLUMNS.index("fail")] != 0.0).sum())
     if n_fail > MAX_FAILURE_RATE * reps:
         raise ScenarioAbortError(
             f"scenario {scenario}: {n_fail}/{reps} replicates failed, "
@@ -358,8 +377,9 @@ def run_grid(grid: ScenarioGrid, master_seed: int,
 
     Populations are generated up front, one per parameter combination,
     and parameters that give a population with a value or a sum past
-    float64 raise ParamError.  Output is identical for any thread count because each scenario owns
-    a content-keyed random stream and results are ordered by the grid.
+    float64 raise ParamError.  Output is identical for any thread count
+    because each scenario owns a content-keyed random stream and results
+    are ordered by the grid.
     """
     scenarios = grid_scenarios(grid)
     bundles = {}
@@ -397,14 +417,14 @@ def scenario_metrics(result: ScenarioResult) -> list:
     if result.raw.shape[0] == 1:
         warn.append("single-replicate")
     rows = []
-    for i, name in enumerate(PATE_ESTIMATORS + MODERATOR_ESTIMATORS):
+    for i, (name, _, _, target) in enumerate(ESTIMATORS):
         rows.append(MetricsRow(
             tau=sc.tau, beta_mod=sc.beta_mod, sd_eps1=sc.sd_eps1,
             n=sc.n, m=sc.m, estimator=name,
             target=red["target"][i],
             bias=red["bias"][i], rmse=red["rmse"][i],
             coverage=red["coverage"][i], ci_width=red["ci_width"][i],
-            power=red["power"][i] if name in PATE_ESTIMATORS else None,
+            power=red["power"][i] if target == "pate" else None,
             n_fail=result.n_fail, warnings=";".join(warn)))
     return rows
 
@@ -514,13 +534,12 @@ def power_table(run: GridResult) -> list:
     for result in run.results:
         sc, red = result.scenario, result.reduction
         reps = result.raw.shape[0] - result.n_fail
-        for name, power in zip(PATE_ESTIMATORS, red["power"]):
-            se = math.sqrt(max(power * (1.0 - power), 1e-12) / reps)
-            out.append({
-                "estimator": name, "n": sc.n, "m": sc.m, "tau": sc.tau,
-                "tau_relative": sc.tau / BASELINE_MEAN, "power": power,
-                "power_se": se,
-            })
+        out.extend({
+            "estimator": name, "n": sc.n, "m": sc.m, "tau": sc.tau,
+            "tau_relative": sc.tau / BASELINE_MEAN, "power": power,
+            "power_se": math.sqrt(max(power * (1.0 - power), 1e-12) / reps)}
+            for (name, _, _, target), power in zip(ESTIMATORS, red["power"])
+            if target == "pate")
     return out
 
 
@@ -535,11 +554,11 @@ def attenuation_table(run: GridResult) -> list:
     out = []
     for result in run.results:
         sc, red = result.scenario, result.reduction
-        for i, name in enumerate(MODERATOR_ESTIMATORS, len(PATE_ESTIMATORS)):
-            out.append({
-                "estimator": name, "n": sc.n, "m": sc.m, "tau": sc.tau,
-                "beta_mod": sc.beta_mod, "sd_eps1": sc.sd_eps1,
-                "bias": red["bias"][i], "bias_se": red["bias_se"][i],
-                "coverage": red["coverage"][i],
-            })
+        out.extend({
+            "estimator": name, "n": sc.n, "m": sc.m, "tau": sc.tau,
+            "beta_mod": sc.beta_mod, "sd_eps1": sc.sd_eps1,
+            "bias": red["bias"][i], "bias_se": red["bias_se"][i],
+            "coverage": red["coverage"][i]}
+            for i, (name, _, _, target) in enumerate(ESTIMATORS)
+            if target == "slope")
     return out

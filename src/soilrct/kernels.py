@@ -262,15 +262,16 @@ def _kernel_block(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
                  + _var1(diffs[:, n0:], mean_dt) / n1)
     # the restricted regime treats everyone iff the treated mean is higher
     out[:, 11] = np.where(mean_t > mean_c, mean_y1, mean_y0)
-    out[:, 12] = 0.0
     _regressions(bobs, diffs, fits, fpc, out)
     _policy(fits, sort_b, cum0, cum1, out)
     # the pooled baseline then varies too (see `_regressions`)
     ok = varies0 & varies1
+    out[:, KERNEL_COLUMNS.index("fail")] = ~ok
     if not ok.all():
-        out[~ok, 4:12] = np.nan
-        out[~ok, 12] = 1.0
-        out[~ok, 13] = np.nan
+        for name in ("ols_est", "ols_var", "mod_est", "mod_var", "naive_est",
+                     "naive_var", "policy_value", "restricted_value",
+                     "mod_scale_var"):
+            out[~ok, KERNEL_COLUMNS.index(name)] = np.nan
 
 
 def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
@@ -286,17 +287,18 @@ def scenario_kernel(b, y0, y1, sort_b, cum0, cum1, mean_y0, mean_y1,
     scenario's `sd_fpc`, computed from `b` when None.  Returns a
     (replicates, 14) array laid out as `KERNEL_COLUMNS`.
 
-    Column 7 is the HC2 variance of the moderator with the sample SD of
-    baseline held fixed; column 13 (`mod_scale_var`) is what that SD's
-    own sampling error adds, so the moderator's variance is their sum.
+    `mod_var` is the HC2 variance of the moderator with the sample SD of
+    baseline held fixed, and `mod_scale_var` what that SD's own sampling
+    error adds, so the moderator's variance is their sum.
 
     A replicate whose observed baseline is constant overall or within an
     arm, or whose per-arm sum of squares S has a square below the
     smallest normal float (baselines that spread by less than about
-    1e-77), gets NaN in columns 4-11 and 13, and `fail` = 1.  No other
-    replicate fails: the per-arm line fits need nothing more, and every
-    sum of squares they divide by is then a normal float.  A value that
-    overflows raises FloatingPointError.
+    1e-77), gets `fail` = 1 and NaN in `ols_est`, `ols_var`, `mod_est`,
+    `mod_var`, `naive_est`, `naive_var`, `policy_value`, `restricted_value`
+    and `mod_scale_var`.  No other replicate fails: the per-arm line fits
+    need nothing more, and every sum of squares they divide by is then a
+    normal float.  A value that overflows raises FloatingPointError.
     """
     reps, n = perm.shape
     out = np.empty((reps, N_KERNEL_COLUMNS))

@@ -1327,6 +1327,9 @@ KEYED_REFUSALS = [
     ("beta_mods", "[1.0e+400]", "beta_mod must be finite"),
     ("sample_sizes", "[7]", "must be even integers >= 6, got 7"),
     ("population_size", "1", "cannot enroll 10 plots"),
+    ("taus", "[0.0, -0.0]", "must hold distinct values: -0.0 repeats 0.0"),
+    ("samples_per_plot", "[inf, inf]",
+     "must hold distinct values: inf repeats inf"),
 ]
 
 

@@ -279,6 +279,35 @@ def test_tables_match_the_per_column_reductions_bit_for_bit(make_run,
             max(row.power * (1.0 - row.power), 1e-12) / reps))
 
 
+def test_estimator_table_names_kernel_columns_in_metrics_order(monkeypatch):
+    names = [name for name, *_ in harness.ESTIMATORS]
+    # metrics.csv lists a scenario's estimators in this order, which its
+    # golden digest pins
+    assert names == ["dim", "did", "ols", "mod", "naive"]
+    rows = harness.metrics_rows(single_replicate_run(monkeypatch))
+    assert [r.estimator for r in rows[:len(names)]] == names
+    assert harness.PATE_ESTIMATORS == ("dim", "did", "ols")
+    assert harness.MODERATOR_ESTIMATORS == ("mod", "naive")
+    for _, estimate, variances, target in harness.ESTIMATORS:
+        assert {estimate, *variances} <= set(kernels.KERNEL_COLUMNS)
+        assert target in ("pate", "slope")
+    assert harness.ESTIMATORS[3][2] == ("mod_var", "mod_scale_var")
+
+
+@pytest.mark.parametrize("make_run", [failing_run, single_replicate_run])
+def test_a_trailing_kernel_column_leaves_the_reduction(make_run,
+                                                       monkeypatch):
+    # a column appended to the kernel's output moves no reduced number
+    rng = np.random.default_rng(5)
+    for result in make_run(monkeypatch).results:
+        extra = rng.standard_normal((result.raw.shape[0], 1))
+        wider = harness.ScenarioResult(
+            scenario=result.scenario,
+            raw=np.concatenate((result.raw, extra), axis=1),
+            n_fail=result.n_fail, bundle=result.bundle)
+        assert bits_of(wider.reduction) == bits_of(result.reduction)
+
+
 def test_draw_replicates_keeps_the_stream():
     # stream 2: one `choice` subset per replicate, then the noise block
     assert design.RNG_STREAM == 2
@@ -426,17 +455,35 @@ def test_scenario_streams_are_content_keyed():
 
 
 @pytest.mark.parametrize("axis", ["taus", "beta_mods", "sd_eps1s"])
-def test_adding_zero_keeps_the_negative_zero_scenarios(axis):
-    # the grid groups -0.0 with 0.0, and so do the content keys: adding
-    # the point 0.0 leaves the results of the -0.0 scenarios as they were
+def test_a_negative_zero_point_runs_on_the_streams_of_zero(axis):
+    # the grid groups -0.0 with 0.0, and so do the content keys: the -0.0
+    # scenarios give the results of the 0.0 ones in a wider grid
     narrow = harness.run_grid(small_grid(**{axis: (-0.0,)}), 7)
-    wide = harness.run_grid(small_grid(**{axis: (0.0, -0.0)}), 7)
+    wide = harness.run_grid(small_grid(**{axis: (0.0, 0.5)}), 7)
     for result in narrow.results:
         match = [r for r in wide.results if r.scenario == result.scenario]
-        assert len(match) == 2  # -0.0 == 0.0
-        for other in match:
-            assert np.array_equal(other.raw, result.raw)
-            assert other.reduction == result.reduction
+        assert len(match) == 1  # -0.0 == 0.0
+        assert np.array_equal(match[0].raw, result.raw)
+        assert match[0].reduction == result.reduction
+
+
+#: An axis of each kind that repeats a value, the repeat last; the grid
+#: takes -0.0 as 0.0, so that pair repeats too.
+REPEATED_AXES = [("taus", (0.0, -0.0)), ("beta_mods", (-0.5, 0.0, -0.5)),
+                 ("sd_eps1s", (0.1, 0.1)), ("sample_sizes", (10, 100, 10)),
+                 ("samples_per_plot", (math.inf, math.inf))]
+
+
+@pytest.mark.parametrize("axis, values", REPEATED_AXES,
+                         ids=[axis for axis, _ in REPEATED_AXES])
+def test_grid_refuses_an_axis_that_repeats_a_value(axis, values):
+    # each scenario of a repeated value would run, and be reported, twice
+    with pytest.raises(ParamError) as refused:
+        small_grid(**{axis: values})
+    assert str(refused.value) == (
+        f"{axis} must hold distinct values: {values[-1]!r} repeats "
+        f"{values[0]!r}")
+    assert getattr(small_grid(**{axis: values[:-1]}), axis) == values[:-1]
 
 
 def test_master_seed_changes_results():
