@@ -255,10 +255,13 @@ def _write_run(run_dir, run, grid_name, threads, digest) -> None:
     summary = harness.policy_summary(run)
     (run_dir / "policy_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_dicts(run_dir / "power_curves.csv", harness.POWER_HEADER,
-                 harness.power_table(run))
-    _write_dicts(run_dir / "attenuation.csv", harness.ATTENUATION_HEADER,
-                 harness.attenuation_table(run))
+    for name, header, table in (
+            ("power_curves.csv", harness.POWER_HEADER, harness.power_table),
+            ("attenuation.csv", harness.ATTENUATION_HEADER,
+             harness.attenuation_table)):
+        rows = table(run)
+        tables.write(run_dir / name, header,
+                     [[row[key] for row in rows] for key in header])
     outputs = ["metrics.csv", "policy_summary.json", "power_curves.csv",
                "attenuation.csv"]
     manifest = {
@@ -279,10 +282,6 @@ def _write_run(run_dir, run, grid_name, threads, digest) -> None:
     }
     (run_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _write_dicts(path, header, table) -> None:
-    tables.write(path, header, [[row[key] for row in table] for key in header])
 
 
 @main.command()

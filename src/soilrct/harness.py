@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -322,6 +323,31 @@ class ScenarioResult:
         out["gap_var"] = gap_var
         return out
 
+    @cached_property
+    def rows(self) -> list:
+        """One dict per estimator, in `ESTIMATORS` order, of every cell the
+        run's per-estimator tables report of it: the scenario's fields,
+        `tau_relative`, the estimator's `reduction` numbers, `power` and its
+        binomial `power_se` over the valid replicates (None for `mod` and
+        `naive`), `n_fail` and `warnings`."""
+        sc, red = self.scenario, self.reduction
+        reps = self.raw.shape[0] - self.n_fail
+        warn = [f"failures={self.n_fail}"] if self.n_fail else []
+        if self.raw.shape[0] == 1:
+            warn.append("single-replicate")
+        shared = dict(vars(sc), tau_relative=sc.tau / BASELINE_MEAN,
+                      n_fail=self.n_fail, warnings=";".join(warn))
+        rows = []
+        for i, (name, _, _, target) in enumerate(ESTIMATORS):
+            p = red["power"][i] if target == "pate" else None
+            rows.append(dict(
+                shared, estimator=name, power=p, power_se=None if p is None
+                else math.sqrt(max(p * (1.0 - p), 1e-12) / reps),
+                **{key: red[key][i] for key in (
+                    "target", "bias", "rmse", "coverage", "ci_width",
+                    "bias_se")}))
+        return rows
+
 
 def kernel_inputs(grid: ScenarioGrid, scenario: Scenario,
                   bundle: PopulationBundle, master_seed: int) -> tuple:
@@ -407,33 +433,11 @@ def run_grid(grid: ScenarioGrid, master_seed: int,
                       scenarios=scenarios, results=results)
 
 
-def scenario_metrics(result: ScenarioResult) -> list:
-    """Metric rows for every estimator of one scenario."""
-    sc = result.scenario
-    red = result.reduction
-    warn = []
-    if result.n_fail:
-        warn.append(f"failures={result.n_fail}")
-    if result.raw.shape[0] == 1:
-        warn.append("single-replicate")
-    rows = []
-    for i, (name, _, _, target) in enumerate(ESTIMATORS):
-        rows.append(MetricsRow(
-            tau=sc.tau, beta_mod=sc.beta_mod, sd_eps1=sc.sd_eps1,
-            n=sc.n, m=sc.m, estimator=name,
-            target=red["target"][i],
-            bias=red["bias"][i], rmse=red["rmse"][i],
-            coverage=red["coverage"][i], ci_width=red["ci_width"][i],
-            power=red["power"][i] if target == "pate" else None,
-            n_fail=result.n_fail, warnings=";".join(warn)))
-    return rows
-
-
 def metrics_rows(run: GridResult) -> list:
-    rows = []
-    for result in run.results:
-        rows.extend(scenario_metrics(result))
-    return rows
+    """The metrics.csv rows of `run`: one per scenario and estimator."""
+    pick = itemgetter(*METRICS_HEADER)
+    return [MetricsRow._make(pick(row))
+            for result in run.results for row in result.rows]
 
 
 def _number(cell) -> float:
@@ -516,7 +520,11 @@ def policy_summary(run: GridResult) -> dict:
         by_beta = {}
         for beta in sorted({r.scenario.beta_mod for r in null_tau}):
             members = [r for r in null_tau if r.scenario.beta_mod == beta]
-            by_beta[format(beta, "g")] = _gap_stats(members)
+            # six digits where they give beta back, else all it needs, so
+            # that distinct betas never share a key
+            key = format(beta, "g")
+            by_beta[key if float(key) == beta else repr(beta)] = _gap_stats(
+                members)
         summary["null_tau_gap_by_beta_mod"] = by_beta
     return summary
 
@@ -530,17 +538,9 @@ def power_table(run: GridResult) -> list:
     """Power per (estimator, n, m, tau), with the effect also expressed
     relative to the baseline mean and a binomial Monte Carlo SE over the
     scenario's valid replicates."""
-    out = []
-    for result in run.results:
-        sc, red = result.scenario, result.reduction
-        reps = result.raw.shape[0] - result.n_fail
-        out.extend({
-            "estimator": name, "n": sc.n, "m": sc.m, "tau": sc.tau,
-            "tau_relative": sc.tau / BASELINE_MEAN, "power": power,
-            "power_se": math.sqrt(max(power * (1.0 - power), 1e-12) / reps)}
-            for (name, _, _, target), power in zip(ESTIMATORS, red["power"])
-            if target == "pate")
-    return out
+    return [{key: row[key] for key in POWER_HEADER}
+            for result in run.results for row in result.rows
+            if row["estimator"] in PATE_ESTIMATORS]
 
 
 #: attenuation.csv columns, the keys of each `attenuation_table` row.
@@ -551,14 +551,6 @@ ATTENUATION_HEADER = ["estimator", "n", "m", "tau", "beta_mod", "sd_eps1",
 def attenuation_table(run: GridResult) -> list:
     """Moderator bias and coverage per (estimator, n, m), with the Monte
     Carlo SE of the bias for step-size comparisons."""
-    out = []
-    for result in run.results:
-        sc, red = result.scenario, result.reduction
-        out.extend({
-            "estimator": name, "n": sc.n, "m": sc.m, "tau": sc.tau,
-            "beta_mod": sc.beta_mod, "sd_eps1": sc.sd_eps1,
-            "bias": red["bias"][i], "bias_se": red["bias_se"][i],
-            "coverage": red["coverage"][i]}
-            for i, (name, _, _, target) in enumerate(ESTIMATORS)
-            if target == "slope")
-    return out
+    return [{key: row[key] for key in ATTENUATION_HEADER}
+            for result in run.results for row in result.rows
+            if row["estimator"] in MODERATOR_ESTIMATORS]

@@ -222,7 +222,9 @@ def generate_population(params: PopulationParams, seed) -> Population:
     y0 = b + eps0
     sd_b = b.std()
     if sd_b == 0.0:
-        raise ParamError("degenerate baseline draw: zero spread")
+        raise ParamError(f"degenerate baseline draw: zero spread from mu_b "
+                         f"{params.mu_b!r} and sd_b_across "
+                         f"{params.sd_b_across!r}")
     b_tilde = (b - b.mean()) / sd_b
     y1 = y0 + params.tau + params.beta_mod * b_tilde + eps1
     return Population(baseline=b, po=np.column_stack([y0, y1]))

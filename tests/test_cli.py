@@ -1330,6 +1330,9 @@ KEYED_REFUSALS = [
     ("taus", "[0.0, -0.0]", "must hold distinct values: -0.0 repeats 0.0"),
     ("samples_per_plot", "[inf, inf]",
      "must hold distinct values: inf repeats inf"),
+    # every baseline draw rounds to 1e20 at the default sd_b_across
+    ("mu_b", "1.0e+20",
+     "zero spread from mu_b 1e+20 and sd_b_across 0.47"),
 ]
 
 

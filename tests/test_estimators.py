@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -6,9 +7,14 @@ import pytest
 
 from support import csv_row
 from soilrct.design import ObservedStudy
-from soilrct.errors import FitError, InsufficientDataError, ParamError
-from soilrct.estimators import (diff_in_diffs, diff_in_means, naive_moderator,
+from soilrct.errors import (DimensionError, FitError, InsufficientDataError,
+                            ParamError)
+from soilrct.estimators import (diff_in_diffs, diff_in_means,
+                                interaction_design, naive_moderator,
                                 ols_interaction)
+from soilrct.linalg import qr_factor
+from soilrct.policy import CostModel, optimal_budgeted, optimal_unconstrained
+from soilrct.population import Population
 from soilrct.stats import norm_ppf
 
 
@@ -18,6 +24,37 @@ def study_from(b, y, z, covariates=None):
                          arm=np.asarray(z, int),
                          source_index=np.arange(b.shape[0]),
                          covariates_obs=covariates)
+
+
+#: Shape refusals of the library that no command reaches: a call and the
+#: message of the DimensionError it raises.
+SHAPE_REFUSALS = {
+    "qr_factor-1d": (lambda: qr_factor(np.ones(3)),
+                     "design must be 2-D, got shape (3,)"),
+    "interaction_design-intercept-only": (
+        lambda: interaction_design(study_from(
+            [0, 1, 2, 3], [1, 2, 3, 4], [0, 0, 1, 1], np.ones((4, 1)))),
+        "interaction model needs at least one covariate"),
+    "optimal_unconstrained-one-arm": (
+        lambda: optimal_unconstrained(np.ones((3, 1))),
+        "imputed must be an N x K matrix with K >= 2"),
+    "optimal_budgeted-cost-shape": (
+        lambda: optimal_budgeted(np.ones((3, 2)), CostModel(np.ones((2, 2)))),
+        "imputed (3, 2) and cost (2, 2) disagree"),
+    "Population-2d-baseline": (
+        lambda: Population(baseline=np.ones((2, 2)), po=np.ones((2, 2))),
+        "baseline must be a vector"),
+    "Population-one-outcome": (
+        lambda: Population(baseline=np.arange(3.0), po=np.ones((3, 1))),
+        "po must be 3 x K with K >= 2, got shape (3, 1)"),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_REFUSALS.values(),
+                         ids=SHAPE_REFUSALS)
+def test_shape_refusals_name_the_shape(call, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_dim_hand_case():

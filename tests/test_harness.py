@@ -608,6 +608,23 @@ def test_policy_summary_blocks():
         assert block["oracle"] >= block["restricted"] - 1e-9
 
 
+def test_policy_summary_keys_every_beta_mod_apart():
+    # -0.5000001 agrees with -0.5 to the six digits of a "g" key, so it is
+    # keyed by its repr and neither group replaces the other
+    betas = (-0.5, -0.5000001)
+    run = harness.run_grid(small_grid(taus=(0.0,), beta_mods=betas,
+                                      sample_sizes=(10,),
+                                      samples_per_plot=(math.inf,)), 3)
+    summary = harness.policy_summary(run)
+    by_beta = summary["null_tau_gap_by_beta_mod"]
+    assert list(by_beta) == ["-0.5000001", "-0.5"]
+    assert summary["null_tau"]["n_scenarios"] == len(by_beta)
+    for beta in betas:
+        members = [r for r in run.results if r.scenario.beta_mod == beta]
+        assert bits_of(by_beta[repr(beta)]) == bits_of(
+            oracle_gap_stats(members))
+
+
 def test_power_table_contents():
     run = harness.run_grid(small_grid(), 3)
     table = harness.power_table(run)
