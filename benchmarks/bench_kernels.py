@@ -38,8 +38,9 @@ def best_and_mean(fn, repeat):
 
 
 def kernel_args(n, replicates, n_pop):
-    grid = harness.ScenarioGrid.paper_defaults(
-        n_replicates=replicates, population_size=n_pop, sample_sizes=(n,))
+    grid = harness.ScenarioGrid.preset(
+        "paper", n_replicates=replicates, population_size=n_pop,
+        sample_sizes=(n,))
     scenario = harness.Scenario(tau=0.15, beta_mod=-0.5, sd_eps1=0.2, n=n,
                                 m=5.0)
     pop = generate_population(grid.population_params(*scenario.pop_key),

@@ -142,19 +142,14 @@ def build_grid(grid_name: str, config: dict) -> "harness.ScenarioGrid":
 
     settings = {f.name: _yaml_inf(config[f.name])
                 for f in fields(harness.ScenarioGrid) if f.name in config}
-    if grid_name == "paper":
-        return harness.ScenarioGrid.paper_defaults(**settings)
-    if grid_name == "figure3":
-        return harness.ScenarioGrid.power_curve_defaults(**settings)
-    if grid_name == "custom":
-        # the axes: the fields with no default
-        missing = [f.name for f in fields(harness.ScenarioGrid)
-                   if f.default is MISSING and f.name not in settings]
-        if missing:
-            raise ConfigError(
-                f"custom grid requires keys: {', '.join(missing)}")
-        return harness.ScenarioGrid(**settings)
-    raise ConfigError(f"unknown grid {grid_name!r}")
+    if grid_name != "custom":
+        return harness.ScenarioGrid.preset(grid_name, **settings)
+    # the axes: the fields with no default
+    missing = [f.name for f in fields(harness.ScenarioGrid)
+               if f.default is MISSING and f.name not in settings]
+    if missing:
+        raise ConfigError(f"custom grid requires keys: {', '.join(missing)}")
+    return harness.ScenarioGrid(**settings)
 
 
 def _canonical(obj):

@@ -7,8 +7,10 @@ population setting is a `PopulationParams` and an (n, m) cell a
 `design.DesignSpec`, whose checks are the grid's.  One population is
 generated per parameter combination; each scenario then runs many
 replicates of its cell's design (enroll, assign, measure) and its
-estimators through the batched kernel and reduces them to metric rows
-and a policy-value summary.
+estimators through the batched kernel, and one pass reduces them to the
+scenario's row per estimator, which each per-estimator table selects
+from, and its policy values (`ScenarioResult.reduction`).  `GRIDS` holds
+the axes of the preset grids.
 
 Randomness is derived from the master seed and a content hash of each
 population or scenario, so results for one scenario never depend on which
@@ -56,6 +58,23 @@ ESTIMATORS = (
     ("naive", "naive_est", ("naive_var",), "slope"))
 PATE_ESTIMATORS = tuple(e[0] for e in ESTIMATORS if e[3] == "pate")
 MODERATOR_ESTIMATORS = tuple(e[0] for e in ESTIMATORS if e[3] == "slope")
+
+#: The axes of each `--grid` preset.  `paper` is the headline study, 24
+#: populations by 12 designs; `figure3` the power study, small and medium
+#: trials over a ladder of effects relative to the baseline mean, under
+#: strong moderation.
+GRIDS = {
+    "paper": dict(
+        taus=tuple(v / 0.66 for v in (0.0, 0.05, 0.1, 0.3)),
+        beta_mods=(0.0, -0.1, -0.5), sd_eps1s=(0.0, math.sqrt(0.1)),
+        sample_sizes=(10, 100, 1000),
+        samples_per_plot=(5.0, 30.0, 100.0, math.inf)),
+    "figure3": dict(
+        taus=tuple(r * BASELINE_MEAN
+                   for r in (0.0, 0.025, 0.05, 0.1, 0.2, 0.3)),
+        beta_mods=(-0.5,), sd_eps1s=(math.sqrt(0.1),),
+        sample_sizes=(14, 140), samples_per_plot=(5.0, 100.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -119,32 +138,14 @@ class ScenarioGrid:
                     f"{self.population_size}: {exc}") from None
 
     @classmethod
-    def paper_defaults(cls, **overrides) -> "ScenarioGrid":
-        """The headline study grid: 24 populations by 12 designs."""
-        base = dict(
-            taus=tuple(v / 0.66 for v in (0.0, 0.05, 0.1, 0.3)),
-            beta_mods=(0.0, -0.1, -0.5),
-            sd_eps1s=(0.0, math.sqrt(0.1)),
-            sample_sizes=(10, 100, 1000),
-            samples_per_plot=(5.0, 30.0, 100.0, math.inf),
-        )
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def power_curve_defaults(cls, **overrides) -> "ScenarioGrid":
-        """Power study: small and medium trials over a ladder of effects
-        expressed relative to the baseline mean, under strong moderation."""
-        base = dict(
-            taus=tuple(r * BASELINE_MEAN
-                       for r in (0.0, 0.025, 0.05, 0.1, 0.2, 0.3)),
-            beta_mods=(-0.5,),
-            sd_eps1s=(math.sqrt(0.1),),
-            sample_sizes=(14, 140),
-            samples_per_plot=(5.0, 100.0),
-        )
-        base.update(overrides)
-        return cls(**base)
+    def preset(cls, name, **overrides) -> "ScenarioGrid":
+        """The grid of the `GRIDS` preset `name`, with `overrides` of any
+        field; raise ParamError for a name that `GRIDS` lacks."""
+        try:
+            axes = GRIDS[name]
+        except (KeyError, TypeError):  # TypeError: a name with no hash
+            raise ParamError(f"unknown grid {name!r}") from None
+        return cls(**dict(axes, **overrides))
 
     def population_params(self, tau: float, beta_mod: float,
                           sd_eps1: float) -> PopulationParams:
@@ -269,20 +270,23 @@ class ScenarioResult:
 
     @cached_property
     def reduction(self) -> dict:
-        """Every number the run's tables report of this scenario, from one
-        pass over its valid kernel rows, of which `run_scenario` leaves at
-        least one.
+        """Every number the run reports of this scenario, from one pass over
+        its valid kernel rows, of which `run_scenario` leaves at least one.
 
-        `target`, `bias`, `rmse`, `coverage`, `ci_width`, `power` and
-        `bias_se` list the `ESTIMATORS` in order, each judged against its
-        target in the bundle; `value` holds the mean estimated and
-        restricted policy values, `gap_mean` and `gap_var` the mean of
-        their difference and its variance (0 below two rows).  The `mod`
-        variance adds to HC2 the delta-method term for the sample SD that
-        scales its baseline.  Estimates and variances are stacked as
-        C-contiguous (estimators, k) rows, which numpy sums in the same
-        pairwise order as each lone column, so no digit depends on the
-        stacking.  A sum that overflows raises ParamError.
+        `rows` holds a dict per estimator, in `ESTIMATORS` order, of every
+        cell the run's per-estimator tables report of it: the scenario's
+        fields, `tau_relative`, `n_fail`, `warnings`, and its `target`,
+        `bias`, `rmse`, `coverage`, `ci_width` and `bias_se`, judged
+        against its target in the bundle, with `power` and its binomial
+        `power_se` over the valid replicates (None for `mod` and `naive`).
+        `value` holds the mean estimated and restricted policy values,
+        `gap_mean` and `gap_var` the mean of their difference and its
+        variance (0 below two rows).  The `mod` variance adds to HC2 the
+        delta-method term for the sample SD that scales its baseline.
+        Estimates and variances are stacked as C-contiguous (estimators, k)
+        rows, which numpy sums in the same pairwise order as each lone
+        column, so no digit depends on the stacking.  A sum that overflows
+        raises ParamError.
         """
         ok = self.valid()
         k = ok.shape[0]
@@ -301,52 +305,37 @@ class ScenarioResult:
                 err = est - target[:, np.newaxis]
                 half = _Z975 * np.sqrt(var)
                 gap = value[0] - value[1]
-                means = {
+                cells = {
                     "target": target,
                     "bias": err.sum(axis=1) / k,
                     "rmse": np.sqrt((err * err).sum(axis=1) / k),
                     "coverage": (np.abs(err) <= half).sum(axis=1) / k,
                     "ci_width": (2.0 * half).sum(axis=1) / k,
-                    "power": (est - half > 0.0).sum(axis=1) / k,
                     "bias_se": est.std(axis=1, ddof=1) / math.sqrt(k)
                     if k > 1 else np.full(len(est), math.nan),
-                    # the mean realized policy values, estimated and
-                    # restricted
-                    "value": value.sum(axis=1) / k,
-                    "gap_mean": gap.sum() / k,
                 }
-                gap_var = float(gap.var(ddof=1) / k) if k > 1 else 0.0
+                power = ((est - half > 0.0).sum(axis=1) / k).tolist()
+                out = {"value": (value.sum(axis=1) / k).tolist(),
+                       "gap_mean": float(gap.sum() / k),
+                       "gap_var": float(gap.var(ddof=1) / k)
+                       if k > 1 else 0.0}
         except FloatingPointError as exc:
             raise ParamError(f"scenario {self.scenario}: the metrics "
                              f"overflow: {exc}") from exc
-        out = {key: val.tolist() for key, val in means.items()}
-        out["gap_var"] = gap_var
-        return out
-
-    @cached_property
-    def rows(self) -> list:
-        """One dict per estimator, in `ESTIMATORS` order, of every cell the
-        run's per-estimator tables report of it: the scenario's fields,
-        `tau_relative`, the estimator's `reduction` numbers, `power` and its
-        binomial `power_se` over the valid replicates (None for `mod` and
-        `naive`), `n_fail` and `warnings`."""
-        sc, red = self.scenario, self.reduction
-        reps = self.raw.shape[0] - self.n_fail
+        sc, cells = self.scenario, {c: v.tolist() for c, v in cells.items()}
         warn = [f"failures={self.n_fail}"] if self.n_fail else []
         if self.raw.shape[0] == 1:
             warn.append("single-replicate")
         shared = dict(vars(sc), tau_relative=sc.tau / BASELINE_MEAN,
                       n_fail=self.n_fail, warnings=";".join(warn))
-        rows = []
-        for i, (name, _, _, target) in enumerate(ESTIMATORS):
-            p = red["power"][i] if target == "pate" else None
-            rows.append(dict(
+        out["rows"] = []
+        for i, (name, _, _, kind) in enumerate(ESTIMATORS):
+            p = power[i] if kind == "pate" else None
+            out["rows"].append(dict(
                 shared, estimator=name, power=p, power_se=None if p is None
-                else math.sqrt(max(p * (1.0 - p), 1e-12) / reps),
-                **{key: red[key][i] for key in (
-                    "target", "bias", "rmse", "coverage", "ci_width",
-                    "bias_se")}))
-        return rows
+                else math.sqrt(max(p * (1.0 - p), 1e-12) / k),
+                **{c: v[i] for c, v in cells.items()}))
+        return out
 
 
 def kernel_inputs(grid: ScenarioGrid, scenario: Scenario,
@@ -437,7 +426,7 @@ def metrics_rows(run: GridResult) -> list:
     """The metrics.csv rows of `run`: one per scenario and estimator."""
     pick = itemgetter(*METRICS_HEADER)
     return [MetricsRow._make(pick(row))
-            for result in run.results for row in result.rows]
+            for result in run.results for row in result.reduction["rows"]]
 
 
 def _number(cell) -> float:
@@ -539,7 +528,7 @@ def power_table(run: GridResult) -> list:
     relative to the baseline mean and a binomial Monte Carlo SE over the
     scenario's valid replicates."""
     return [{key: row[key] for key in POWER_HEADER}
-            for result in run.results for row in result.rows
+            for result in run.results for row in result.reduction["rows"]
             if row["estimator"] in PATE_ESTIMATORS]
 
 
@@ -552,5 +541,5 @@ def attenuation_table(run: GridResult) -> list:
     """Moderator bias and coverage per (estimator, n, m), with the Monte
     Carlo SE of the bias for step-size comparisons."""
     return [{key: row[key] for key in ATTENUATION_HEADER}
-            for result in run.results for row in result.rows
+            for result in run.results for row in result.reduction["rows"]
             if row["estimator"] in MODERATOR_ESTIMATORS]

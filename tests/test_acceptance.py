@@ -35,13 +35,13 @@ def report(criterion: str, ok: bool) -> None:
 
 @pytest.fixture(scope="module")
 def paper_run():
-    grid = harness.ScenarioGrid.paper_defaults()
+    grid = harness.ScenarioGrid.preset("paper")
     return harness.run_grid(grid, MASTER_SEED, threads=THREADS)
 
 
 @pytest.fixture(scope="module")
 def figure3_run():
-    grid = harness.ScenarioGrid.power_curve_defaults()
+    grid = harness.ScenarioGrid.preset("figure3")
     return harness.run_grid(grid, MASTER_SEED, threads=THREADS)
 
 
@@ -369,6 +369,7 @@ def test_pate_oracle_consistency(paper_run):
     for result in paper_run.results[:10]:
         target = pate(result.bundle.population)
         assert math.isfinite(target)
-        assert result.reduction["target"][:3] == [target] * 3
+        rows = result.reduction["rows"][:3]
+        assert [row["target"] for row in rows] == [target] * 3
     pops = {r.scenario.pop_key for r in paper_run.results}
     assert len(pops) == 24

@@ -227,12 +227,24 @@ def test_simulate_unknown_key_exits_2(runner, tmp_path):
     assert "bogus_key" in result.output
 
 
-def test_simulate_unknown_grid_exits_2(tmp_path):
+@pytest.mark.parametrize("grid, shown", [
+    ("nope", "'nope'"), ("[paper]", "['paper']"),
+    ("{paper: 1}", "{'paper': 1}"), ("5", "5")],
+    ids=["nope", "[paper]", "{paper: 1}", "5"])
+def test_simulate_unknown_grid_exits_2(tmp_path, grid, shown):
+    # a list or a mapping has no hash to look up, and is refused the same
     config = tmp_path / "run.yaml"
-    config.write_text("grid: nope\n")
+    config.write_text(f"grid: {grid}\n")
     done = run_cli("simulate", "--config", config, "--out", tmp_path / "out")
-    assert_one_error_line(done, 2, "unknown grid 'nope'")
+    assert_one_error_line(done, 2, f"error: unknown grid {shown}")
     assert not (tmp_path / "out").exists()
+
+
+def test_grid_choices_are_the_presets_and_custom():
+    # `cli` cannot import `harness` when it loads, so it lists the names
+    choices, = [p.type.choices for p in cli.simulate.params
+                if p.name == "grid_name"]
+    assert sorted(choices) == sorted(set(harness.GRIDS) | {"custom"})
 
 
 @pytest.mark.parametrize("config, message", [
@@ -329,11 +341,11 @@ def test_simulate_custom_grid_needs_all_axes(runner, tmp_path):
                 f"sample_sizes, samples_per_plot") in result.output
 
 
-def test_paper_grid_takes_the_config_settings():
+@pytest.mark.parametrize("name", ["paper", "figure3"])
+def test_paper_grid_takes_the_config_settings(name):
     config = {"n_replicates": 3, "samples_per_plot": [5, "inf"]}
-    assert cli.build_grid("paper", config) == (
-        harness.ScenarioGrid.paper_defaults(
-            n_replicates=3, samples_per_plot=(5.0, math.inf)))
+    assert cli.build_grid(name, config) == harness.ScenarioGrid.preset(
+        name, n_replicates=3, samples_per_plot=(5.0, math.inf))
 
 
 def test_simulate_invalid_threads_exits_2(runner, tmp_path):

@@ -279,6 +279,21 @@ def test_tables_match_the_per_column_reductions_bit_for_bit(make_run,
             max(row.power * (1.0 - row.power), 1e-12) / reps))
 
 
+def test_writing_a_run_reduces_each_scenario_once(monkeypatch, tmp_path):
+    # every table and the policy summary read one cached pass per result
+    run = single_replicate_run(monkeypatch)
+    calls = []
+    valid = harness.ScenarioResult.valid
+
+    def counted(result):
+        calls.append(id(result))
+        return valid(result)
+
+    monkeypatch.setattr(harness.ScenarioResult, "valid", counted)
+    cli._write_run(tmp_path, run, "custom", 1, "0" * 64)
+    assert sorted(calls) == sorted(map(id, run.results))
+    assert len(run.results) == 16
+
 def test_estimator_table_names_kernel_columns_in_metrics_order(monkeypatch):
     names = [name for name, *_ in harness.ESTIMATORS]
     # metrics.csv lists a scenario's estimators in this order, which its
@@ -357,7 +372,7 @@ def test_draw_replicates_is_uniform():
 
 
 def test_default_grids_shape():
-    paper = harness.ScenarioGrid.paper_defaults()
+    paper = harness.ScenarioGrid.preset("paper")
     assert len(paper.taus) == 4 and paper.taus[0] == 0.0
     assert paper.taus[-1] == pytest.approx(0.3 / 0.66)
     assert paper.beta_mods == (0.0, -0.1, -0.5)
@@ -367,9 +382,17 @@ def test_default_grids_shape():
     assert paper.n_replicates == 500
     assert paper.population_size == 5000
     assert len(harness.grid_scenarios(paper)) == 288
-    power = harness.ScenarioGrid.power_curve_defaults()
+    power = harness.ScenarioGrid.preset("figure3")
     assert power.sample_sizes == (14, 140)
     assert len(harness.grid_scenarios(power)) == 24
+    assert set(harness.GRIDS) == {"paper", "figure3"}
+
+
+@pytest.mark.parametrize("name", ["custom", ["paper"]],
+                         ids=["custom", "[paper]"])
+def test_preset_refuses_an_unknown_name(name):
+    with pytest.raises(ParamError, match=r"^unknown grid "):
+        harness.ScenarioGrid.preset(name)
 
 
 def test_scenario_order_is_stable():

@@ -17,9 +17,9 @@ def scenario_inputs(n, reps, n_pop):
     """A generated population of `n_pop` plots and the kernel's inputs
     for `reps` replicates that enroll `n` of them, as the harness builds
     them."""
-    grid = harness.ScenarioGrid.paper_defaults(n_replicates=reps,
-                                               population_size=n_pop,
-                                               sample_sizes=(n,))
+    grid = harness.ScenarioGrid.preset("paper", n_replicates=reps,
+                                       population_size=n_pop,
+                                       sample_sizes=(n,))
     scenario = harness.Scenario(tau=0.15, beta_mod=-0.5, sd_eps1=0.2,
                                 n=n, m=5.0)
     rng = harness.population_rng(99, *scenario.pop_key)
@@ -130,9 +130,9 @@ def test_bundle_factor_is_the_old_sd_fpc_bit_for_bit(sd):
     rng = np.random.default_rng(12)
     for n_pop in (6, 40, 5000):
         bundle = harness.build_bundle(generate_population(
-            harness.ScenarioGrid.paper_defaults(
-                population_size=n_pop, sample_sizes=(6,)).population_params(
-                0.1, -0.5, 0.3), rng))
+            harness.ScenarioGrid.preset(
+                "paper", population_size=n_pop,
+                sample_sizes=(6,)).population_params(0.1, -0.5, 0.3), rng))
         b = bundle.population.baseline
         for n in (6, n_pop // 2 * 2):
             got = kernels.sd_fpc(bundle.baseline_moments, sd, n, n_pop)
