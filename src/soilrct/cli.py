@@ -241,6 +241,12 @@ def simulate(config_path, seed, out_dir, threads, grid_name):
     sys.exit(EXIT_OK)
 
 
+def _write_json(path, obj) -> None:
+    """Write `obj` to `path` as indented JSON with sorted keys."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
 def _write_run(run_dir, run, grid_name, threads, digest) -> None:
     """Write the tables and the manifest of `run` into `run_dir`."""
     from . import design, harness, kernels
@@ -248,8 +254,7 @@ def _write_run(run_dir, run, grid_name, threads, digest) -> None:
     grid, seed = run.grid, run.master_seed
     harness.metrics_to_csv(harness.metrics_rows(run), run_dir / "metrics.csv")
     summary = harness.policy_summary(run)
-    (run_dir / "policy_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(run_dir / "policy_summary.json", summary)
     for name, header, table in (
             ("power_curves.csv", harness.POWER_HEADER, harness.power_table),
             ("attenuation.csv", harness.ATTENUATION_HEADER,
@@ -275,8 +280,7 @@ def _write_run(run_dir, run, grid_name, threads, digest) -> None:
             "cpu_count": os.cpu_count(),
         },
     }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(run_dir / "manifest.json", manifest)
 
 
 @main.command()
@@ -406,8 +410,7 @@ def policy_cmd(study_csv, target_csv, cost_csv, budget, out_dir):
         summary = regime.summary()
         summary["budget"] = ("inf" if costs.budget == math.inf
                              else costs.budget)
-        (out_dir / "policy.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write_json(out_dir / "policy.json", summary)
     click.echo(str(out_dir / "regime.csv"))
     sys.exit(EXIT_OK)
 

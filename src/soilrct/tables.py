@@ -1,13 +1,13 @@
 """The CSV format of every table soilrct reads or writes.
 
-A table is comma-separated text: one header line, then one line per row,
-each ending in `\\n`.  Both `read` and `write` hold a table as columns,
-one sequence per header cell.  Floats are written with `%.17g`, which
-round-trips IEEE doubles exactly, and `None` as an empty cell; a column
-of floats only, or of ints and strs only, is formatted with one `map`.
-Reading checks the header, the width of every row and every numeric
-cell, and reports the first fault as a `SchemaError` naming the file and
-line.
+A table is comma-separated UTF-8 text, whatever the locale: one header
+line, then one line per row, each ending in `\\n`.  Both `read` and
+`write` hold a table as columns, one sequence per header cell.  Floats
+are written with `%.17g`, which round-trips IEEE doubles exactly, and
+`None` as an empty cell; a column of floats only, or of ints and strs
+only, is formatted with one `map`.  `read` reports the first fault as a
+`SchemaError` naming the file: a byte that is not UTF-8 by its offset,
+or else the line of a bad header, row width or numeric cell.
 
 Every table soilrct writes itself (populations, studies, `regime.csv`,
 the `simulate` tables) needs no quoting, and is read and written by
@@ -29,6 +29,7 @@ table's rows by position, and `refusal` names the file and the line,
 """
 
 import csv
+import io
 import os
 from itertools import repeat
 
@@ -49,7 +50,7 @@ def write(path_or_file, header, columns) -> None:
     many as the header cells.
     """
     if isinstance(path_or_file, (str, os.PathLike)):
-        with open(path_or_file, "w", newline="") as fh:
+        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
             write(fh, header, columns)
         return
     header = ["" if v is None else str(v) for v in header]
@@ -96,11 +97,18 @@ def read(path, header_check) -> list:
     numbers: give another parser where `inf` or `nan` is a legitimate
     value.  A table with no data rows is refused.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        columns = _read_plain(path, header_check)
-    except ValueError:  # SchemaError and UnicodeDecodeError among them
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    try:
+        columns = _read_plain(data, text, header_check)
+    except ValueError:  # SchemaError among them
         columns = None
-    return _read_strict(path, header_check) if columns is None else columns
+    return (_read_strict(path, text, header_check) if columns is None
+            else columns)
 
 
 def first_repeat(ids):
@@ -133,23 +141,21 @@ def _parsers(header, header_check) -> list:
     raise SchemaError(f"expected header {','.join(header_check)}")
 
 
-def _read_plain(path, header_check):
+def _read_plain(data, text, header_check):
     """`read` by string splits, or None where the strict reader is needed:
     for a quote, a `\\r`, a blank line, a row of the wrong width, no final
     `\\n`, a line past the `csv` field limit, no data rows or a non-finite
     `float` cell.  Raises ValueError where the strict reader may answer
     otherwise.
 
-    The shape is checked by one numpy scan of the text's UTF-8 bytes, in
-    which `,` and `\\n` are single bytes: a table of `width` columns is
-    plain only if its separators are `width` per line and every
-    `width`-th of them, and no other, ends a line.  Only `\\n` ends a
-    line, as for `csv.reader`, so \\x0b, \\x0c, \\x1c and U+2028 stay
+    The shape is checked by one numpy scan of `data`, the UTF-8 bytes of
+    `text`, in which `,` and `\\n` are single bytes: a table of `width`
+    columns is plain only if its separators are `width` per line and
+    every `width`-th of them, and no other, ends a line.  Only `\\n` ends
+    a line, as for `csv.reader`, so \\x0b, \\x0c, \\x1c and U+2028 stay
     inside a cell.  A line's length is measured in bytes, never fewer
     than its characters, so the field limit test can only send more
     tables to the strict reader."""
-    with open(path, newline="") as fh:
-        text = fh.read()
     if ('"' in text or "\r" in text or not text.endswith("\n")
             or text.startswith("\n") or "\n\n" in text):
         return None
@@ -157,7 +163,7 @@ def _read_plain(path, header_check):
     header = head.split(",")
     parsers = _parsers(header, header_check)
     width = len(header)
-    raw = np.frombuffer(text.encode(), np.uint8)
+    raw = np.frombuffer(data, np.uint8)
     is_end = raw == ord("\n")
     seps = np.flatnonzero(is_end | (raw == ord(",")))
     # the offset of each line's end, if every line holds width - 1 commas
@@ -181,20 +187,17 @@ def _read_plain(path, header_check):
     return columns
 
 
-def _read_strict(path, header_check) -> list:
+def _read_strict(path, text, header_check) -> list:
     """`read` by `csv.reader`, which reports the first fault of any table."""
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh, strict=True)
-            header = next(reader, [])
-            parsers = _parsers(header, header_check)
-            rows = list(reader)
+        header = next(reader, [])
+        parsers = _parsers(header, header_check)
+        rows = list(reader)
     except SchemaError as exc:
         raise SchemaError(f"{path}:1: {exc}") from exc
     except csv.Error as exc:
         raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     width = len(header)

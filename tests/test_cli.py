@@ -836,15 +836,16 @@ def test_policy_budget_slack_is_one_rule_for_both_solvers(runner, tmp_path,
 CLI_MAIN = "from soilrct.cli import main; main()"
 
 
-def run_python(code, *argv, preexec_fn=None):
+def run_python(code, *argv, preexec_fn=None, env=()):
     """`python -c code *argv` in a fresh interpreter that imports this
     soilrct; a RuntimeWarning is an error there, as in the suite, and a
     run that loops fails the test instead of hanging it.  `preexec_fn`
-    runs in the child before it starts the interpreter."""
+    runs in the child before it starts the interpreter, and `env` holds
+    environment variables to set there."""
     src = str(Path(soilrct.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]),
-        PYTHONWARNINGS="error::RuntimeWarning")
+        "PYTHONWARNINGS": "error::RuntimeWarning", **dict(env)}
     return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                           env=env, capture_output=True, text=True,
                           timeout=30, preexec_fn=preexec_fn)
@@ -1130,7 +1131,7 @@ TARGET_FAULTS = {
                      " invalid start byte"),
     "ff-past-8kb-population": (
         lambda pop, bare: _past_8kb(pop),
-        ": 'utf-8' codec can't decode byte 0xff in position 808: invalid "
+        ": 'utf-8' codec can't decode byte 0xff in position 9000: invalid "
         "start byte"),
     "ff-past-8kb-bare": (
         lambda pop, bare: _past_8kb(bare),
@@ -1172,6 +1173,79 @@ def test_policy_target_faults_exit_2_with_their_error(runner, tmp_path,
         library = population_refusal(1)
         assert getattr(library, "row", None) is None
         assert result.stderr == f"error: {target}: {library}\n"
+
+
+#: The environment of a C locale whose codec is ASCII: no UTF-8 mode and
+#: no coercion of the locale to C.UTF-8.
+ASCII_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_policy_bytes_do_not_depend_on_the_locale(tmp_path):
+    # every table is read and written as UTF-8, so non-ASCII plot ids give
+    # the same regime under an ASCII locale as under UTF-8 mode
+    study_path, _, _ = make_policy_files(tmp_path, n_target=5)
+    target = tmp_path / "target.csv"
+    target.write_bytes(_population_text(
+        5, [f"parcelle-\u00e9{i}" for i in range(5)]).encode())
+    outs = {}
+    for name, env in (("ascii", ASCII_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        done = run_python(CLI_MAIN, "policy", study_path, target, "--out",
+                          tmp_path / name, env=env)
+        assert done.returncode == 0, done.stderr
+        outs[name] = [(tmp_path / name / table).read_bytes()
+                      for table in ("regime.csv", "policy.json")]
+    assert outs["ascii"] == outs["utf8"]
+    assert outs["ascii"][0].splitlines()[1].startswith(
+        "parcelle-\u00e90,".encode())
+
+
+def test_population_round_trips_non_ascii_ids_under_an_ascii_locale(
+        tmp_path):
+    done = run_python(
+        "import sys\n"
+        "from soilrct.population import Population\n"
+        "ids = ['parcelle-\\u00e9', 'b']\n"
+        "Population(baseline=[2.0, 2.5], po=[[2.5, 3.0], [2.6, 2.9]],\n"
+        "           plot_id=ids).to_csv(sys.argv[1])\n"
+        "assert Population.from_csv(sys.argv[1]).plot_id == ids\n",
+        tmp_path / "pop.csv", env=ASCII_LOCALE)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "pop.csv").read_bytes().splitlines()[1].startswith(
+        b"parcelle-\xc3\xa9,")
+
+
+def test_commands_open_no_file_in_the_locale_codec(tmp_path):
+    # an `open` or `write_text` without an encoding warns under
+    # PYTHONWARNDEFAULTENCODING, and the warning is an error here
+    env = {"PYTHONWARNDEFAULTENCODING": "1",
+           "PYTHONWARNINGS": "error::RuntimeWarning,error::EncodingWarning"}
+    config = tmp_path / "run.yaml"
+    config.write_text(TINY_CONFIG)
+    study_path, target_path, _ = make_policy_files(tmp_path)
+    cost_path = tmp_path / "costs.csv"
+    cost_path.write_text("plot_id,cost0,cost1\n0,1,2\n1,0.5,4\n2,3,1\n")
+    for argv in (
+            ["simulate", "--config", config, "--out", tmp_path / "sim"],
+            ["estimate", study_path, "--estimator", "ols"],
+            ["policy", study_path, target_path, "--costs", cost_path,
+             "--budget", "4", "--out", tmp_path / "pol"]):
+        done = run_python(CLI_MAIN, *argv, env=env)
+        assert done.returncode == 0, done.stderr
+
+
+def test_policy_nan_budget_exits_2_without_a_file(runner, tmp_path):
+    # the budget is an option, not a cell of the cost table, so its
+    # refusal names no file
+    study_path, target_path, _ = make_policy_files(tmp_path)
+    cost_path = tmp_path / "costs.csv"
+    cost_path.write_text("plot_id,cost0,cost1\n0,1,2\n1,0.5,4\n2,3,1\n")
+    result = runner.invoke(cli.main, ["policy", str(study_path),
+                                      str(target_path), "--costs",
+                                      str(cost_path), "--budget", "nan",
+                                      "--out", str(tmp_path / "pol")])
+    assert result.exit_code == 2
+    assert result.stderr == "error: budget must be a number or +inf\n"
+    assert not (tmp_path / "pol").exists()
 
 
 def test_policy_cost_schema_mismatch_exits_2(runner, tmp_path):

@@ -139,6 +139,14 @@ def _table_bytes(draw):
     return data
 
 
+def _read_strict(path, header_check):
+    """`tables.read` with the plain reader declining every table, so that
+    the strict reader parses whatever `read` decodes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables, "_read_plain", lambda data, text, check: None)
+        return tables.read(path, header_check)
+
+
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_table_bytes(), check=st.sampled_from(sorted(_CHECKS)))
@@ -183,7 +191,7 @@ def test_read_matches_the_strict_reader(tmp_path, data, check):
     path = tmp_path / "t.csv"
     path.write_bytes(data)
     assert (_outcome(tables.read, path, _CHECKS[check])
-            == _outcome(tables._read_strict, path, _CHECKS[check]))
+            == _outcome(_read_strict, path, _CHECKS[check]))
 
 
 @pytest.mark.parametrize("rows", [
@@ -193,8 +201,26 @@ def test_read_matches_the_strict_reader(tmp_path, data, check):
 def test_plain_reader_takes_finite_cells_whose_sum_overflows(tmp_path, rows):
     path = tmp_path / "t.csv"
     tables.write(path, list(COLUMNS), zip(*rows))
-    ids, ks, xs = tables._read_plain(path, COLUMNS)
+    data = path.read_bytes()
+    ids, ks, xs = tables._read_plain(data, data.decode(), COLUMNS)
     assert [ids, ks, xs.tolist()] == [list(c) for c in zip(*rows)]
+
+
+def test_read_opens_a_table_once(tmp_path, monkeypatch):
+    """A table that only the strict reader takes, for its quoted cell and
+    its `\\r\\n` line ends, is opened once, not again by that reader."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'id,k,x\r\n"a,b",1,1.5\r\nc,2,-0.5\r\n')
+    opened = []
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(tables, "open", counting, raising=False)
+    ids, ks, xs = tables.read(path, COLUMNS)
+    assert [ids, ks, xs.tolist()] == [["a,b", "c"], [1, 2], [1.5, -0.5]]
+    assert len(opened) == 1
 
 
 def _csv_writer_table(header, columns) -> str:
